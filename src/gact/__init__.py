@@ -13,7 +13,6 @@ from .biorder import (
     esquare_at,
     idempotent_at,
     is_rectangular_band,
-    is_singular,
     singular_witness,
     square_condition,
 )
@@ -93,11 +92,9 @@ from .rees import (
     KernelIndex,
     SandwichMatrix,
     build_sandwich,
-    district,
     kernel_list,
     lambda_list,
     matrix_to_text,
-    occurrences,
     q_of,
     sandwich_entry,
     set_partitions,

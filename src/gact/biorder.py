@@ -18,7 +18,7 @@ from .endo import (
 )
 from .errors import ResourceLimit, ZeroEntry
 from .groups import Group
-from .rees import SandwichMatrix, build_sandwich, q_of
+from .rees import DEFAULT_MAX_ENTRIES, SandwichMatrix, build_sandwich, q_of, value_alphabet
 
 DEFAULT_MAX_IDEMPOTENTS = 1_000_000
 
@@ -95,15 +95,6 @@ def is_rectangular_band(sq: ESquare) -> bool:
     return compose(sq.e, sq.g) == sq.f
 
 
-def is_singular(sq: ESquare) -> bool:
-    """For this idempotent structure, singular means rectangular band.
-
-    The exhaustive idempotent search is kept separately in
-    singular_witness as a cross-check.
-    """
-    return is_rectangular_band(sq)
-
-
 def singular_witness(
     sq: ESquare,
     candidates: list[Endo] | None = None,
@@ -175,28 +166,40 @@ def esquare_at(m: SandwichMatrix, i_idx: int, k_idx: int, l_idx: int, m_idx: int
     )
 
 
-def squares_report(g: Group, n: int, max_entries: int = 10_000_000) -> list[dict]:
-    """Per-rank counts of idempotents, nondegenerate E-squares and singular ones."""
+def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> list[dict]:
+    """Per-rank counts of idempotents, nondegenerate E-squares and singular ones.
+
+    Walking the columns a row pair shares, each one closes a square with
+    every earlier shared column, and a singular one with each earlier
+    column in its quotient class (square_condition is the entry-level
+    oracle for this).
+    """
     report = []
     for r in range(1, n + 1):
         m = build_sandwich(g, n, r, max_entries)
-        n_idem = sum(1 for _ in m.nonzero_positions())
+        _, col_ids, qtab = value_alphabet(m)
+        # per row: (column, quotient-table row of its entry) at nonzero columns
+        nonzero = [[(l_idx, qtab[a]) for l_idx, a in enumerate(ids) if a >= 0] for ids in col_ids]
         n_squares = 0
         n_singular = 0
-        nrows = len(m.kernels)
-        ncols = len(m.lambdas)
-        for i in range(nrows):
-            for k in range(i + 1, nrows):
-                for l_idx in range(ncols):
-                    if m.entries[l_idx][i] is None or m.entries[l_idx][k] is None:
+        for i, cols_i in enumerate(nonzero):
+            for ids_k in col_ids[i + 1:]:
+                shared = 0
+                class_size: dict[int, int] = {}
+                for l_idx, qrow in cols_i:
+                    b = ids_k[l_idx]
+                    if b < 0:
                         continue
-                    for m_idx in range(l_idx + 1, ncols):
-                        if m.entries[m_idx][i] is None or m.entries[m_idx][k] is None:
-                            continue
-                        n_squares += 1
-                        if square_condition(m, i, k, l_idx, m_idx):
-                            n_singular += 1
-        report.append(
-            {"rank": r, "idempotents": n_idem, "squares": n_squares, "singular": n_singular}
-        )
+                    q = qrow[b]
+                    c = class_size.get(q, 0)
+                    n_squares += shared
+                    n_singular += c
+                    shared += 1
+                    class_size[q] = c + 1
+        report.append({
+            "rank": r,
+            "idempotents": sum(len(cols) for cols in nonzero),
+            "squares": n_squares,
+            "singular": n_singular,
+        })
     return report

@@ -15,9 +15,10 @@ from math import factorial
 from .biorder import squares_report
 from .endo import parse_wreath, wreath_to_text
 from .errors import Capped, GactError, ParseError, ResourceLimit
-from .fpgroup import abelianization, todd_coxeter
+from .fpgroup import DEFAULT_MAX_COSETS, abelianization, todd_coxeter
 from .groups import Group, make_group
 from .presentation import (
+    DEFAULT_MAX_RELATORS,
     build_gr_presentation,
     build_quotient_presentation,
     lavers_presentation,
@@ -31,7 +32,7 @@ from .reduction import (
     simplify_presentation,
     value_component_counts,
 )
-from .rees import build_sandwich, matrix_to_text, occurrences
+from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, matrix_to_text
 
 ENV_CAPS = {
     "max_entries": "GACT_MAX_ENTRIES",
@@ -39,9 +40,9 @@ ENV_CAPS = {
     "max_cosets": "GACT_MAX_COSETS",
 }
 DEFAULT_CAPS = {
-    "max_entries": 10_000_000,
-    "max_relators": 5_000_000,
-    "max_cosets": 1_000_000,
+    "max_entries": DEFAULT_MAX_ENTRIES,
+    "max_relators": DEFAULT_MAX_RELATORS,
+    "max_cosets": DEFAULT_MAX_COSETS,
 }
 
 
@@ -288,7 +289,7 @@ def _dispatch(args) -> int:
     if args.command == "occurrences":
         m = build_sandwich(g, args.n, args.r, caps["max_entries"])
         phi = parse_wreath(g, args.r, args.alpha)
-        found = occurrences(m, phi)
+        found = m.value_positions().get(phi, [])
         if args.json:
             print(json.dumps([
                 {

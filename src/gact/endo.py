@@ -64,11 +64,6 @@ def identity_endo(g: Group, n: int) -> Endo:
     return Endo(g, n, tuple(range(1, n + 1)), (0,) * n)
 
 
-def apply_point(alpha: Endo, weight: int, point: int) -> tuple[int, int]:
-    """Image of the act element weight*x_point under alpha."""
-    return alpha.group.table[weight][alpha.weights[point - 1]], alpha.targets[point - 1]
-
-
 def compose(a: Endo, b: Endo) -> Endo:
     """a followed by b."""
     if a.n != b.n or a.group is not b.group:

@@ -30,7 +30,6 @@ class CosetTable:
     n_gens: int
     table: list[list[int]]
     order: int
-    status: str = "complete"
 
 
 def _columns(word):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ParseError, ResourceLimit
 from .groups import Group
-from .rees import KernelIndex, SandwichMatrix, kernel_index_of, lambda_list
+from .rees import KernelIndex, SandwichMatrix, kernel_index_of, lambda_list, value_alphabet
 
 DEFAULT_MAX_RELATORS = 5_000_000
 
@@ -144,36 +144,6 @@ def position_gen_name(m: SandwichMatrix, i_idx: int, l_idx: int) -> str:
     return f"f_{i_idx}_{lam}"
 
 
-def _value_alphabet(m: SandwichMatrix):
-    """Intern the occurring values and tabulate their pairwise quotients.
-
-    Returns (values, per-row column id vectors, quotient table) where the
-    id vectors hold -1 at zero entries and the quotient table gives an
-    arbitrary-but-fixed id for each inv(a)*b over the occurring values.
-    """
-    g = m.group
-    values = sorted(m.value_positions().keys(), key=wreath_to_text)
-    vid = {v: idx for idx, v in enumerate(values)}
-    ncols = len(m.lambdas)
-    col_ids = [
-        [
-            -1 if m.entries[l_idx][i] is None else vid[m.entries[l_idx][i]]
-            for l_idx in range(ncols)
-        ]
-        for i in range(len(m.kernels))
-    ]
-    quotients: dict[WreathElem, int] = {}
-    qtab = []
-    for a in values:
-        inv_a = wreath_inv(g, a)
-        row = []
-        for b in values:
-            q = wreath_mul(g, inv_a, b)
-            row.append(quotients.setdefault(q, len(quotients)))
-        qtab.append(row)
-    return values, col_ids, qtab
-
-
 def _emit_square_chains(nrows, ncols, col_ids, qtab, emit):
     """Scan each unordered row pair, chaining columns with equal quotients.
 
@@ -232,10 +202,10 @@ def build_gr_presentation(
             sink.add((gen2d[i_idx][par_idx], -gen2d[i_idx][l_idx]), "R1")
     # R2 at each row's district column
     for i_idx in range(nrows):
-        sink.add((gen2d[i_idx][m.lambda_pos[m.omega[i_idx]]],), "R2")
+        sink.add((gen2d[i_idx][m.lambda_pos[m.districts[i_idx]]],), "R2")
     # R3 chains per row pair and quotient value; the four letters name four
     # distinct positions, so each word arrives reduced and unseen
-    _, col_ids, qtab = _value_alphabet(m)
+    _, col_ids, qtab = value_alphabet(m)
     add_fast = sink.add_reduced_unique
 
     def emit(i, k, la, lb):
@@ -263,7 +233,7 @@ def build_quotient_presentation(
     exactly as in the position-indexed presentation, but written on the
     value generators, plus the relator killing the identity value.
     """
-    values, col_ids, qtab = _value_alphabet(m)
+    values, col_ids, qtab = value_alphabet(m)
     names = [value_gen_name(v) for v in values]
     sink = _RelatorSink(max_relators)
     nrows = len(m.kernels)

@@ -33,7 +33,7 @@ class PositionGraph:
     """Union-find over the nonzero positions with equal-value links.
 
     The representative of a component is its lexicographically least
-    (row, column) pair.  Edges are kept for reporting.
+    (row, column) pair.
     """
 
     def __init__(self, m: SandwichMatrix):
@@ -41,7 +41,6 @@ class PositionGraph:
         self.positions: list[Position] = list(m.nonzero_positions())
         self.index = {pos: i for i, pos in enumerate(self.positions)}
         self._parent = list(range(len(self.positions)))
-        self.edges: list[tuple[str, Position, Position]] = []
 
     def _find(self, i: int) -> int:
         parent = self._parent
@@ -60,8 +59,7 @@ class PositionGraph:
             ri, rj = rj, ri
         self._parent[rj] = ri  # smaller index wins, so roots stay lexicographic minima
 
-    def link(self, kind: str, a: Position, b: Position):
-        self.edges.append((kind, a, b))
+    def link(self, a: Position, b: Position):
         self._union(self.index[a], self.index[b])
 
     def find(self, pos: Position) -> Position:
@@ -90,7 +88,7 @@ def connectivity(m: SandwichMatrix) -> PositionGraph:
                 continue
             pos = (i, l_idx)
             if v in first:
-                pg.link("row", first[v], pos)
+                pg.link(first[v], pos)
             else:
                 first[v] = pos
     for l_idx in range(ncols):
@@ -101,7 +99,7 @@ def connectivity(m: SandwichMatrix) -> PositionGraph:
                 continue
             pos = (i, l_idx)
             if v in first:
-                pg.link("column", first[v], pos)
+                pg.link(first[v], pos)
             else:
                 first[v] = pos
     return pg

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
-from .endo import Endo, WreathElem, kernel, wreath_identity
+from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ResourceLimit
 from .groups import Group
 
@@ -75,9 +76,12 @@ class KernelIndex:
         return tuple(b[0] for b in self.partition)
 
 
-def district(ki: KernelIndex) -> tuple[int, ...]:
-    """The sorted tuple of block minima; the first entry is always 1."""
-    return ki.mins()
+def stirling2(n: int, r: int) -> int:
+    """Partitions of an n-set into r blocks, by the triangle recurrence."""
+    row = [1] + [0] * r  # S(0, j)
+    for _ in range(n):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, r + 1)]
+    return row[r]
 
 
 def kernel_list(g: Group, n: int, r: int) -> list[KernelIndex]:
@@ -161,19 +165,18 @@ class SandwichMatrix:
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         if not 1 <= r <= n:
             raise BadRank(f"rank {r} outside [1, {n}]")
+        # columns times rows in closed form, so the cap fires before the rows exist
+        if comb(n, r) * stirling2(n, r) * g.order ** (n - r) > max_entries:
+            raise ResourceLimit("sandwich matrix entries", max_entries)
         self.group = g
         self.n = n
         self.r = r
         self.lambdas = lambda_list(n, r)
         self.kernels = kernel_list(g, n, r)
-        total = len(self.lambdas) * len(self.kernels)
-        if total > max_entries:
-            raise ResourceLimit("sandwich matrix entries", max_entries)
         self.lambda_pos = {lam: i for i, lam in enumerate(self.lambdas)}
         self.kernel_pos = {ki: i for i, ki in enumerate(self.kernels)}
         self.thetas = [theta(g, n, r, ki) for ki in self.kernels]
         self.districts = [ki.mins() for ki in self.kernels]
-        self.omega = list(self.districts)
         identity = wreath_identity(r)
         rng = range(len(self.kernels))
         entries: list[list[WreathElem | None]] = []
@@ -189,7 +192,7 @@ class SandwichMatrix:
             entries.append(row)
         self.entries = entries
         for i in rng:
-            if entries[self.lambda_pos[self.omega[i]]][i] != identity:
+            if entries[self.lambda_pos[self.districts[i]]][i] != identity:
                 raise AssertionError("district column does not give the identity entry")
         for l_idx, per_lambda in enumerate(entries):
             if all(v is None for v in per_lambda):
@@ -225,31 +228,36 @@ def sandwich_entry(m: SandwichMatrix, lam: tuple[int, ...], ki: KernelIndex) -> 
     return m.entries[m.lambda_pos[lam]][m.kernel_pos[ki]]
 
 
-def occurrences(m: SandwichMatrix, phi: WreathElem) -> list[tuple[int, int]]:
-    """All (row, column) positions holding phi.
+def value_alphabet(m: SandwichMatrix):
+    """Intern the occurring values and tabulate their pairwise quotients.
 
-    Rows are pre-filtered by the positional constraints a district must
-    satisfy against each column (block minimum of the image slot at or
-    below the column entry, strictly below for a twisted weight) before
-    the stored entry is compared.
+    Returns (values, per-row column id vectors, quotient table) where the
+    id vectors hold -1 at zero entries and the quotient table gives an
+    arbitrary-but-fixed id for each inv(a)*b over the occurring values.
+    Rows i, k and columns l, m form a singular square exactly when
+    qtab[a_li][a_lk] == qtab[a_mi][a_mk] for the ids a of the four entries.
     """
-    res = []
-    r = m.r
-    perm = phi.perm
-    weights = phi.weights
-    for i, d in enumerate(m.districts):
-        row_ok = [
-            l_idx
-            for l_idx, lam in enumerate(m.lambdas)
-            if all(
-                d[perm[j] - 1] < lam[j] or (d[perm[j] - 1] == lam[j] and weights[j] == 0)
-                for j in range(r)
-            )
+    g = m.group
+    values = sorted(m.value_positions().keys(), key=wreath_to_text)
+    vid = {v: idx for idx, v in enumerate(values)}
+    ncols = len(m.lambdas)
+    col_ids = [
+        [
+            -1 if m.entries[l_idx][i] is None else vid[m.entries[l_idx][i]]
+            for l_idx in range(ncols)
         ]
-        for l_idx in row_ok:
-            if m.entries[l_idx][i] == phi:
-                res.append((i, l_idx))
-    return res
+        for i in range(len(m.kernels))
+    ]
+    quotients: dict[WreathElem, int] = {}
+    qtab = []
+    for a in values:
+        inv_a = wreath_inv(g, a)
+        row = []
+        for b in values:
+            q = wreath_mul(g, inv_a, b)
+            row.append(quotients.setdefault(q, len(quotients)))
+        qtab.append(row)
+    return values, col_ids, qtab
 
 
 def matrix_to_text(m: SandwichMatrix) -> str:

@@ -19,10 +19,9 @@ from gact import (
     decompose,
     enumerate_idempotents,
     esquare_at,
+    is_rectangular_band,
     is_simple_form,
-    is_singular,
     make_group,
-    occurrences,
     parse_wreath,
     rising_point,
     schreier_build,
@@ -147,7 +146,7 @@ def test_criterion_4_rank_n_trivial():
 def test_criterion_5_nonconnected_value_merges_with_witness():
     g, m, p = built("Z2", 4, 2)
     diag = parse_wreath(g, 2, "1:1;2:1")
-    occ = occurrences(m, diag)
+    occ = m.value_positions().get(diag, [])
     pg = connectivity(m)
     counts = value_component_counts(pg)[diag]
     log = []
@@ -209,7 +208,7 @@ def test_criterion_7_coverage_thresholds():
                     perm = tuple(range(r, 0, -1))
                     weights = (1 if g.order > 1 else 0,) + (0,) * (r - 1)
                     reversal = WreathElem(r, perm, weights)
-                    if occurrences(m, reversal):
+                    if reversal in m.value_positions():
                         failures.append(("witness", n, r, g.order))
     record("7 coverage thresholds with reversal witnesses", not failures, str(failures))
 
@@ -233,9 +232,9 @@ def test_criterion_8_singularity_oracle():
                             sq = esquare_at(m, i, k, l1, l2)
                             squares += 1
                             witness = singular_witness(sq, candidates)
-                            if is_singular(sq) != (witness is not None):
+                            if is_rectangular_band(sq) != (witness is not None):
                                 bad.append((g.order, r, i, k, l1, l2, "oracle"))
-                            if is_singular(sq) and (
+                            if is_rectangular_band(sq) and (
                                 singular_witness(sq, candidates, kind="updown") is None
                             ):
                                 bad.append((g.order, r, i, k, l1, l2, "updown"))

@@ -15,8 +15,8 @@ from gact import (
     image,
     is_idempotent,
     is_rectangular_band,
-    is_singular,
     kernel,
+    make_group,
     rank,
     singular_witness,
     square_condition,
@@ -85,7 +85,6 @@ def test_esquare_validation():
     e = idempotent_at(m, 0, 0)
     sq = ESquare(e, e, e, e)
     assert is_rectangular_band(sq)
-    assert is_singular(sq)
     assert singular_witness(sq) == e  # the corner itself works for a degenerate square
     other_row = next(i for i, l in m.nonzero_positions() if i != 0 and l == 0)
     f = idempotent_at(m, other_row, 0)
@@ -120,7 +119,7 @@ def test_singular_iff_witness_found_n3():
             for m, i, k, l_idx, m_idx in all_esquares(g, 3, r):
                 sq = esquare_at(m, i, k, l_idx, m_idx)
                 witness = singular_witness(sq, candidates)
-                assert is_singular(sq) == (witness is not None)
+                assert is_rectangular_band(sq) == (witness is not None)
                 if witness is not None:
                     assert is_idempotent(witness)
                     updown = singular_witness(sq, candidates, kind="updown")
@@ -146,7 +145,7 @@ def test_square_condition_matches_band_test():
     m = build_sandwich(Z2, 4, 2)
     for _, i, k, l_idx, m_idx in all_esquares(Z2, 4, 2):
         sq = esquare_at(m, i, k, l_idx, m_idx)
-        assert square_condition(m, i, k, l_idx, m_idx) == is_singular(sq)
+        assert square_condition(m, i, k, l_idx, m_idx) == is_rectangular_band(sq)
 
 
 def test_idempotent_at_properties():
@@ -190,5 +189,10 @@ def test_squares_report_counts():
     assert by_rank[3]["idempotents"] == 1
     assert sum(row["idempotents"] for row in report) == 10
     assert by_rank[3]["squares"] == 0
-    for row in report:
-        assert 0 <= row["singular"] <= row["squares"]
+    # brute force over the squares and the entry-level condition
+    for spec, n in (("trivial", 3), ("Z2", 3), ("Z3", 3), ("S3", 3), ("Z2", 4)):
+        g = make_group(spec)
+        for row in squares_report(g, n):
+            squares = all_esquares(g, n, row["rank"])
+            assert row["squares"] == len(squares)
+            assert row["singular"] == sum(1 for sq in squares if square_condition(*sq))

@@ -10,13 +10,11 @@ from gact import (
     build_sandwich,
     compose,
     cyclic_group,
-    district,
     green_test,
     image,
     kernel,
     kernel_list,
     lambda_list,
-    occurrences,
     parse_wreath,
     q_of,
     rank,
@@ -27,6 +25,7 @@ from gact import (
     trivial_group,
     wreath_identity,
 )
+from gact import rees
 from gact.endo import eps_rank_r
 from gact.rees import kernel_index_of, matrix_to_text
 
@@ -49,7 +48,7 @@ def test_lambda_list_examples():
 def test_set_partition_counts():
     for n in range(1, 7):
         for r in range(1, n + 1):
-            assert len(set_partitions(n, r)) == stirling(n, r)
+            assert len(set_partitions(n, r)) == stirling(n, r) == rees.stirling2(n, r)
 
 
 def test_set_partitions_sorted_and_min_led():
@@ -96,7 +95,7 @@ def test_theta_weight_position_bound():
     for n, r in ((5, 2), (4, 3)):
         for ki in kernel_list(Z2, n, r):
             th = theta(Z2, n, r, ki)
-            d = district(ki)
+            d = ki.mins()
             for k in range(1, n + 1):
                 j = th.targets[k - 1]
                 assert k >= d[j - 1]
@@ -141,13 +140,13 @@ def test_q_of_examples():
 def test_district_examples():
     p1 = KernelIndex(((1, 2, 8), (3, 4, 7), (5, 6, 9)), (0,) * 6)
     p2 = KernelIndex(((1, 2, 4, 6), (3, 7), (5, 8, 9)), (0,) * 6)
-    assert district(p1) == (1, 3, 5)
-    assert district(p2) == (1, 3, 5)
+    assert p1.mins() == (1, 3, 5)
+    assert p2.mins() == (1, 3, 5)
     # the district is the sorted block minima, nothing else
     p3 = KernelIndex(((1, 4, 6), (2, 3), (5, 7, 8, 9)), (0,) * 6)
-    assert district(p3) == (1, 2, 5)
+    assert p3.mins() == (1, 2, 5)
     singles = KernelIndex(((1, 4), (2,), (3,)), (0,))
-    assert district(singles) == (1, 2, 3)
+    assert singles.mins() == (1, 2, 3)
 
 
 def test_sandwich_shape_and_entries():
@@ -156,7 +155,7 @@ def test_sandwich_shape_and_entries():
     assert len(m.kernels) == 28
     ident = wreath_identity(2)
     for i in range(28):
-        assert m.entries[m.lambda_pos[m.omega[i]]][i] == ident
+        assert m.entries[m.lambda_pos[m.districts[i]]][i] == ident
     # entry definition agrees with composing the column and row maps
     for i, ki in enumerate(m.kernels):
         th = theta(Z2, 4, 2, ki)
@@ -188,28 +187,62 @@ def test_sandwich_caps_and_bad_rank():
         build_sandwich(Z2, 4, 0)
 
 
+def test_sandwich_cap_fires_before_rows_are_built(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("kernel_list called before the entries cap")
+
+    monkeypatch.setattr(rees, "kernel_list", no_rows)
+    with pytest.raises(ResourceLimit):
+        build_sandwich(cyclic_group(3), 9, 2, max_entries=10)
+    # the closed form is exact: a cap equal to the entry count still builds
+    monkeypatch.undo()
+    total = len(lambda_list(4, 2)) * len(kernel_list(Z2, 4, 2))
+    build_sandwich(Z2, 4, 2, max_entries=total)
+    with pytest.raises(ResourceLimit):
+        build_sandwich(Z2, 4, 2, max_entries=total - 1)
+
+
 def test_sandwich_entry_lookup():
     m = build_sandwich(Z2, 4, 2)
     ki = kernel_index_of(eps_rank_r(Z2, 4, 2))
     assert sandwich_entry(m, (1, 2), ki) == wreath_identity(2)
 
 
+def district_prefiltered_occurrences(m, phi):
+    """All (row, column) positions holding phi, by the positional-district lemma.
+
+    Rows are pre-filtered by the positional constraints a district must
+    satisfy against each column (block minimum of the image slot at or
+    below the column entry, strictly below for a twisted weight) before
+    the stored entry is compared.
+    """
+    res = []
+    for i, d in enumerate(m.districts):
+        for l_idx, lam in enumerate(m.lambdas):
+            if all(
+                d[phi.perm[j] - 1] < lam[j] or (d[phi.perm[j] - 1] == lam[j] and phi.weights[j] == 0)
+                for j in range(m.r)
+            ) and m.entries[l_idx][i] == phi:
+                res.append((i, l_idx))
+    return res
+
+
 def test_occurrences_examples():
     m = build_sandwich(Z2, 4, 2)
     phi = parse_wreath(Z2, 2, "1:1;2:1")
-    occ = occurrences(m, phi)
+    occ = m.value_positions().get(phi, [])
     assert [(m.districts[i], m.lambdas[l]) for i, l in occ] == [
         ((1, 2), (3, 4)),
         ((1, 3), (2, 4)),
     ]
     m6 = build_sandwich(Z2, 6, 4)
     phi6 = parse_wreath(Z2, 4, "3:0;2:1;4:0;1:0")
-    occ6 = occurrences(m6, phi6)
+    occ6 = m6.value_positions().get(phi6, [])
     assert len(occ6) == 1
     assert m6.lambdas[occ6[0][1]] == (3, 4, 5, 6)
     m43 = build_sandwich(T, 4, 3)
     reversal = parse_wreath(T, 3, "3:0;2:0;1:0")
-    assert occurrences(m43, reversal) == []
+    assert m43.value_positions().get(reversal, []) == []
 
 
 def test_occurrences_matches_full_scan():
@@ -222,7 +255,8 @@ def test_occurrences_matches_full_scan():
                 for l in range(len(m.lambdas))
                 if m.entries[l][i] == phi
             ]
-            assert occurrences(m, phi) == brute
+            assert m.value_positions().get(phi, []) == brute
+            assert district_prefiltered_occurrences(m, phi) == brute
 
 
 def test_coverage_threshold_small():
