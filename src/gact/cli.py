@@ -131,10 +131,11 @@ def _emit(args, text: str):
 def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
     """Build, simplify and enumerate; returns the report fields."""
     m = build_sandwich(g, n, r, caps["max_entries"])
-    s = schreier_build(g, n, r)
-    p = build_gr_presentation(m, s, caps["max_relators"])
     report: dict = {"n": n, "r": r, "group_order": g.order}
     if r == n - 1:
+        # the rank-free claim is about the position presentation itself:
+        # it has no R3 relators, and its abelianization gives the free rank
+        p = build_gr_presentation(m, schreier_build(g, n, r), caps["max_relators"])
         ab = abelianization(p)
         report.update(
             mode="rank-free",
@@ -145,6 +146,7 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
         )
         return report
     expected = 1 if r == n else (g.order ** r) * factorial(r)
+    p = build_quotient_presentation(m, caps["max_relators"])
     pg = connectivity(m)
     log: list = []
     q = simplify_presentation(p, m, pg, log)

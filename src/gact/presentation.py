@@ -144,31 +144,6 @@ def position_gen_name(m: SandwichMatrix, i_idx: int, l_idx: int) -> str:
     return f"f_{i_idx}_{lam}"
 
 
-def _emit_square_chains(nrows, ncols, col_ids, qtab, emit):
-    """Scan each unordered row pair, chaining columns with equal quotients.
-
-    emit(i, k, previous column, current column) is called once per chain
-    link, with columns ascending.
-    """
-    for i in range(nrows):
-        ids_i = col_ids[i]
-        for k in range(i + 1, nrows):
-            ids_k = col_ids[k]
-            last_col: dict[int, int] = {}
-            for l_idx in range(ncols):
-                a = ids_i[l_idx]
-                if a < 0:
-                    continue
-                b = ids_k[l_idx]
-                if b < 0:
-                    continue
-                q = qtab[a][b]
-                prev = last_col.get(q)
-                if prev is not None:
-                    emit(i, k, prev, l_idx)
-                last_col[q] = l_idx
-
-
 def build_gr_presentation(
     m: SandwichMatrix,
     s: SchreierSystem,
@@ -207,14 +182,23 @@ def build_gr_presentation(
     # distinct positions, so each word arrives reduced and unseen
     _, col_ids, qtab = value_alphabet(m)
     add_fast = sink.add_reduced_unique
-
-    def emit(i, k, la, lb):
-        add_fast(
-            (-gen2d[i][la], gen2d[i][lb], -gen2d[k][lb], gen2d[k][la]),
-            "R3",
-        )
-
-    _emit_square_chains(nrows, ncols, col_ids, qtab, emit)
+    for i in range(nrows):
+        ids_i, gen_i = col_ids[i], gen2d[i]
+        for k in range(i + 1, nrows):
+            ids_k, gen_k = col_ids[k], gen2d[k]
+            last_col: dict[int, int] = {}
+            for l_idx in range(ncols):
+                a = ids_i[l_idx]
+                if a < 0:
+                    continue
+                b = ids_k[l_idx]
+                if b < 0:
+                    continue
+                q = qtab[a][b]
+                prev = last_col.get(q)
+                if prev is not None:
+                    add_fast((-gen_i[prev], gen_i[l_idx], -gen_k[l_idx], gen_k[prev]), "R3")
+                last_col[q] = l_idx
     return Presentation(names, sink.words, sink.tags, gen_keys=npos)
 
 
@@ -227,31 +211,31 @@ def value_gen_name(v: WreathElem) -> str:
 def build_quotient_presentation(
     m: SandwichMatrix, max_relators: int = DEFAULT_MAX_RELATORS
 ) -> Presentation:
-    """One generator per distinct nonzero value; chained square relators.
+    """One generator per distinct nonzero value; square relators per column pair.
 
-    The relators identify quotient expressions across every pair of rows
-    exactly as in the position-indexed presentation, but written on the
-    value generators, plus the relator killing the identity value.
+    Rows holding x and y in columns l < m close a singular square exactly
+    when their keys y * inv(x) agree.  Per column pair, each distinct value
+    pair (x, y) is tied to the first pair (x0, y0) of its key class by the
+    relator inv(x0) y0 inv(y) x, in the order l, then m, then first row.
+    The relator killing the identity value comes last.
     """
-    values, col_ids, qtab = value_alphabet(m)
+    g = m.group
+    values, col_ids, _ = value_alphabet(m)
     names = [value_gen_name(v) for v in values]
+    key_of: dict[tuple[int, int], WreathElem] = {}  # (x, y) value ids -> y * inv(x)
+    columns = list(zip(*col_ids))
     sink = _RelatorSink(max_relators)
-    nrows = len(m.kernels)
-    ncols = len(m.lambdas)
-
-    def emit(i, k, la, lb):
-        ids_i, ids_k = col_ids[i], col_ids[k]
-        sink.add(
-            (
-                -ids_i[la] - 1,
-                ids_i[lb] + 1,
-                -ids_k[lb] - 1,
-                ids_k[la] + 1,
-            ),
-            "P1",
-        )
-
-    _emit_square_chains(nrows, ncols, col_ids, qtab, emit)
+    for l_idx, col_l in enumerate(columns):
+        for col_m in columns[l_idx + 1:]:
+            first: dict[WreathElem, tuple[int, int]] = {}
+            for x, y in dict.fromkeys(zip(col_l, col_m)):
+                if x < 0 or y < 0:
+                    continue
+                if (x, y) not in key_of:
+                    key_of[x, y] = wreath_mul(g, values[y], wreath_inv(g, values[x]))
+                x0, y0 = first.setdefault(key_of[x, y], (x, y))
+                if x0 != x:
+                    sink.add((-x0 - 1, y0 + 1, -y - 1, x + 1), "P1")
     sink.add((values.index(wreath_identity(m.r)) + 1,), "P2")
     return Presentation(names, sink.words, sink.tags, gen_keys=values)
 

@@ -360,20 +360,20 @@ def simplify_presentation(
     pg: PositionGraph,
     witness_log: list | None = None,
 ) -> Presentation:
-    """Collapse the position-indexed presentation onto value generators.
+    """Certify the value presentation of m and tie each split value.
 
-    Identity-valued generators are erased, connected positions are merged,
-    and each remaining component of a value is tied to the others through
-    a decomposition square found in the matrix; the witness is recorded
-    and the corresponding product relator added, so every identification
-    is a consequence of the input relators and the presented group is
-    unchanged.
+    p carries one generator per matrix value (its gen_keys are the values).
+    The identity value is erased, and each value whose positions fall into
+    several components is tied to the others through a decomposition
+    square found in the matrix; the witness is recorded and a relator for
+    value = remainder * simple factor is added.  Every value must end in a
+    single class, so each identification is certified.
     """
-    if p.gen_keys is None:
-        raise ValueError("needs the position-keyed presentation")
     g = m.group
     identity = wreath_identity(m.r)
     vp = m.value_positions()
+    if p.gen_keys is None or any(key not in vp for key in p.gen_keys):
+        raise ValueError("needs a presentation keyed by the values of this matrix")
 
     merged_root: dict[Position, Position] = {}  # second-level union over component roots
 
@@ -444,10 +444,8 @@ def simplify_presentation(
     gen_of_value = {v: gi + 1 for gi, v in enumerate(values)}
     names = [value_gen_name(v) for v in values]
 
-    gen_letter: list[int] = []  # old generator -> signed new letter, 0 to erase
-    for pos in p.gen_keys:
-        v = pg.value_of(pos)
-        gen_letter.append(0 if v == identity else gen_of_value[v])
+    # old generator -> new letter, 0 to erase
+    gen_letter = [0 if v == identity else gen_of_value[v] for v in p.gen_keys]
 
     sink = _RelatorSink(len(p.relators) + len(pending) + 1)
     for word, tag in zip(p.relators, p.tags):

@@ -5,6 +5,20 @@ from functools import lru_cache
 
 from gact import Endo, WreathElem, compose
 
+# (n, group, r, expected order) of the desk-scale main-theorem checks
+MAIN_CASES = [
+    (4, "trivial", 1, 1),
+    (4, "trivial", 2, 2),
+    (5, "trivial", 2, 2),
+    (5, "trivial", 3, 6),
+    (6, "trivial", 4, 24),
+    (4, "Z2", 1, 2),
+    (4, "Z2", 2, 8),
+    (5, "Z2", 2, 8),
+    (5, "Z3", 2, 18),
+    (5, "Z2", 3, 48),
+]
+
 
 @lru_cache(maxsize=None)
 def stirling(n, r):

@@ -40,7 +40,7 @@ from gact.endo import WreathElem, compose
 from gact.presentation import Presentation, evaluate_word
 from gact.rees import q_of
 
-from helpers import wreath_elements
+from helpers import MAIN_CASES, wreath_elements
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -63,20 +63,6 @@ def record(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {criterion}: {status} {detail}".rstrip())
     assert ok, f"criterion {criterion}: {detail}"
-
-
-MAIN_CASES = [
-    (4, "trivial", 1, 1),
-    (4, "trivial", 2, 2),
-    (5, "trivial", 2, 2),
-    (5, "trivial", 3, 6),
-    (6, "trivial", 4, 24),
-    (4, "Z2", 1, 2),
-    (4, "Z2", 2, 8),
-    (5, "Z2", 2, 8),
-    (5, "Z3", 2, 18),
-    (5, "Z2", 3, 48),
-]
 
 
 def test_criterion_1_main_theorem_desk_scale():
@@ -109,8 +95,7 @@ def test_criterion_2_rank_one_recovers_the_group():
         )
         want_ab = abelianization(table_pres)
         m = build_sandwich(g, 4, 1)
-        p = build_gr_presentation(m, schreier_build(g, 4, 1))
-        q = simplify_presentation(p, m, connectivity(m))
+        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
         got_ab = abelianization(q)
         results.append(
             (
@@ -150,7 +135,7 @@ def test_criterion_5_nonconnected_value_merges_with_witness():
     pg = connectivity(m)
     counts = value_component_counts(pg)[diag]
     log = []
-    q = simplify_presentation(p, m, pg, log)
+    q = simplify_presentation(build_quotient_presentation(m), m, pg, log)
     witnesses = [w for w in log if w.value == diag]
     # both positions collapse onto the single final generator of that value,
     # and the final group still has the right order

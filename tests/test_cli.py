@@ -57,11 +57,24 @@ def test_usage_errors(capsys):
 
 
 def test_resource_cap_exit(capsys):
-    code, _, err = run(
-        capsys, "verify", "--n", "4", "--r", "2", "--group", "Z2", "--max-entries", "3"
-    )
-    assert code == 3
-    assert "cap 3" in err
+    for flag, cap in (("--max-entries", "3"), ("--max-relators", "10")):
+        code, _, err = run(
+            capsys, "verify", "--n", "4", "--r", "2", "--group", "Z2", flag, cap
+        )
+        assert code == 3
+        assert f"cap {cap}" in err
+
+
+def test_verify_below_rank_free_skips_position_presentation(monkeypatch):
+    import gact.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("position presentation built")
+
+    monkeypatch.setattr(cli, "build_gr_presentation", refuse)
+    monkeypatch.setattr(cli, "schreier_build", refuse)
+    for spec, n, r in (("Z2", 4, 2), ("trivial", 5, 3), ("Z2", 4, 4)):
+        assert cli.run_verify(cli.make_group(spec), n, r, cli.DEFAULT_CAPS)["ok"]
 
 
 def test_cap_env_fallback(capsys, monkeypatch):

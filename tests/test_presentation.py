@@ -2,20 +2,26 @@ import pytest
 
 from gact import (
     ParseError,
+    Presentation,
     ResourceLimit,
     build_gr_presentation,
     build_quotient_presentation,
     build_sandwich,
     compose,
+    connectivity,
     cyclic_group,
     is_idempotent,
     lavers_presentation,
+    make_group,
     presentation_from_text,
     presentation_to_text,
     q_of,
     schreier_build,
+    simplify_presentation,
+    square_condition,
     todd_coxeter,
     trivial_group,
+    word_equal,
     wreath_identity,
     wreath_inv,
 )
@@ -27,7 +33,7 @@ from gact.presentation import (
     validate_presentation,
 )
 
-from helpers import wreath_elements
+from helpers import MAIN_CASES, wreath_elements
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -199,6 +205,63 @@ def test_quotient_relators_sound():
             assert evaluate_word(g, assignment, r, word) == wreath_identity(r)
 
 
+def test_quotient_relator_cap():
+    with pytest.raises(ResourceLimit):
+        build_quotient_presentation(build_sandwich(Z2, 4, 2), max_relators=10)
+
+
+def test_value_route_matches_position_route():
+    # the gr relators, written on the value generators with identity
+    # letters erased, plus the merge relators, present the same group as
+    # the simplified value presentation: each relator set holds in the
+    # other's coset table
+    for n, spec, r, expected in MAIN_CASES + [(4, "S3", 2, 72), (5, "Z3", 3, 162)]:
+        g = make_group(spec)
+        m = build_sandwich(g, n, r)
+        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+        gen_of_value = {v: gi + 1 for gi, v in enumerate(q.gen_keys)}
+        gen_of_value[wreath_identity(r)] = 0  # erased
+        p = build_gr_presentation(m, schreier_build(g, n, r))
+        letter = [gen_of_value[m.entries[l_idx][i]] for i, l_idx in p.gen_keys]
+        words = set()
+        for w in p.relators:
+            image = [letter[x - 1] if x > 0 else -letter[-x - 1] for x in w]
+            words.add(free_reduce(x for x in image if x))
+        words.discard(())
+        merges = [w for w, tag in zip(q.relators, q.tags) if tag == "merge"]
+        oracle_words = sorted(words) + merges
+        oracle = Presentation(q.generators, oracle_words, ["oracle"] * len(oracle_words))
+        q_table, oracle_table = todd_coxeter(q), todd_coxeter(oracle)
+        assert q_table.order == oracle_table.order == expected, (n, spec, r)
+        assert all(word_equal(q_table, w, ()) for w in oracle.relators), (n, spec, r)
+        assert all(word_equal(oracle_table, w, ()) for w in q.relators), (n, spec, r)
+
+
+def test_quotient_kills_every_singular_square():
+    # brute force over all squares, one representative per value quadruple
+    for g, n, r in ((Z2, 4, 2), (T, 5, 3), (make_group("S3"), 4, 2)):
+        m = build_sandwich(g, n, r)
+        p = build_quotient_presentation(m)
+        table = todd_coxeter(p)
+        gen = {v: gi + 1 for gi, v in enumerate(p.gen_keys)}
+        nrows, ncols = len(m.kernels), len(m.lambdas)
+        for l1 in range(ncols):
+            for l2 in range(l1 + 1, ncols):
+                seen = set()
+                for i in range(nrows):
+                    x_i, y_i = m.entries[l1][i], m.entries[l2][i]
+                    if x_i is None or y_i is None:
+                        continue
+                    for k in range(i + 1, nrows):
+                        x_k, y_k = m.entries[l1][k], m.entries[l2][k]
+                        if x_k is None or y_k is None or (x_i, y_i, x_k, y_k) in seen:
+                            continue
+                        seen.add((x_i, y_i, x_k, y_k))
+                        if square_condition(m, i, k, l1, l2):
+                            word = (-gen[x_i], gen[y_i], -gen[y_k], gen[x_k])
+                            assert word_equal(table, word, ())
+
+
 # -- wreath presentation ----------------------------------------------------------
 
 def test_lavers_generator_count():
@@ -314,8 +377,7 @@ def test_simplified_abelianization_matches_concrete_wreath():
         concrete = Presentation(names, relators, ["mul"] * len(relators))
         want = abelianization(concrete)
         m = build_sandwich(g, n, r)
-        p = build_gr_presentation(m, schreier_build(g, n, r))
-        q = simplify_presentation(p, m, connectivity(m))
+        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
         got = abelianization(q)
         assert (got.torsion, got.free_rank) == (want.torsion, want.free_rank), (n, spec, r)
 

@@ -8,6 +8,7 @@ from gact import (
     WitnessNotFound,
     WreathElem,
     build_gr_presentation,
+    build_quotient_presentation,
     build_sandwich,
     connectivity,
     cyclic_group,
@@ -276,7 +277,7 @@ def simplified(g, n, r, log=None):
     m = build_sandwich(g, n, r)
     p = build_gr_presentation(m, schreier_build(g, n, r))
     pg = connectivity(m)
-    return p, simplify_presentation(p, m, pg, log)
+    return p, simplify_presentation(build_quotient_presentation(m), m, pg, log)
 
 
 def test_simplify_collapses_to_value_generators():
@@ -309,10 +310,13 @@ def test_simplify_surfaces_missing_witness():
     from gact import PositionGraph
 
     m = build_sandwich(Z2, 4, 2)
-    p = build_gr_presentation(m, schreier_build(Z2, 4, 2))
     unclosed = PositionGraph(m)
     with pytest.raises(WitnessNotFound):
-        simplify_presentation(p, m, unclosed)
+        simplify_presentation(build_quotient_presentation(m), m, unclosed)
+    # the position-keyed presentation is refused outright
+    p = build_gr_presentation(m, schreier_build(Z2, 4, 2))
+    with pytest.raises(ValueError):
+        simplify_presentation(p, m, connectivity(m))
 
 
 def test_rank_top_slices_need_no_merging():
@@ -398,9 +402,8 @@ def test_merge_witnesses_certify_their_squares():
 
     g = make_group("S3")
     m = build_sandwich(g, 4, 2)
-    p = build_gr_presentation(m, schreier_build(g, 4, 2))
     log = []
-    simplify_presentation(p, m, connectivity(m), log)
+    simplify_presentation(build_quotient_presentation(m), m, connectivity(m), log)
     assert log
     for w in log:
         t_idx, j_idx, l_idx, mu_idx = w.square
