@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -169,36 +170,30 @@ def esquare_at(m: SandwichMatrix, i_idx: int, k_idx: int, l_idx: int, m_idx: int
 def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> list[dict]:
     """Per-rank counts of idempotents, nondegenerate E-squares and singular ones.
 
-    Walking the columns a row pair shares, each one closes a square with
-    every earlier shared column, and a singular one with each earlier
-    column in its quotient class (square_condition is the entry-level
-    oracle for this).
+    Per column pair, every two rows nonzero in both columns close a square,
+    and a singular one when their value_alphabet keys agree (square_condition
+    is the entry-level oracle for this).
     """
     report = []
     for r in range(1, n + 1):
         m = build_sandwich(g, n, r, max_entries)
-        _, col_ids, qtab = value_alphabet(m)
-        # per row: (column, quotient-table row of its entry) at nonzero columns
-        nonzero = [[(l_idx, qtab[a]) for l_idx, a in enumerate(ids) if a >= 0] for ids in col_ids]
+        _, columns, key = value_alphabet(m)
         n_squares = 0
         n_singular = 0
-        for i, cols_i in enumerate(nonzero):
-            for ids_k in col_ids[i + 1:]:
-                shared = 0
-                class_size: dict[int, int] = {}
-                for l_idx, qrow in cols_i:
-                    b = ids_k[l_idx]
-                    if b < 0:
+        for l_idx, col_l in enumerate(columns):
+            for col_m in columns[l_idx + 1:]:
+                rows = 0
+                classes: Counter = Counter()
+                for (x, y), count in Counter(zip(col_l, col_m)).items():
+                    if x < 0 or y < 0:
                         continue
-                    q = qrow[b]
-                    c = class_size.get(q, 0)
-                    n_squares += shared
-                    n_singular += c
-                    shared += 1
-                    class_size[q] = c + 1
+                    rows += count
+                    classes[key(x, y)] += count
+                n_squares += comb(rows, 2)
+                n_singular += sum(comb(size, 2) for size in classes.values())
         report.append({
             "rank": r,
-            "idempotents": sum(len(cols) for cols in nonzero),
+            "idempotents": sum(x >= 0 for col in columns for x in col),
             "squares": n_squares,
             "singular": n_singular,
         })

@@ -183,9 +183,12 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     g = make_group(args.group)
     caps = {name: _cap(args, name) for name in DEFAULT_CAPS}
+    if args.command in ("sandwich", "presentation", "connectivity", "occurrences") and (
+        getattr(args, "kind", None) != "lavers"
+    ):
+        m = build_sandwich(g, args.n, args.r, caps["max_entries"])
 
     if args.command == "sandwich":
-        m = build_sandwich(g, args.n, args.r, caps["max_entries"])
         if args.json:
             entries = [
                 {
@@ -208,13 +211,10 @@ def _dispatch(args) -> int:
     if args.command == "presentation":
         if args.kind == "lavers":
             p = lavers_presentation(g, args.r)
+        elif args.kind == "gr":
+            p = build_gr_presentation(m, schreier_build(g, args.n, args.r), caps["max_relators"])
         else:
-            m = build_sandwich(g, args.n, args.r, caps["max_entries"])
-            if args.kind == "gr":
-                s = schreier_build(g, args.n, args.r)
-                p = build_gr_presentation(m, s, caps["max_relators"])
-            else:
-                p = build_quotient_presentation(m, caps["max_relators"])
+            p = build_quotient_presentation(m, caps["max_relators"])
         if args.json:
             _emit(args, json.dumps({
                 "generators": p.generators,
@@ -260,7 +260,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "connectivity":
-        m = build_sandwich(g, args.n, args.r, caps["max_entries"])
         pg = connectivity(m)
         counts = value_component_counts(pg)
         rows = sorted(
@@ -289,7 +288,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "occurrences":
-        m = build_sandwich(g, args.n, args.r, caps["max_entries"])
         phi = parse_wreath(g, args.r, args.alpha)
         found = m.value_positions().get(phi, [])
         if args.json:

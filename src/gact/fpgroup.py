@@ -246,9 +246,6 @@ class Abelianization:
     torsion: tuple[int, ...] = ()
     free_rank: int = 0
 
-    def is_free(self) -> bool:
-        return not self.torsion
-
 
 def abelianization(pres) -> Abelianization:
     """Invariant factors of the presentation's abelianized group.

@@ -178,9 +178,17 @@ def build_gr_presentation(
     # R2 at each row's district column
     for i_idx in range(nrows):
         sink.add((gen2d[i_idx][m.lambda_pos[m.districts[i_idx]]],), "R2")
-    # R3 chains per row pair and quotient value; the four letters name four
-    # distinct positions, so each word arrives reduced and unseen
-    _, col_ids, qtab = value_alphabet(m)
+    # R3 chains per row pair and left quotient inv(a) * b of the rows' entries
+    # a, b in a column; the four letters name four distinct positions, so
+    # each word arrives reduced and unseen
+    g = m.group
+    values, columns, _ = value_alphabet(m)
+    quotients: dict[WreathElem, int] = {}
+    qtab = []
+    for a in values:
+        inv_a = wreath_inv(g, a)
+        qtab.append([quotients.setdefault(wreath_mul(g, inv_a, b), len(quotients)) for b in values])
+    col_ids = list(zip(*columns))
     add_fast = sink.add_reduced_unique
     for i in range(nrows):
         ids_i, gen_i = col_ids[i], gen2d[i]
@@ -219,11 +227,8 @@ def build_quotient_presentation(
     relator inv(x0) y0 inv(y) x, in the order l, then m, then first row.
     The relator killing the identity value comes last.
     """
-    g = m.group
-    values, col_ids, _ = value_alphabet(m)
+    values, columns, key = value_alphabet(m)
     names = [value_gen_name(v) for v in values]
-    key_of: dict[tuple[int, int], WreathElem] = {}  # (x, y) value ids -> y * inv(x)
-    columns = list(zip(*col_ids))
     sink = _RelatorSink(max_relators)
     for l_idx, col_l in enumerate(columns):
         for col_m in columns[l_idx + 1:]:
@@ -231,9 +236,7 @@ def build_quotient_presentation(
             for x, y in dict.fromkeys(zip(col_l, col_m)):
                 if x < 0 or y < 0:
                     continue
-                if (x, y) not in key_of:
-                    key_of[x, y] = wreath_mul(g, values[y], wreath_inv(g, values[x]))
-                x0, y0 = first.setdefault(key_of[x, y], (x, y))
+                x0, y0 = first.setdefault(key(x, y), (x, y))
                 if x0 != x:
                     sink.add((-x0 - 1, y0 + 1, -y - 1, x + 1), "P1")
     sink.add((values.index(wreath_identity(m.r)) + 1,), "P2")

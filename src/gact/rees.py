@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
@@ -200,9 +201,6 @@ class SandwichMatrix:
         # every kernel row is nonzero at its own district column, checked above
         self._value_positions: dict[WreathElem, list[tuple[int, int]]] | None = None
 
-    def entry(self, l_idx: int, i_idx: int) -> WreathElem | None:
-        return self.entries[l_idx][i_idx]
-
     def nonzero_positions(self):
         """Positions as (row index, column index) pairs in lexicographic order."""
         for i in range(len(self.kernels)):
@@ -229,35 +227,24 @@ def sandwich_entry(m: SandwichMatrix, lam: tuple[int, ...], ki: KernelIndex) -> 
 
 
 def value_alphabet(m: SandwichMatrix):
-    """Intern the occurring values and tabulate their pairwise quotients.
+    """Intern the occurring values and give the column-pair square key.
 
-    Returns (values, per-row column id vectors, quotient table) where the
-    id vectors hold -1 at zero entries and the quotient table gives an
-    arbitrary-but-fixed id for each inv(a)*b over the occurring values.
-    Rows i, k and columns l, m form a singular square exactly when
-    qtab[a_li][a_lk] == qtab[a_mi][a_mk] for the ids a of the four entries.
+    Returns (values, columns, key): values sorted by text, columns[l][i]
+    the id of the entry at column l and row i (-1 at a zero entry, the
+    layout of m.entries), and the memoized key(x, y) = y * inv(x) of two
+    value ids.  Rows holding x, y and x', y' in columns l, m close a
+    singular square exactly when key(x, y) == key(x', y').
     """
     g = m.group
     values = sorted(m.value_positions().keys(), key=wreath_to_text)
     vid = {v: idx for idx, v in enumerate(values)}
-    ncols = len(m.lambdas)
-    col_ids = [
-        [
-            -1 if m.entries[l_idx][i] is None else vid[m.entries[l_idx][i]]
-            for l_idx in range(ncols)
-        ]
-        for i in range(len(m.kernels))
-    ]
-    quotients: dict[WreathElem, int] = {}
-    qtab = []
-    for a in values:
-        inv_a = wreath_inv(g, a)
-        row = []
-        for b in values:
-            q = wreath_mul(g, inv_a, b)
-            row.append(quotients.setdefault(q, len(quotients)))
-        qtab.append(row)
-    return values, col_ids, qtab
+    columns = [[-1 if v is None else vid[v] for v in col] for col in m.entries]
+
+    @cache
+    def key(x: int, y: int) -> WreathElem:
+        return wreath_mul(g, values[y], wreath_inv(g, values[x]))
+
+    return values, columns, key
 
 
 def matrix_to_text(m: SandwichMatrix) -> str:

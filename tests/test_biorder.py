@@ -190,7 +190,7 @@ def test_squares_report_counts():
     assert sum(row["idempotents"] for row in report) == 10
     assert by_rank[3]["squares"] == 0
     # brute force over the squares and the entry-level condition
-    for spec, n in (("trivial", 3), ("Z2", 3), ("Z3", 3), ("S3", 3), ("Z2", 4)):
+    for spec, n in (("trivial", 3), ("Z2", 3), ("Z3", 3), ("S3", 3), ("Z2", 4), ("Z3", 4)):
         g = make_group(spec)
         for row in squares_report(g, n):
             squares = all_esquares(g, n, row["rank"])

@@ -151,12 +151,14 @@ def test_sandwich_cli_to_file(capsys, tmp_path):
 
 
 def test_presentation_cli_round_trip(capsys):
-    code, out, _ = run(
-        capsys, "presentation", "--n", "4", "--r", "2", "--group", "Z2", "--kind", "lavers"
-    )
-    assert code == 0
-    p = presentation_from_text(out)
-    assert todd_coxeter(p).order == 8
+    # the Lavers presentation needs no sandwich matrix, so its entries cap never fires
+    for spec, n, extra, order in (("Z2", "4", (), 8), ("Z3", "9", ("--max-entries", "10"), 18)):
+        code, out, _ = run(
+            capsys, "presentation", "--n", n, "--r", "2", "--group", spec, "--kind", "lavers", *extra
+        )
+        assert code == 0
+        p = presentation_from_text(out)
+        assert todd_coxeter(p).order == order
 
 
 def test_presentation_cli_json(capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from gact import (
@@ -203,6 +205,18 @@ def test_quotient_relators_sound():
         assignment = [wreath_inv(g, v) for v in p.gen_keys]
         for word in p.relators:
             assert evaluate_word(g, assignment, r, word) == wreath_identity(r)
+
+
+def test_quotient_relator_order_pinned():
+    # Todd-Coxeter coset counts depend on relator order, so the l, m,
+    # first-row emission order is pinned byte for byte
+    pinned = {
+        "Z2": "1f3c666d45fd4dfebf0f5cc8f3e4f57dee3db36d448a47656ef56f78e79b707d",
+        "S3": "117c1e8745cd7385472cbf359af6d1152585043e2bcb6b92164dc952c663d5e7",
+    }
+    for spec, digest in pinned.items():
+        text = presentation_to_text(build_quotient_presentation(build_sandwich(make_group(spec), 4, 2)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_quotient_relator_cap():
