@@ -96,8 +96,6 @@ from .rees import (
     lambda_list,
     matrix_to_text,
     q_of,
-    sandwich_entry,
     set_partitions,
     theta,
-    theta_kernel_index,
 )

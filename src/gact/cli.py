@@ -172,10 +172,7 @@ def main(argv=None) -> int:
     except (ResourceLimit, Capped) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, GactError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

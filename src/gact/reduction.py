@@ -11,7 +11,7 @@ quadruple found in the matrix.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .endo import (
@@ -24,7 +24,7 @@ from .endo import (
 )
 from .errors import NotDecomposable, StepNotApplicable, WitnessNotFound
 from .presentation import Presentation, _RelatorSink, value_gen_name
-from .rees import SandwichMatrix, theta_kernel_index
+from .rees import SandwichMatrix, kernel_index_of
 
 Position = tuple[int, int]
 
@@ -59,9 +59,6 @@ class PositionGraph:
             ri, rj = rj, ri
         self._parent[rj] = ri  # smaller index wins, so roots stay lexicographic minima
 
-    def link(self, a: Position, b: Position):
-        self._union(self.index[a], self.index[b])
-
     def find(self, pos: Position) -> Position:
         return self.positions[self._find(self.index[pos])]
 
@@ -76,44 +73,28 @@ class PositionGraph:
 
 
 def connectivity(m: SandwichMatrix) -> PositionGraph:
-    """Close the same-row and same-column equal-value links."""
+    """Close the same-row and same-column equal-value links in one row-major pass.
+
+    Each position is linked to the first position of its value in its row
+    (a map reset at every row) and in its column.
+    """
     pg = PositionGraph(m)
-    nrows = len(m.kernels)
-    ncols = len(m.lambdas)
-    for i in range(nrows):
-        first: dict[WreathElem, Position] = {}
-        for l_idx in range(ncols):
-            v = m.entries[l_idx][i]
-            if v is None:
-                continue
-            pos = (i, l_idx)
-            if v in first:
-                pg.link(first[v], pos)
-            else:
-                first[v] = pos
-    for l_idx in range(ncols):
-        first = {}
-        for i in range(nrows):
-            v = m.entries[l_idx][i]
-            if v is None:
-                continue
-            pos = (i, l_idx)
-            if v in first:
-                pg.link(first[v], pos)
-            else:
-                first[v] = pos
+    first_in_col: dict[tuple[int, WreathElem], int] = {}
+    first_in_row: dict[WreathElem, int] = {}
+    row = -1
+    for idx, (i, l_idx) in enumerate(pg.positions):
+        if i != row:
+            row, first_in_row = i, {}
+        v = m.entries[l_idx][i]
+        pg._union(first_in_row.setdefault(v, idx), idx)
+        pg._union(first_in_col.setdefault((l_idx, v), idx), idx)
     return pg
 
 
 def value_component_counts(pg: PositionGraph) -> dict[WreathElem, tuple[int, int]]:
     """Per value: (number of positions, number of components)."""
-    pos_count: dict[WreathElem, int] = defaultdict(int)
-    comps: dict[WreathElem, set[Position]] = defaultdict(set)
-    for pos in pg.positions:
-        v = pg.value_of(pos)
-        pos_count[v] += 1
-        comps[v].add(pg.find(pos))
-    return {v: (pos_count[v], len(comps[v])) for v in pos_count}
+    ncomps = Counter(pg.value_of(root) for root in pg.components())
+    return {v: (len(ps), ncomps[v]) for v, ps in pg.matrix.value_positions().items()}
 
 
 # -- the three walking steps ---------------------------------------------------
@@ -132,7 +113,10 @@ def _moved_row(m: SandwichMatrix, i_idx: int, t: int, target: int, weight: int) 
     targets[t - 1] = target
     weights[t - 1] = weight
     moved = Endo(m.group, m.n, tuple(targets), tuple(weights))
-    return m.kernel_pos[theta_kernel_index(moved)]
+    k_idx = m.kernel_pos[kernel_index_of(moved)]
+    if m.thetas[k_idx] != moved:
+        raise AssertionError("redefined map is not the transversal of its row")
+    return k_idx
 
 
 def _check_same_value(m: SandwichMatrix, old: Position, new: Position):
@@ -311,35 +295,26 @@ def find_singular_witness(
     phi2: WreathElem,
     psi: WreathElem,
     sigma: WreathElem,
-    fix_row_k: int | None = None,
-    fix_col_lambda: int | None = None,
+    k_idx: int,
+    l_idx: int,
 ):
-    """Search a 2x2 pattern [[phi, psi], [phi2, sigma]] in the matrix.
+    """Search a 2x2 pattern [[phi, psi], [phi2, sigma]] anchored at psi's position.
 
     Returns (i, k, l, mu) with entries phi at (i, l), phi2 at (i, mu),
-    psi at (k, l) and sigma at (k, mu), or None.  The quadruple must
-    satisfy the square condition up front.
+    psi at (k, l) and sigma at (k, mu), or None; rows i are tried in order.
+    The quadruple must satisfy the square condition up front.
     """
     g = m.group
     if wreath_mul(g, wreath_inv(g, phi), psi) != wreath_mul(g, wreath_inv(g, phi2), sigma):
         raise ValueError("quadruple fails the square condition")
-    vp = m.value_positions()
-    phi_positions = vp.get(phi, [])
-    psi_positions = vp.get(psi, [])
-    psi_by_col: dict[int, list[int]] = defaultdict(list)
-    for k_idx, l_idx in psi_positions:
-        psi_by_col[l_idx].append(k_idx)
-    ncols = len(m.lambdas)
-    for i_idx, l_idx in phi_positions:
-        if fix_col_lambda is not None and l_idx != fix_col_lambda:
+    if m.entries[l_idx][k_idx] != psi:
+        return None
+    for i_idx, col in m.value_positions().get(phi, []):
+        if col != l_idx:
             continue
-        ks = psi_by_col.get(l_idx, [])
-        if fix_row_k is not None:
-            ks = [k for k in ks if k == fix_row_k]
-        for k_idx in ks:
-            for mu in range(ncols):
-                if m.entries[mu][i_idx] == phi2 and m.entries[mu][k_idx] == sigma:
-                    return (i_idx, k_idx, l_idx, mu)
+        for mu, column in enumerate(m.entries):
+            if column[i_idx] == phi2 and column[k_idx] == sigma:
+                return (i_idx, k_idx, l_idx, mu)
     return None
 
 
@@ -375,35 +350,25 @@ def simplify_presentation(
     if p.gen_keys is None or any(key not in vp for key in p.gen_keys):
         raise ValueError("needs a presentation keyed by the values of this matrix")
 
-    merged_root: dict[Position, Position] = {}  # second-level union over component roots
-
-    def final_root(pos: Position) -> Position:
-        root = pg.find(pos)
-        while root in merged_root:
-            root = merged_root[root]
-        return root
-
+    # component roots per value; merging a value collapses its list to one root
     roots_by_value: dict[WreathElem, list[Position]] = defaultdict(list)
     for root in sorted(pg.components()):
         v = pg.value_of(root)
         if v != identity:
             roots_by_value[v].append(root)
 
-    pending: list[tuple[WreathElem, WreathElem, WreathElem]] = []
-
-    def single_class(value: WreathElem) -> Position | None:
+    def certify_single(value: WreathElem):
         if value == identity:
-            return None
-        positions = vp.get(value)
-        if not positions:
+            return
+        classes = len(roots_by_value.get(value, ()))
+        if not classes:
             raise WitnessNotFound(f"value {wreath_to_text(value)} does not occur")
-        roots = {final_root(pos) for pos in positions}
-        if len(roots) != 1:
+        if classes != 1:
             raise WitnessNotFound(
-                f"value {wreath_to_text(value)} is split across {len(roots)} classes"
+                f"value {wreath_to_text(value)} is split across {classes} classes"
             )
-        return roots.pop()
 
+    pending: list[tuple[WreathElem, WreathElem, WreathElem]] = []
     multi = [v for v, roots in roots_by_value.items() if len(roots) > 1]
     multi.sort(key=lambda v: (rising_point(v), wreath_to_text(v)))
     for value in multi:
@@ -413,14 +378,12 @@ def simplify_presentation(
                 "but no simple split is available"
             )
         beta, gamma = decompose(g, value)
-        single_class(beta)  # certified single before use
-        single_class(gamma)
+        certify_single(beta)  # certified single before use
+        certify_single(gamma)
         roots = roots_by_value[value]
         for root in roots:
             j_idx, l_idx = root
-            witness = find_singular_witness(
-                m, beta, identity, value, gamma, fix_row_k=j_idx, fix_col_lambda=l_idx
-            )
+            witness = find_singular_witness(m, beta, identity, value, gamma, j_idx, l_idx)
             if witness is None:
                 raise WitnessNotFound(
                     f"no certifying square for value {wreath_to_text(value)} "
@@ -428,19 +391,13 @@ def simplify_presentation(
                 )
             if witness_log is not None:
                 witness_log.append(MergeWitness(value, root, gamma, beta, witness))
-        anchor = min(roots)
-        for root in roots:
-            if root != anchor:
-                merged_root[root] = anchor
+        roots_by_value[value] = [min(roots)]
         pending.append((value, gamma, beta))
 
     # after merging, each nonidentity value must sit in exactly one class
-    class_of_value: dict[WreathElem, Position] = {}
-    for value in vp:
-        if value == identity:
-            continue
-        class_of_value[value] = single_class(value)
-    values = sorted(class_of_value.keys(), key=wreath_to_text)
+    values = sorted(roots_by_value, key=wreath_to_text)
+    for value in values:
+        certify_single(value)
     gen_of_value = {v: gi + 1 for gi, v in enumerate(values)}
     names = [value_gen_name(v) for v in values]
 

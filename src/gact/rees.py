@@ -134,29 +134,6 @@ def kernel_index_of(alpha: Endo) -> KernelIndex:
     return KernelIndex(kd.blocks, weightvec)
 
 
-def theta_kernel_index(alpha: Endo) -> KernelIndex:
-    """Recover the row index of a transversal endomorphism.
-
-    alpha must already be in transversal form: block minima map with
-    identity weight to their block index.
-    """
-    by_target: dict[int, list[int]] = {}
-    for j, t in enumerate(alpha.targets, start=1):
-        by_target.setdefault(t, []).append(j)
-    blocks = sorted(by_target.values(), key=lambda b: b[0])
-    mins = set()
-    for j, block in enumerate(blocks, start=1):
-        if by_target[j] != block:
-            raise ValueError("not in transversal form: block order disagrees with targets")
-        if alpha.weights[block[0] - 1] != 0:
-            raise ValueError("not in transversal form: nontrivial weight at a block minimum")
-        mins.add(block[0])
-    weightvec = tuple(
-        alpha.weights[k - 1] for k in range(1, alpha.n + 1) if k not in mins
-    )
-    return KernelIndex(tuple(tuple(b) for b in blocks), weightvec)
-
-
 class SandwichMatrix:
     """Immutable bundle of the rank-r structure over one group.
 
@@ -220,10 +197,6 @@ class SandwichMatrix:
 
 def build_sandwich(g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SandwichMatrix:
     return SandwichMatrix(g, n, r, max_entries)
-
-
-def sandwich_entry(m: SandwichMatrix, lam: tuple[int, ...], ki: KernelIndex) -> WreathElem | None:
-    return m.entries[m.lambda_pos[lam]][m.kernel_pos[ki]]
 
 
 def value_alphabet(m: SandwichMatrix):

@@ -122,6 +122,17 @@ def test_associativity_rejected():
         Group(table)
 
 
+def test_associativity_checked_exactly_at_large_order():
+    # Z_1200 with one intercalate swapped stays a Latin square with identity
+    # 0 but is not a group; sampled triples would rarely hit the four cells
+    table = [[(x + y) % 1200 for y in range(1200)] for x in range(1200)]
+    for x in (5, 605):
+        table[x][7], table[x][607] = table[x][607], table[x][7]
+    with pytest.raises(TableNotGroup):
+        Group(table)
+    assert Group([[(x + y) % 300 for y in range(300)] for x in range(300)]).order == 300
+
+
 def test_make_group_grammar(tmp_path):
     assert make_group("trivial").order == 1
     assert make_group("Z6").order == 6

@@ -74,9 +74,12 @@ def test_connectivity_components_carry_one_value():
 
 def kernel_row(m, targets, weights):
     from gact import Endo
-    from gact.rees import theta_kernel_index
+    from gact.rees import kernel_index_of
 
-    return m.kernel_pos[theta_kernel_index(Endo(m.group, m.n, targets, weights))]
+    alpha = Endo(m.group, m.n, targets, weights)
+    k = m.kernel_pos[kernel_index_of(alpha)]
+    assert m.thetas[k] == alpha  # the row's own transversal
+    return k
 
 
 def test_step_u_example():
@@ -240,7 +243,8 @@ def test_decompose_random_rank_four():
 def test_witness_for_identity_quadruple():
     m = build_sandwich(Z2, 4, 2)
     e = wreath_identity(2)
-    found = find_singular_witness(m, e, e, e, e)
+    k, l_idx = m.value_positions()[e][0]
+    found = find_singular_witness(m, e, e, e, e, k, l_idx)
     assert found is not None
     i, k, l_idx, m_idx = found
     assert m.entries[l_idx][i] == e
@@ -254,13 +258,20 @@ def test_witness_for_simple_split():
     gamma = parse_wreath(Z2, 2, "2:0;1:0")
     beta = parse_wreath(Z2, 2, "1:0;2:1")
     assert wreath_mul(Z2, beta, gamma) == alpha
-    found = find_singular_witness(m, beta, wreath_identity(2), alpha, gamma)
-    assert found is not None
-    i, k, l_idx, m_idx = found
-    assert m.entries[l_idx][i] == beta
-    assert m.entries[m_idx][i] == wreath_identity(2)
-    assert m.entries[l_idx][k] == alpha
-    assert m.entries[m_idx][k] == gamma
+    e = wreath_identity(2)
+    found = [
+        w for k, l_idx in m.value_positions()[alpha]
+        if (w := find_singular_witness(m, beta, e, alpha, gamma, k, l_idx))
+    ]
+    assert found
+    for i, k, l_idx, m_idx in found:
+        assert m.entries[l_idx][i] == beta
+        assert m.entries[m_idx][i] == e
+        assert m.entries[l_idx][k] == alpha
+        assert m.entries[m_idx][k] == gamma
+    # psi must sit at the anchor position, or there is nothing to search
+    k, l_idx = m.value_positions()[e][0]
+    assert find_singular_witness(m, beta, e, alpha, gamma, k, l_idx) is None
 
 
 def test_witness_precondition():
@@ -268,7 +279,7 @@ def test_witness_precondition():
     e = wreath_identity(2)
     tw = parse_wreath(Z2, 2, "1:1;2:0")
     with pytest.raises(ValueError):
-        find_singular_witness(m, e, e, e, tw)
+        find_singular_witness(m, e, e, e, tw, 0, 0)
 
 
 # -- simplification ----------------------------------------------------------------------
@@ -369,6 +380,32 @@ def test_same_row_and_column_positions_are_linked():
                     assert pg.find(a) == pg.find(b)
 
 
+def test_connectivity_matches_bfs_closure():
+    # the components are exactly the closure of same-row and same-column
+    # equal-value links, found here by breadth-first search
+    from gact import make_group
+
+    for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("Z3", 5, 3), ("trivial", 6, 3)):
+        m = build_sandwich(make_group(spec), n, r)
+        value = {pos: m.entries[pos[1]][pos[0]] for pos in m.nonzero_positions()}
+        expected = {}
+        seen = set()
+        for start in value:
+            if start in seen:
+                continue
+            comp, queue = [], [start]
+            seen.add(start)
+            while queue:
+                a = queue.pop()
+                comp.append(a)
+                for b, v in value.items():
+                    if b not in seen and v == value[a] and (b[0] == a[0] or b[1] == a[1]):
+                        seen.add(b)
+                        queue.append(b)
+            expected[min(comp)] = sorted(comp)
+        assert connectivity(m).components() == expected, (spec, n, r)
+
+
 def test_step_u_prime_replaces_a_shared_minimum():
     # when the lowered column slot is itself a block minimum, the district
     # picks up the new point in its place
@@ -413,3 +450,25 @@ def test_merge_witnesses_certify_their_squares():
         assert m.entries[mu_idx][j_idx] == w.simple_factor
         assert (j_idx, l_idx) == w.component
         assert wreath_mul(g, w.remainder, w.simple_factor) == w.value
+
+
+def test_simplify_output_pinned():
+    # the simplified presentation and the witness log (value, component,
+    # square) are pinned byte for byte
+    import hashlib
+
+    from gact import make_group, presentation_to_text
+    from gact.endo import wreath_to_text
+
+    pinned = {
+        ("S3", 4, 2): "42398b1e06c74a3015928a0eec489076072126703f872e827b1eda30e688402d",
+        ("Z2", 6, 3): "12719bf6f84df10b16c653ddbbe3c0f5c10eed4c155882dad4551ef7e6be71a7",
+    }
+    for (spec, n, r), digest in pinned.items():
+        m = build_sandwich(make_group(spec), n, r)
+        log = []
+        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m), log)
+        text = presentation_to_text(q) + "".join(
+            f"{wreath_to_text(w.value)} {w.component} {w.square}\n" for w in log
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (spec, n, r)

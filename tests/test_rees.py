@@ -18,7 +18,6 @@ from gact import (
     parse_wreath,
     q_of,
     rank,
-    sandwich_entry,
     set_partitions,
     theta,
     to_wreath,
@@ -205,7 +204,7 @@ def test_sandwich_cap_fires_before_rows_are_built(monkeypatch):
 def test_sandwich_entry_lookup():
     m = build_sandwich(Z2, 4, 2)
     ki = kernel_index_of(eps_rank_r(Z2, 4, 2))
-    assert sandwich_entry(m, (1, 2), ki) == wreath_identity(2)
+    assert m.entries[m.lambda_pos[(1, 2)]][m.kernel_pos[ki]] == wreath_identity(2)
 
 
 def district_prefiltered_occurrences(m, phi):
