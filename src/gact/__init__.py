@@ -68,6 +68,7 @@ from .presentation import (
     SchreierSystem,
     build_gr_presentation,
     build_quotient_presentation,
+    eliminate_generators,
     lavers_presentation,
     presentation_from_text,
     presentation_to_text,

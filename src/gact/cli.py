@@ -21,6 +21,7 @@ from .presentation import (
     DEFAULT_MAX_RELATORS,
     build_gr_presentation,
     build_quotient_presentation,
+    eliminate_generators,
     lavers_presentation,
     presentation_to_text,
     schreier_build,
@@ -129,7 +130,7 @@ def _emit(args, text: str):
 
 
 def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
-    """Build, simplify and enumerate; returns the report fields."""
+    """Build, simplify, Tietze-reduce and enumerate; returns the report fields."""
     m = build_sandwich(g, n, r, caps["max_entries"])
     report: dict = {"n": n, "r": r, "group_order": g.order}
     if r == n - 1:
@@ -149,7 +150,7 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
     p = build_quotient_presentation(m, caps["max_relators"])
     pg = connectivity(m)
     log: list = []
-    q = simplify_presentation(p, m, pg, log)
+    q, _ = eliminate_generators(simplify_presentation(p, m, pg, log))
     table = todd_coxeter(q, max_cosets=caps["max_cosets"])
     report.update(
         mode="order",

@@ -121,12 +121,6 @@ def is_idempotent(alpha: Endo) -> bool:
     return compose(alpha, alpha) == alpha
 
 
-def eps_rank_r(g: Group, n: int, r: int) -> Endo:
-    """The distinguished rank-r idempotent: fixes x_1..x_r, sends the rest to x_1."""
-    targets = tuple(range(1, r + 1)) + (1,) * (n - r)
-    return Endo(g, n, targets, (0,) * n)
-
-
 # -- wreath group view of the distinguished group H-class ---------------------
 
 def wreath_identity(r: int) -> WreathElem:
@@ -178,10 +172,6 @@ def from_wreath(g: Group, phi: WreathElem, n: int) -> Endo:
 
 
 # -- text forms ---------------------------------------------------------------
-
-def endo_to_text(alpha: Endo) -> str:
-    return ";".join(f"{t}:{w}" for t, w in zip(alpha.targets, alpha.weights))
-
 
 def _parse_pairs(g: Group, count: int, bound: int, text: str):
     entries = text.strip().split(";")

@@ -3,9 +3,11 @@
 The enumerator is HLT style: relators are scanned at every live coset in
 definition order, gaps are filled by defining new cosets, and coincidences
 are merged immediately through a union-find with a processing queue.  No
-lookahead; the targets here are groups of at most a few thousand elements
-and determinism matters more than speed.  Words are tuples of signed
-1-based generator indices (+g for the generator, -g for its inverse).
+lookahead, so the run is deterministic.  Table width drives its time and
+memory: `verify` enumerates the Tietze-reduced presentation of
+`presentation.eliminate_generators`, not the value presentation itself.
+Words are tuples of signed 1-based generator indices (+g for the
+generator, -g for its inverse).
 """
 
 from __future__ import annotations
@@ -24,12 +26,14 @@ class CosetTable:
     """A complete, standardized coset table.
 
     table[c][2*(g-1)] is the coset c.g and table[c][2*(g-1)+1] is c.g^-1,
-    with cosets numbered 0..order-1 and 0 the subgroup coset.
+    with cosets numbered 0..order-1 and 0 the subgroup coset.  defined
+    counts every coset the enumeration defined, coset 0 included.
     """
 
     n_gens: int
     table: list[list[int]]
     order: int
+    defined: int
 
 
 def _columns(word):
@@ -191,7 +195,8 @@ def _compress_standardize(enum, n_gens):
     if any(v is None for c in live for v in resolved[c]):
         raise AssertionError("coset table left an action undefined")
     table = [[number[v] for v in resolved[c]] for c in order_list]
-    return CosetTable(n_gens, table, len(table))
+    # rows are never freed, so the enumerator's table length counts every coset defined
+    return CosetTable(n_gens, table, len(table), len(enum.table))
 
 
 def trace(t: CosetTable, start: int, word) -> int:

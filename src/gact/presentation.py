@@ -7,7 +7,10 @@ order, so identical inputs give byte-identical presentations.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ParseError, ResourceLimit
@@ -36,19 +39,6 @@ def free_reduce(word) -> tuple[int, ...]:
         else:
             out.append(g)
     return tuple(out)
-
-
-def validate_presentation(p: Presentation) -> None:
-    n = len(p.generators)
-    if len(p.relators) != len(p.tags):
-        raise ValueError("relators and tags must run in parallel")
-    if len(set(p.generators)) != n:
-        raise ValueError("duplicate generator names")
-    for w in p.relators:
-        if any(g == 0 or abs(g) > n for g in w):
-            raise ValueError(f"relator {w} references an undeclared generator")
-        if free_reduce(w) != tuple(w):
-            raise ValueError(f"relator {w} is not freely reduced")
 
 
 class _RelatorSink:
@@ -243,6 +233,164 @@ def build_quotient_presentation(
     return Presentation(names, sink.words, sink.tags, gen_keys=values)
 
 
+# -- Tietze elimination -------------------------------------------------------
+
+def _inverse(word) -> tuple[int, ...]:
+    return tuple([-x for x in reversed(word)])
+
+
+def _cyclic_reduce(word) -> tuple[int, ...]:
+    word = free_reduce(word)
+    i, j = 0, len(word)
+    while j - i > 1 and word[i] == -word[j - 1]:
+        i, j = i + 1, j - 1
+    return word[i:j]
+
+
+def _cyclic_pairs(word):
+    return zip(word, word[1:] + word[:1])
+
+
+def _canonical(word) -> tuple[int, ...]:
+    """Least rotation of the word or of its inverse."""
+    inv = _inverse(word)
+    least = min(min(word), -max(word))
+    return min(w[i:] + w[:i] for w in (word, inv) for i, x in enumerate(w) if x == least)
+
+
+def _substitute(word, g, w, w_inv) -> tuple[int, ...]:
+    out = []
+    for x in word:
+        out.extend(w if x == g else w_inv if x == -g else (x,))
+    return _cyclic_reduce(out)
+
+
+def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
+    """Tietze-eliminate generators through relators of at most three letters.
+
+    Relators are cyclically reduced and deduplicated up to rotation and
+    inversion, then taken shortest first, ties broken by canonical form
+    (the least rotation of the word or its inverse).  A relator of length
+    at most 3 is solved for the first letter of its canonical form whose
+    generator occurs in it once, and that generator is substituted away
+    everywhere, unless the total relator length would rise above the
+    input's.  Relators longer than 4 letters are set aside and rewritten
+    once at the end.  Returns the reduced presentation (surviving
+    generators keep their names) and the substitutions (g, w), g = w over
+    the input's generators, in the order they were made.
+    """
+    active: dict[int, tuple] = {}  # id -> (word, tag, canonical form); at most 4 letters
+    where: dict[int, set[int]] = defaultdict(set)  # generator -> ids of active relators
+    occ: Counter = Counter()  # letters per generator, active relators
+    pairs: Counter = Counter()  # cyclically adjacent letter pairs, active relators
+    aside: list[tuple[tuple[int, ...], str]] = []
+    aside_occ: Counter = Counter()  # letters per generator, set-aside relators as rewritten
+    seen: set[tuple[int, ...]] = set()
+    heap: list = []
+    ids = count()
+
+    def add(word, tag) -> int:
+        # returns the letters the relator adds to the total
+        if not word:
+            return 0
+        canon = _canonical(word)
+        if canon in seen:
+            return 0
+        seen.add(canon)
+        if len(word) > 4:
+            aside.append((word, tag))
+            aside_occ.update(abs(x) for x in word)
+            return len(word)
+        rid = next(ids)
+        active[rid] = (word, tag, canon)
+        for x in word:
+            where[abs(x)].add(rid)
+            occ[abs(x)] += 1
+        pairs.update(_cyclic_pairs(word))
+        if len(word) <= 3:
+            heappush(heap, (len(word), canon, rid))
+        return len(word)
+
+    def remove(rid) -> tuple:
+        word, tag, canon = entry = active.pop(rid)
+        seen.discard(canon)
+        for x in word:
+            where[abs(x)].discard(rid)
+            occ[abs(x)] -= 1
+        pairs.subtract(_cyclic_pairs(word))
+        return entry
+
+    bound = sum(map(len, p.relators))
+    total = sum(add(_cyclic_reduce(word), tag) for word, tag in zip(p.relators, p.tags))
+    log: list[tuple[int, tuple[int, ...]]] = []
+    while heap:
+        length, canon, rid = heappop(heap)
+        if rid not in active:
+            continue  # rewritten or solved since it was queued
+        uses = Counter(abs(x) for x in canon)
+        at = next((i for i, x in enumerate(canon) if uses[abs(x)] == 1), None)
+        if at is None:
+            continue
+        # rotated to start at its letter x, the relator reads x * rest = 1
+        x = canon[at]
+        g, rest = abs(x), canon[at + 1:] + canon[:at]
+        w = _inverse(rest) if x > 0 else rest
+        w_inv = _inverse(w)
+        letters = (len(w) - 1) * (occ[g] - 1 + aside_occ[g])
+        if total - length + letters > bound:
+            # the letters alone do not fit, so w has two: rewrite only when
+            # the neighbours of g that cancel against w could make it fit
+            a, b = w
+            hits = {(-a, g), (g, -b), (b, -g), (-g, a)}
+            cancel = sum(pairs[h] for h in hits) - sum(h in hits for h in _cyclic_pairs(canon))
+            if total - length + letters - 2 * cancel > bound:
+                continue
+        others = sorted(where[g] - {rid})
+        rewritten = [_substitute(active[o][0], g, w, w_inv) for o in others]
+        growth = sum(len(new) - len(active[o][0]) for o, new in zip(others, rewritten))
+        if total - length + growth + (len(w) - 1) * aside_occ[g] > bound:
+            continue
+        remove(rid)
+        total -= length
+        log.append((g, w))
+        for o, new in zip(others, rewritten):
+            word, tag, _ = remove(o)
+            total += add(new, tag) - len(word)
+        for y in w:
+            aside_occ[abs(y)] += aside_occ[g]
+        total += (len(w) - 1) * aside_occ.pop(g, 0)
+
+    # a substitution's word names only generators eliminated after it, so
+    # resolving backwards through the log needs each word once
+    needed = {abs(x) for word, _ in aside for x in word}
+    for g, w in log:
+        if g in needed:
+            needed.update(abs(y) for y in w)
+    resolved: dict[int, tuple[int, ...]] = {}
+
+    def expand(word) -> list[int]:
+        out = []
+        for x in word:
+            r = resolved.get(abs(x))
+            out.extend((x,) if r is None else r if x > 0 else _inverse(r))
+        return out
+
+    for g, w in reversed(log):
+        if g in needed:
+            resolved[g] = free_reduce(expand(w))
+    final = {canon: (word, tag) for word, tag, canon in active.values()}
+    for word, tag in aside:
+        word = _cyclic_reduce(expand(word))
+        if word:
+            final.setdefault(_canonical(word), (word, tag))
+    eliminated = {g for g, _ in log}
+    keep = [gi for gi in range(1, len(p.generators) + 1) if gi not in eliminated]
+    new_index = {g: k for k, g in enumerate(keep, start=1)}
+    relators = [tuple(new_index[x] if x > 0 else -new_index[-x] for x in w) for w, _ in final.values()]
+    names = [p.generators[g - 1] for g in keep]
+    return Presentation(names, relators, [tag for _, tag in final.values()]), log
+
+
 # -- the wreath-product presentation ------------------------------------------
 
 def lavers_presentation(g: Group, r: int) -> Presentation:
@@ -306,23 +454,6 @@ def lavers_presentation(g: Group, r: int) -> Presentation:
         for a in range(1, g.order):
             sink.add(ins(a, i) + (t(i),) + ins_inv(a, i + 1) + (-t(i),), "W7")
     return Presentation(names, sink.words, sink.tags)
-
-
-def lavers_assignment(g: Group, r: int, p: Presentation) -> list[WreathElem]:
-    """The tautological wreath element for each generator, by name."""
-    out = []
-    for name in p.generators:
-        if name.startswith("t"):
-            i = int(name[1:])
-            perm = list(range(1, r + 1))
-            perm[i - 1], perm[i] = perm[i], perm[i - 1]
-            out.append(WreathElem(r, tuple(perm), (0,) * r))
-        else:
-            a, j = name[1:].split("_")
-            weights = [0] * r
-            weights[int(j) - 1] = int(a)
-            out.append(WreathElem(r, tuple(range(1, r + 1)), tuple(weights)))
-    return out
 
 
 def evaluate_word(g: Group, assignment: list[WreathElem], r: int, word) -> WreathElem:

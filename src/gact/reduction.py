@@ -39,7 +39,6 @@ class PositionGraph:
     def __init__(self, m: SandwichMatrix):
         self.matrix = m
         self.positions: list[Position] = list(m.nonzero_positions())
-        self.index = {pos: i for i, pos in enumerate(self.positions)}
         self._parent = list(range(len(self.positions)))
 
     def _find(self, i: int) -> int:
@@ -58,9 +57,6 @@ class PositionGraph:
         if ri > rj:
             ri, rj = rj, ri
         self._parent[rj] = ri  # smaller index wins, so roots stay lexicographic minima
-
-    def find(self, pos: Position) -> Position:
-        return self.positions[self._find(self.index[pos])]
 
     def components(self) -> dict[Position, list[Position]]:
         out: dict[Position, list[Position]] = {}

@@ -1,9 +1,11 @@
-"""Shared brute-force oracles, kept independent of the code paths they check."""
+"""Shared brute-force oracles and test-only helpers, kept independent of the
+code paths they check."""
 
 import itertools
 from functools import lru_cache
 
 from gact import Endo, WreathElem, compose
+from gact.presentation import free_reduce
 
 # (n, group, r, expected order) of the desk-scale main-theorem checks
 MAIN_CASES = [
@@ -122,3 +124,44 @@ def def81_rising_point(phi):
         candidates.append(k)
     assert len(candidates) == 1, (phi, candidates)
     return candidates[0]
+
+
+def eps_rank_r(g, n, r):
+    """The distinguished rank-r idempotent: fixes x_1..x_r, sends the rest to x_1."""
+    targets = tuple(range(1, r + 1)) + (1,) * (n - r)
+    return Endo(g, n, targets, (0,) * n)
+
+
+def endo_to_text(alpha):
+    return ";".join(f"{t}:{w}" for t, w in zip(alpha.targets, alpha.weights))
+
+
+def validate_presentation(p):
+    """Tags parallel to relators, distinct names, declared letters, reduced words."""
+    n = len(p.generators)
+    if len(p.relators) != len(p.tags):
+        raise ValueError("relators and tags must run in parallel")
+    if len(set(p.generators)) != n:
+        raise ValueError("duplicate generator names")
+    for w in p.relators:
+        if any(g == 0 or abs(g) > n for g in w):
+            raise ValueError(f"relator {w} references an undeclared generator")
+        if free_reduce(w) != tuple(w):
+            raise ValueError(f"relator {w} is not freely reduced")
+
+
+def lavers_assignment(r, p):
+    """The tautological wreath element for each Lavers generator, by name."""
+    out = []
+    for name in p.generators:
+        if name.startswith("t"):
+            i = int(name[1:])
+            perm = list(range(1, r + 1))
+            perm[i - 1], perm[i] = perm[i], perm[i - 1]
+            out.append(WreathElem(r, tuple(perm), (0,) * r))
+        else:
+            a, j = name[1:].split("_")
+            weights = [0] * r
+            weights[int(j) - 1] = int(a)
+            out.append(WreathElem(r, tuple(range(1, r + 1)), tuple(weights)))
+    return out

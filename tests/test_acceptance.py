@@ -40,7 +40,7 @@ from gact.endo import WreathElem, compose
 from gact.presentation import Presentation, evaluate_word
 from gact.rees import q_of
 
-from helpers import MAIN_CASES, wreath_elements
+from helpers import MAIN_CASES, eps_rank_r, wreath_elements
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -263,8 +263,6 @@ def test_criterion_9_decomposition():
 
 
 def test_criterion_10_schreier_invariants():
-    from gact.endo import eps_rank_r
-
     bad = []
     for n in range(3, 7):
         for r in range(1, min(n, 4) + 1):

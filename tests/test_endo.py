@@ -27,12 +27,14 @@ from gact import (
     wreath_inv,
     wreath_mul,
 )
-from gact.endo import endo_to_text, eps_rank_r, wreath_to_text
+from gact.endo import wreath_to_text
 
 from helpers import (
     all_endos,
     apply_pointwise,
     congruence_pairs,
+    endo_to_text,
+    eps_rank_r,
     left_ideal,
     monoid_tables,
     right_ideal,

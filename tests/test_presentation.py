@@ -27,15 +27,15 @@ from gact import (
     wreath_identity,
     wreath_inv,
 )
-from gact.endo import eps_rank_r
-from gact.presentation import (
-    evaluate_word,
-    free_reduce,
+from gact.presentation import eliminate_generators, evaluate_word, free_reduce
+
+from helpers import (
+    MAIN_CASES,
+    eps_rank_r,
     lavers_assignment,
     validate_presentation,
+    wreath_elements,
 )
-
-from helpers import MAIN_CASES, wreath_elements
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -300,7 +300,7 @@ def test_lavers_order_matches_direct_enumeration():
 def test_lavers_relators_sound():
     for g, r in ((Z2, 3), (Z3, 2), (symmetric := trivial_group(), 4)):
         p = lavers_presentation(g, r)
-        assignment = lavers_assignment(g, r, p)
+        assignment = lavers_assignment(r, p)
         for word in p.relators:
             assert evaluate_word(g, assignment, r, word) == wreath_identity(r)
 
@@ -410,3 +410,76 @@ def test_rank_top_minus_one_quotient_abelianization():
         ab_p, ab_q = abelianization(p), abelianization(q)
         assert ab_p.torsion == () and ab_q.torsion == ()
         assert ab_p.free_rank == ab_q.free_rank == len(q.generators) - 1
+
+
+# -- Tietze elimination ---------------------------------------------------------
+
+def value_presentation(spec, n, r):
+    m = build_sandwich(make_group(spec), n, r)
+    return simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+
+
+def total_length(p):
+    return sum(len(w) for w in p.relators)
+
+
+def test_elimination_preserves_the_group():
+    # isomorphism oracle: in the coset table of the unreduced presentation,
+    # with the surviving generators mapped back by name, every reduced
+    # relator acts trivially and every logged substitution g = w holds
+    for n, spec, r, expected in MAIN_CASES + [(6, "Z2", 4, 384), (4, "S3", 2, 72), (5, "Z3", 3, 162)]:
+        q = value_presentation(spec, n, r)
+        e, log = eliminate_generators(q)
+        validate_presentation(e)
+        table = todd_coxeter(q)
+        back = [q.generators.index(name) + 1 for name in e.generators]
+        for w in e.relators:
+            image = tuple(back[x - 1] if x > 0 else -back[-x - 1] for x in w)
+            assert word_equal(table, image, ()), (n, spec, r, w)
+        for g, w in log:
+            assert word_equal(table, (g,), w), (n, spec, r, g, w)
+        assert table.order == todd_coxeter(e).order == expected, (n, spec, r)
+
+
+def test_elimination_skips_generators_that_occur_twice():
+    # a^2 and a^3 eliminate nothing; in a b a only b occurs once, so
+    # b = a^-2 is the one substitution
+    for relators in ([(1, 1)], [(1, 1, 1)]):
+        e, log = eliminate_generators(Presentation(["a"], relators, ["rel"] * len(relators)))
+        assert log == [] and e.generators == ["a"] and e.relators == relators
+    e, log = eliminate_generators(Presentation(["a", "b"], [(1, 2, 1), (1, 1, 1, 1, 1)], ["rel"] * 2))
+    assert log == [(2, (-1, -1))]
+    assert e.generators == ["a"] and e.relators == [(1, 1, 1, 1, 1)]
+
+
+def test_elimination_never_lengthens_the_relators():
+    # eliminating any of a, b, c through abc would turn c^4 (or a^4, b^4)
+    # into eight letters, one more than the relator abc gives back
+    relators = [(1, 2, 3), (1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3)]
+    e, log = eliminate_generators(Presentation(["a", "b", "c"], relators, ["rel"] * 4))
+    assert log == [] and e.relators == relators
+    for n, spec, r, _ in MAIN_CASES + [(4, "S3", 2, 72), (6, "Z2", 3, 48)]:
+        q = value_presentation(spec, n, r)
+        assert total_length(eliminate_generators(q)[0]) <= total_length(q), (n, spec, r)
+
+
+def test_elimination_output_pinned():
+    # (generators, relators, total length) after the pass, recorded when it was added
+    pinned = {("Z2", 6, 4): (13, 165, 954), ("S3", 4, 2): (10, 157, 825)}
+    for (spec, n, r), want in pinned.items():
+        e, _ = eliminate_generators(value_presentation(spec, n, r))
+        assert (len(e.generators), len(e.relators), total_length(e)) == want, (spec, n, r)
+
+
+def test_cosets_defined_pinned():
+    # cosets the enumeration defines on the verify path, coset 0 included
+    pinned = {("Z2", 4, 2): (8, 11), ("S3", 4, 2): (72, 120)}
+    for (spec, n, r), want in pinned.items():
+        table = todd_coxeter(eliminate_generators(value_presentation(spec, n, r))[0])
+        assert (table.order, table.defined) == want, (spec, n, r)
+
+
+def test_cosets_defined_within_ten_times_the_order():
+    for spec, n, r in (("Z2", 6, 4), ("trivial", 8, 6), ("Z4", 5, 3)):
+        table = todd_coxeter(eliminate_generators(value_presentation(spec, n, r))[0])
+        assert table.defined <= 10 * table.order, (spec, n, r, table.defined)

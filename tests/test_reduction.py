@@ -372,12 +372,14 @@ def test_mutually_bad_points_worked_example():
 def test_same_row_and_column_positions_are_linked():
     # the two link kinds of the closure, checked against raw equalities
     m = build_sandwich(Z2, 4, 2)
-    pg = connectivity(m)
+    component_of = {
+        pos: root for root, members in connectivity(m).components().items() for pos in members
+    }
     for positions in m.value_positions().values():
         for a in positions:
             for b in positions:
                 if a != b and (a[0] == b[0] or a[1] == b[1]):
-                    assert pg.find(a) == pg.find(b)
+                    assert component_of[a] == component_of[b]
 
 
 def test_connectivity_matches_bfs_closure():

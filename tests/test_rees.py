@@ -25,10 +25,9 @@ from gact import (
     wreath_identity,
 )
 from gact import rees
-from gact.endo import eps_rank_r
 from gact.rees import kernel_index_of, matrix_to_text
 
-from helpers import stirling, wreath_elements
+from helpers import eps_rank_r, stirling, wreath_elements
 
 Z2 = cyclic_group(2)
 T = trivial_group()
