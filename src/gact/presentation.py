@@ -7,6 +7,7 @@ order, so identical inputs give byte-identical presentations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -145,17 +146,24 @@ def build_gr_presentation(
     letter's kernel row links the parent column to the column itself.  R2
     kills each row's district generator.  R3 emits, per unordered row
     pair, one chain of square relators through each class of columns with
-    a common quotient value.
+    a common quotient value.  Row i finds its partners k > i and their
+    shared columns by walking its own nonzero columns and, in each, the
+    rows below i nonzero there; pairs sharing fewer than two columns close
+    no square.  Relators come in the order i, then k, then column.
     """
     if (m.n, m.r) != (s.n, s.r):
         raise ValueError("matrix and Schreier system disagree on (n, r)")
     npos = list(m.nonzero_positions())
-    gen_of = {pos: gi + 1 for gi, pos in enumerate(npos)}
     nrows = len(m.kernels)
     ncols = len(m.lambdas)
     gen2d = [[0] * ncols for _ in range(nrows)]
-    for (i, l_idx), gen in gen_of.items():
+    # incidence lists, ascending: rows nonzero in each column, columns in each row
+    rows_of: list[list[int]] = [[] for _ in range(ncols)]
+    cols_of: list[list[int]] = [[] for _ in range(nrows)]
+    for gen, (i, l_idx) in enumerate(npos, start=1):
         gen2d[i][l_idx] = gen
+        rows_of[l_idx].append(i)
+        cols_of[i].append(l_idx)
     names = [position_gen_name(m, i, l) for i, l in npos]
     sink = _RelatorSink(max_relators)
     # R1 along tree edges, only when the parent-side position is nonzero
@@ -182,17 +190,19 @@ def build_gr_presentation(
     add_fast = sink.add_reduced_unique
     for i in range(nrows):
         ids_i, gen_i = col_ids[i], gen2d[i]
-        for k in range(i + 1, nrows):
+        shared: dict[int, list[int]] = defaultdict(list)
+        for l_idx in cols_of[i]:
+            rows = rows_of[l_idx]
+            for k in rows[bisect_right(rows, i):]:
+                shared[k].append(l_idx)
+        for k in sorted(shared):
+            common = shared[k]
+            if len(common) < 2:
+                continue
             ids_k, gen_k = col_ids[k], gen2d[k]
             last_col: dict[int, int] = {}
-            for l_idx in range(ncols):
-                a = ids_i[l_idx]
-                if a < 0:
-                    continue
-                b = ids_k[l_idx]
-                if b < 0:
-                    continue
-                q = qtab[a][b]
+            for l_idx in common:
+                q = qtab[ids_i[l_idx]][ids_k[l_idx]]
                 prev = last_col.get(q)
                 if prev is not None:
                     add_fast((-gen_i[prev], gen_i[l_idx], -gen_k[l_idx], gen_k[prev]), "R3")
@@ -470,13 +480,12 @@ def evaluate_word(g: Group, assignment: list[WreathElem], r: int, word) -> Wreat
 # -- text form ----------------------------------------------------------------
 
 def presentation_to_text(p: Presentation) -> str:
-    lines = [f"generators {len(p.generators)}"]
-    lines.extend(f"gen {name}" for name in p.generators)
-    for word in p.relators:
-        letters = " ".join(
-            p.generators[g - 1] if g > 0 else p.generators[-g - 1] + "'" for g in word
-        )
-        lines.append(f"rel {letters}")
+    names = p.generators
+    # letter[g] names the signed generator g; negative g index from the end
+    letter = [""] + names + [name + "'" for name in reversed(names)]
+    lines = [f"generators {len(names)}"]
+    lines.extend(f"gen {name}" for name in names)
+    lines.extend("rel " + " ".join([letter[g] for g in word]) for word in p.relators)
     return "\n".join(lines) + "\n"
 
 

@@ -138,6 +138,7 @@ class SandwichMatrix:
     """Immutable bundle of the rank-r structure over one group.
 
     entries[column][row] is a WreathElem or None (the adjoined zero).
+    Equal entries are one shared object, built and validated once.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -157,17 +158,28 @@ class SandwichMatrix:
         self.districts = [ki.mins() for ki in self.kernels]
         identity = wreath_identity(r)
         rng = range(len(self.kernels))
+        # the rows of one partition are consecutive and share their targets,
+        # so the perm and the zero test are made once per partition
+        block = g.order ** (n - r)
+        interned: dict[tuple, WreathElem] = {}
         entries: list[list[WreathElem | None]] = []
         for lam in self.lambdas:
-            row: list[WreathElem | None] = []
-            for i in rng:
-                th = self.thetas[i]
-                perm = tuple(th.targets[u - 1] for u in lam)
+            offsets = [u - 1 for u in lam]
+            column: list[WreathElem | None] = []
+            for start in range(0, len(self.thetas), block):
+                targets = self.thetas[start].targets
+                perm = tuple([targets[u] for u in offsets])
                 if len(set(perm)) != r:
-                    row.append(None)
-                else:
-                    row.append(WreathElem(r, perm, tuple(th.weights[u - 1] for u in lam)))
-            entries.append(row)
+                    column.extend([None] * block)
+                    continue
+                for th in self.thetas[start:start + block]:
+                    weights = th.weights
+                    key = (perm, tuple([weights[u] for u in offsets]))
+                    v = interned.get(key)
+                    if v is None:
+                        v = interned[key] = WreathElem(r, *key)
+                    column.append(v)
+            entries.append(column)
         self.entries = entries
         for i in rng:
             if entries[self.lambda_pos[self.districts[i]]][i] != identity:
@@ -226,10 +238,12 @@ def matrix_to_text(m: SandwichMatrix) -> str:
         f"sandwich n={m.n} r={m.r} group-order={m.group.order} "
         f"lambdas={len(m.lambdas)} kernels={len(m.kernels)}"
     ]
+    # each column's and each distinct value's text is formatted once
+    lams = [".".join(map(str, lam)) for lam in m.lambdas]
+    texts: dict[WreathElem, str] = {}
     for i, l_idx in m.nonzero_positions():
         v = m.entries[l_idx][i]
-        lam = ".".join(str(u) for u in m.lambdas[l_idx])
-        perm = ",".join(str(t) for t in v.perm)
-        ws = ",".join(str(w) for w in v.weights)
-        lines.append(f"lambda={lam} kernel={i} perm={perm} weights={ws}")
+        if v not in texts:
+            texts[v] = f"perm={','.join(map(str, v.perm))} weights={','.join(map(str, v.weights))}"
+        lines.append(f"lambda={lams[l_idx]} kernel={i} {texts[v]}")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ code paths they check."""
 import itertools
 from functools import lru_cache
 
-from gact import Endo, WreathElem, compose
+from gact import Endo, WreathElem, compose, wreath_inv, wreath_mul
 from gact.presentation import free_reduce
 
 # (n, group, r, expected order) of the desk-scale main-theorem checks
@@ -164,4 +164,33 @@ def lavers_assignment(r, p):
             weights = [0] * r
             weights[int(j) - 1] = int(a)
             out.append(WreathElem(r, tuple(range(1, r + 1)), tuple(weights)))
+    return out
+
+
+def dense_r3_relators(m):
+    """The gr presentation's R3 relators by the dense row-pair walk.
+
+    For every row pair i < k, every column in ascending order where both
+    rows are nonzero is chained to the previous such column with the same
+    left quotient inv(a) * b of the two rows' entries.
+    """
+    g = m.group
+    gen = {pos: gi + 1 for gi, pos in enumerate(m.nonzero_positions())}
+    nrows, ncols = len(m.kernels), len(m.lambdas)
+    quotient = {}
+    out = []
+    for i in range(nrows):
+        for k in range(i + 1, nrows):
+            last_col = {}
+            for l_idx in range(ncols):
+                a, b = m.entries[l_idx][i], m.entries[l_idx][k]
+                if a is None or b is None:
+                    continue
+                q = quotient.get((a, b))
+                if q is None:
+                    q = quotient[(a, b)] = wreath_mul(g, wreath_inv(g, a), b)
+                prev = last_col.get(q)
+                if prev is not None:
+                    out.append((-gen[(i, prev)], gen[(i, l_idx)], -gen[(k, l_idx)], gen[(k, prev)]))
+                last_col[q] = l_idx
     return out

@@ -31,6 +31,7 @@ from gact.presentation import eliminate_generators, evaluate_word, free_reduce
 
 from helpers import (
     MAIN_CASES,
+    dense_r3_relators,
     eps_rank_r,
     lavers_assignment,
     validate_presentation,
@@ -182,6 +183,33 @@ def test_gr_relator_cap():
     m = build_sandwich(Z2, 4, 2)
     with pytest.raises(ResourceLimit):
         build_gr_presentation(m, schreier_build(Z2, 4, 2), max_relators=10)
+
+
+def test_gr_r3_matches_dense_row_pair_walk():
+    # the incidence-list walk emits the dense walk's R3 relators in its
+    # order, and the relator cap fires exactly past the last relator
+    cases = [(make_group(spec), n, r) for n, spec, r, _ in MAIN_CASES]
+    cases += [(make_group("S3"), 4, 2), (Z3, 5, 3), (T, 6, 3)]  # Z2 5 3 is in MAIN_CASES
+    for g, n, r in cases:
+        m = build_sandwich(g, n, r)
+        s = schreier_build(g, n, r)
+        p = build_gr_presentation(m, s)
+        r3 = [w for w, tag in zip(p.relators, p.tags) if tag == "R3"]
+        assert r3 == dense_r3_relators(m), (g.order, n, r)
+        assert build_gr_presentation(m, s, max_relators=len(p.relators)).relators == p.relators
+        with pytest.raises(ResourceLimit):
+            build_gr_presentation(m, s, max_relators=len(p.relators) - 1)
+
+
+def test_gr_export_pinned():
+    pinned = {
+        "Z2": "fe13099ce5f7d078a28f252c0f2e8712d06f5f4ff4ac48ce690f31cf73a9acfa",
+        "S3": "933906f7771dde20e1ed22a4ed73092cf1c8f7781c5c62b02e2a62269192e385",
+    }
+    for spec, digest in pinned.items():
+        g = make_group(spec)
+        text = presentation_to_text(build_gr_presentation(build_sandwich(g, 4, 2), schreier_build(g, 4, 2)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- value-indexed presentation --------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ from gact import (
     Endo,
     KernelIndex,
     ResourceLimit,
+    WreathElem,
     build_sandwich,
     compose,
     cyclic_group,
@@ -15,6 +17,7 @@ from gact import (
     kernel,
     kernel_list,
     lambda_list,
+    make_group,
     parse_wreath,
     q_of,
     rank,
@@ -276,6 +279,31 @@ def test_matrix_export_format():
     assert all(line.startswith("lambda=") for line in lines[1:])
     i, l_idx = next(m.nonzero_positions())
     assert f"kernel={i}" in lines[1]
+
+
+def test_matrix_export_pinned():
+    pinned = {
+        "Z2": "fea5a9db3ba3baf852a6037efb86cc25b551d3da616075d14287b26fd211e791",
+        "S3": "8446df4b92e100037239342b7af72f30c5f35427ca38e1d3efe83e54b2b441c5",
+    }
+    for spec, digest in pinned.items():
+        text = matrix_to_text(build_sandwich(make_group(spec), 4, 2))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_equal_entries_are_one_object():
+    for spec in ("Z2", "S3", "Z3"):
+        m = build_sandwich(make_group(spec), 4, 2)
+        objects = set()
+        for l_idx, lam in enumerate(m.lambdas):
+            for i, th in enumerate(m.thetas):
+                v = m.entries[l_idx][i]
+                if v is None:
+                    continue
+                perm = tuple(th.targets[u - 1] for u in lam)
+                assert v == WreathElem(2, perm, tuple(th.weights[u - 1] for u in lam))
+                objects.add(id(v))
+        assert len(objects) == len(m.value_positions())
 
 
 def test_distinct_theta_rows_l_related_not_r_related():
