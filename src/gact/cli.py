@@ -2,6 +2,8 @@
 
 Exit codes: 0 success (and verified), 1 verification mismatch, 2 usage or
 input errors, 3 a resource cap was hit (the message names the cap).
+Text exports stream line by line.  A regular `--output` file is replaced only
+once complete, so a capped run leaves it untouched; stdout may get a prefix.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from .presentation import (
     build_gr_presentation,
     build_quotient_presentation,
     eliminate_generators,
+    gr_relators,
     lavers_presentation,
-    presentation_to_text,
+    position_gen_name,
+    presentation_lines,
     schreier_build,
 )
 from .reduction import (
@@ -33,7 +37,7 @@ from .reduction import (
     simplify_presentation,
     value_component_counts,
 )
-from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, matrix_to_text
+from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, matrix_lines
 
 ENV_CAPS = {
     "max_entries": "GACT_MAX_ENTRIES",
@@ -120,13 +124,24 @@ def _check_ranks(args) -> str | None:
     return None
 
 
-def _emit(args, text: str):
+def _emit(args, lines):
     output = getattr(args, "output", None)
-    if output:
+    if not output:
+        sys.stdout.writelines(lines)
+    elif os.path.exists(output) and not os.path.isfile(output):  # a device or pipe
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(lines)
+    else:  # a sibling temporary file, renamed over the target through any symlink
+        target = os.path.realpath(output)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(lines)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
 
 def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
@@ -197,16 +212,21 @@ def _dispatch(args) -> int:
                 }
                 for i, l_idx in m.nonzero_positions()
             ]
-            _emit(args, json.dumps({
+            _emit(args, [json.dumps({
                 "n": args.n, "r": args.r, "group_order": g.order,
                 "lambdas": len(m.lambdas), "kernels": len(m.kernels),
                 "entries": entries,
-            }) + "\n")
+            }) + "\n"])
         else:
-            _emit(args, matrix_to_text(m))
+            _emit(args, matrix_lines(m))
         return 0
 
     if args.command == "presentation":
+        if args.kind == "gr" and not args.json:
+            names = [position_gen_name(m, i, l) for i, l in m.nonzero_positions()]
+            relators = gr_relators(m, schreier_build(g, args.n, args.r), caps["max_relators"])
+            _emit(args, presentation_lines(names, (word for word, _ in relators)))
+            return 0
         if args.kind == "lavers":
             p = lavers_presentation(g, args.r)
         elif args.kind == "gr":
@@ -214,13 +234,13 @@ def _dispatch(args) -> int:
         else:
             p = build_quotient_presentation(m, caps["max_relators"])
         if args.json:
-            _emit(args, json.dumps({
+            _emit(args, [json.dumps({
                 "generators": p.generators,
                 "relators": [list(w) for w in p.relators],
                 "tags": p.tags,
-            }) + "\n")
+            }) + "\n"])
         else:
-            _emit(args, presentation_to_text(p))
+            _emit(args, presentation_lines(p.generators, p.relators))
         return 0
 
     if args.command == "verify":

@@ -1,8 +1,8 @@
 """Schreier system and the three presentations of the maximal subgroup.
 
 Words are tuples of signed 1-based generator indices.  Every builder
-free-reduces and deduplicates its relators and emits them in a fixed
-order, so identical inputs give byte-identical presentations.
+emits freely reduced, distinct relators in a fixed order, so identical
+inputs give byte-identical presentations.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count
+from itertools import count, islice
 
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ParseError, ResourceLimit
@@ -58,13 +58,6 @@ class _RelatorSink:
         if len(self.words) >= self.max_relators:
             raise ResourceLimit("relators", self.max_relators)
         self.seen.add(word)
-        self.words.append(word)
-        self.tags.append(tag)
-
-    def add_reduced_unique(self, word, tag):
-        # fast path for words the caller guarantees reduced and fresh
-        if len(self.words) >= self.max_relators:
-            raise ResourceLimit("relators", self.max_relators)
         self.words.append(word)
         self.tags.append(tag)
 
@@ -135,50 +128,45 @@ def position_gen_name(m: SandwichMatrix, i_idx: int, l_idx: int) -> str:
     return f"f_{i_idx}_{lam}"
 
 
-def build_gr_presentation(
-    m: SandwichMatrix,
-    s: SchreierSystem,
-    max_relators: int = DEFAULT_MAX_RELATORS,
-) -> Presentation:
-    """Generators at the nonzero positions; relators of the three families.
+def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS):
+    """Yield the position presentation's relators as (word, tag), keeping none.
 
-    R1 runs along the Schreier tree edges: for each non-root column, its
-    letter's kernel row links the parent column to the column itself.  R2
-    kills each row's district generator.  R3 emits, per unordered row
-    pair, one chain of square relators through each class of columns with
-    a common quotient value.  Row i finds its partners k > i and their
-    shared columns by walking its own nonzero columns and, in each, the
-    rows below i nonzero there; pairs sharing fewer than two columns close
-    no square.  Relators come in the order i, then k, then column.
+    Generator g is the g-th of `m.nonzero_positions()`.  R1 follows the Schreier
+    tree edges, R2 kills each row's district generator, and R3 chains, per row
+    pair i < k, the shared columns whose quotients agree; order i, k, column.
+    Each word is freely reduced and new; the one past max_relators raises ResourceLimit.
     """
+    relators = _gr_words(m, s)
+    yield from islice(relators, max(max_relators, 0))
+    if next(relators, None) is not None:
+        raise ResourceLimit("relators", max_relators)
+
+
+def _gr_words(m: SandwichMatrix, s: SchreierSystem):
     if (m.n, m.r) != (s.n, s.r):
         raise ValueError("matrix and Schreier system disagree on (n, r)")
-    npos = list(m.nonzero_positions())
     nrows = len(m.kernels)
     ncols = len(m.lambdas)
     gen2d = [[0] * ncols for _ in range(nrows)]
     # incidence lists, ascending: rows nonzero in each column, columns in each row
     rows_of: list[list[int]] = [[] for _ in range(ncols)]
     cols_of: list[list[int]] = [[] for _ in range(nrows)]
-    for gen, (i, l_idx) in enumerate(npos, start=1):
+    for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
         gen2d[i][l_idx] = gen
         rows_of[l_idx].append(i)
         cols_of[i].append(l_idx)
-    names = [position_gen_name(m, i, l) for i, l in npos]
-    sink = _RelatorSink(max_relators)
     # R1 along tree edges, only when the parent-side position is nonzero
     for lam in s.lambdas[1:]:
         i_idx = m.kernel_pos[s.attach[lam]]
         l_idx = m.lambda_pos[lam]
         par_idx = m.lambda_pos[s.parent[lam]]
         if m.entries[par_idx][i_idx] is not None:
-            sink.add((gen2d[i_idx][par_idx], -gen2d[i_idx][l_idx]), "R1")
+            yield (gen2d[i_idx][par_idx], -gen2d[i_idx][l_idx]), "R1"
     # R2 at each row's district column
     for i_idx in range(nrows):
-        sink.add((gen2d[i_idx][m.lambda_pos[m.districts[i_idx]]],), "R2")
+        yield (gen2d[i_idx][m.lambda_pos[m.districts[i_idx]]],), "R2"
     # R3 chains per row pair and left quotient inv(a) * b of the rows' entries
-    # a, b in a column; the four letters name four distinct positions, so
-    # each word arrives reduced and unseen
+    # a, b in a column; the four letters name four distinct positions
     g = m.group
     values, columns, _ = value_alphabet(m)
     quotients: dict[WreathElem, int] = {}
@@ -187,7 +175,6 @@ def build_gr_presentation(
         inv_a = wreath_inv(g, a)
         qtab.append([quotients.setdefault(wreath_mul(g, inv_a, b), len(quotients)) for b in values])
     col_ids = list(zip(*columns))
-    add_fast = sink.add_reduced_unique
     for i in range(nrows):
         ids_i, gen_i = col_ids[i], gen2d[i]
         shared: dict[int, list[int]] = defaultdict(list)
@@ -205,9 +192,17 @@ def build_gr_presentation(
                 q = qtab[ids_i[l_idx]][ids_k[l_idx]]
                 prev = last_col.get(q)
                 if prev is not None:
-                    add_fast((-gen_i[prev], gen_i[l_idx], -gen_k[l_idx], gen_k[prev]), "R3")
+                    yield (-gen_i[prev], gen_i[l_idx], -gen_k[l_idx], gen_k[prev]), "R3"
                 last_col[q] = l_idx
-    return Presentation(names, sink.words, sink.tags, gen_keys=npos)
+
+
+def build_gr_presentation(
+    m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS
+) -> Presentation:
+    """`gr_relators` collected, one generator per nonzero position, keyed by it."""
+    npos = list(m.nonzero_positions())
+    words, tags = map(list, zip(*gr_relators(m, s, max_relators)))
+    return Presentation([position_gen_name(m, i, l) for i, l in npos], words, tags, gen_keys=npos)
 
 
 # -- the value-indexed presentation -------------------------------------------
@@ -479,14 +474,19 @@ def evaluate_word(g: Group, assignment: list[WreathElem], r: int, word) -> Wreat
 
 # -- text form ----------------------------------------------------------------
 
-def presentation_to_text(p: Presentation) -> str:
-    names = p.generators
+def presentation_lines(names: list[str], words):
+    """The text form one line at a time: header, generators, one line per relator."""
     # letter[g] names the signed generator g; negative g index from the end
     letter = [""] + names + [name + "'" for name in reversed(names)]
-    lines = [f"generators {len(names)}"]
-    lines.extend(f"gen {name}" for name in names)
-    lines.extend("rel " + " ".join([letter[g] for g in word]) for word in p.relators)
-    return "\n".join(lines) + "\n"
+    yield f"generators {len(names)}\n"
+    for name in names:
+        yield f"gen {name}\n"
+    for word in words:
+        yield "rel " + " ".join([letter[g] for g in word]) + "\n"
+
+
+def presentation_to_text(p: Presentation) -> str:
+    return "".join(presentation_lines(p.generators, p.relators))
 
 
 def presentation_from_text(text: str) -> Presentation:

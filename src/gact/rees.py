@@ -138,7 +138,7 @@ class SandwichMatrix:
     """Immutable bundle of the rank-r structure over one group.
 
     entries[column][row] is a WreathElem or None (the adjoined zero).
-    Equal entries are one shared object, built and validated once.
+    Equal entries are one shared object, built and validated once; values lists them.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -181,6 +181,7 @@ class SandwichMatrix:
                     column.append(v)
             entries.append(column)
         self.entries = entries
+        self.values = list(interned.values())
         for i in rng:
             if entries[self.lambda_pos[self.districts[i]]][i] != identity:
                 raise AssertionError("district column does not give the identity entry")
@@ -221,9 +222,10 @@ def value_alphabet(m: SandwichMatrix):
     singular square exactly when key(x, y) == key(x', y').
     """
     g = m.group
-    values = sorted(m.value_positions().keys(), key=wreath_to_text)
-    vid = {v: idx for idx, v in enumerate(values)}
-    columns = [[-1 if v is None else vid[v] for v in col] for col in m.entries]
+    values = sorted(m.values, key=wreath_to_text)
+    # equal entries are one object, so an entry's id finds its value id
+    vid = {id(v): idx for idx, v in enumerate(values)} | {id(None): -1}
+    columns = [list(map(vid.__getitem__, map(id, col))) for col in m.entries]
 
     @cache
     def key(x: int, y: int) -> WreathElem:
@@ -232,12 +234,12 @@ def value_alphabet(m: SandwichMatrix):
     return values, columns, key
 
 
-def matrix_to_text(m: SandwichMatrix) -> str:
-    """One record per nonzero entry, zero entries omitted."""
-    lines = [
+def matrix_lines(m: SandwichMatrix):
+    """The text form one line at a time: a header, then one record per nonzero entry."""
+    yield (
         f"sandwich n={m.n} r={m.r} group-order={m.group.order} "
-        f"lambdas={len(m.lambdas)} kernels={len(m.kernels)}"
-    ]
+        f"lambdas={len(m.lambdas)} kernels={len(m.kernels)}\n"
+    )
     # each column's and each distinct value's text is formatted once
     lams = [".".join(map(str, lam)) for lam in m.lambdas]
     texts: dict[WreathElem, str] = {}
@@ -245,5 +247,8 @@ def matrix_to_text(m: SandwichMatrix) -> str:
         v = m.entries[l_idx][i]
         if v not in texts:
             texts[v] = f"perm={','.join(map(str, v.perm))} weights={','.join(map(str, v.weights))}"
-        lines.append(f"lambda={lams[l_idx]} kernel={i} {texts[v]}")
-    return "\n".join(lines) + "\n"
+        yield f"lambda={lams[l_idx]} kernel={i} {texts[v]}\n"
+
+
+def matrix_to_text(m: SandwichMatrix) -> str:
+    return "".join(matrix_lines(m))

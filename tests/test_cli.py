@@ -1,10 +1,22 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 
+from gact import make_group
 from gact.cli import main
-from gact.presentation import presentation_from_text
+from gact.presentation import (
+    build_gr_presentation,
+    build_quotient_presentation,
+    lavers_presentation,
+    presentation_from_text,
+    presentation_to_text,
+    schreier_build,
+)
 from gact.fpgroup import todd_coxeter
+from gact.rees import build_sandwich, matrix_to_text
 
 
 def run(capsys, *argv):
@@ -195,3 +207,73 @@ def test_reports_byte_reproducible(capsys):
         assert code == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def test_text_exports_equal_the_collected_text(capsys, tmp_path):
+    # the streamed file and stdout equal the text of the collected object
+    path = tmp_path / "export.txt"
+    for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("trivial", 5, 3), ("Z2", 5, 3)):
+        g = make_group(spec)
+        m = build_sandwich(g, n, r)
+        want = {
+            ("presentation", "gr"): presentation_to_text(build_gr_presentation(m, schreier_build(g, n, r))),
+            ("presentation", "quotient"): presentation_to_text(build_quotient_presentation(m)),
+            ("presentation", "lavers"): presentation_to_text(lavers_presentation(g, r)),
+            ("sandwich", None): matrix_to_text(m),
+        }
+        for (command, kind), text in want.items():
+            argv = [command, "--group", spec, "--n", str(n), "--r", str(r)]
+            argv += ["--kind", kind] if kind else []
+            assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+            assert path.read_text() == text, (spec, n, r, command, kind)
+            assert run(capsys, *argv) == (0, text, "")
+    assert os.listdir(tmp_path) == ["export.txt"]
+    ref = tmp_path / "ref"
+    open(ref, "w").close()
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
+
+
+def test_capped_gr_export_leaves_output_untouched(capsys, tmp_path):
+    # one cap fires in R1/R2, the other after the first R3 relator
+    g = make_group("Z2")
+    p = build_gr_presentation(build_sandwich(g, 4, 2), schreier_build(g, 4, 2))
+    mid_r3 = p.tag_count("R1") + p.tag_count("R2") + 1
+    assert 10 < mid_r3 < len(p.relators)
+    full = presentation_to_text(p)
+    path = tmp_path / "P"
+    argv = ["presentation", "--kind", "gr", "--group", "Z2", "--n", "4", "--r", "2"]
+    for before in (None, b"kept\n"):
+        for cap in (10, mid_r3):
+            if before is None:
+                path.unlink(missing_ok=True)
+            else:
+                path.write_bytes(before)
+            code, out, err = run(capsys, *argv, "--output", str(path), "--max-relators", str(cap))
+            assert (code, out) == (3, "")
+            assert f"cap {cap}" in err
+            assert (path.read_bytes() if path.exists() else None) == before
+            assert os.listdir(tmp_path) == ([] if before is None else ["P"])
+            # on stdout the lines written before the cap stay written
+            code, out, err = run(capsys, *argv, "--max-relators", str(cap))
+            assert code == 3 and f"cap {cap}" in err
+            assert full.startswith(out) and out.count("\nrel ") == cap
+
+
+def test_export_targets_keep_their_kind(capsys, tmp_path):
+    # a symlink is written through and a pipe is written in place, as by a plain open
+    text = matrix_to_text(build_sandwich(make_group("Z2"), 4, 2))
+    argv = ["sandwich", "--group", "Z2", "--n", "4", "--r", "2", "--output"]
+    real, link = tmp_path / "real", tmp_path / "link"
+    real.write_text("old\n")
+    link.symlink_to(real)
+    assert run(capsys, *argv, str(link)) == (0, "", "")
+    assert link.is_symlink() and real.read_text() == text
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(capsys, *argv, str(fifo)) == (0, "", "")
+    reader.join(timeout=30)
+    assert got == [text] and stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "link", "real"]

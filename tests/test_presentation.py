@@ -27,7 +27,7 @@ from gact import (
     wreath_identity,
     wreath_inv,
 )
-from gact.presentation import eliminate_generators, evaluate_word, free_reduce
+from gact.presentation import _RelatorSink, eliminate_generators, evaluate_word, free_reduce, gr_relators
 
 from helpers import (
     MAIN_CASES,
@@ -199,6 +199,23 @@ def test_gr_r3_matches_dense_row_pair_walk():
         assert build_gr_presentation(m, s, max_relators=len(p.relators)).relators == p.relators
         with pytest.raises(ResourceLimit):
             build_gr_presentation(m, s, max_relators=len(p.relators) - 1)
+
+
+def test_gr_stream_equals_collector():
+    # the stream yields the collector's relators in its order, each one
+    # freely reduced and new, so a deduplicating sink would keep them all
+    cases = [(make_group(spec), n, r) for n, spec, r, _ in MAIN_CASES]
+    cases.append((make_group("S3"), 4, 2))  # Z2 5 3 is in MAIN_CASES
+    for g, n, r in cases:
+        m = build_sandwich(g, n, r)
+        s = schreier_build(g, n, r)
+        p = build_gr_presentation(m, s)
+        stream = list(gr_relators(m, s))
+        assert [w for w, _ in stream] == p.relators and [t for _, t in stream] == p.tags
+        sink = _RelatorSink(len(stream))
+        for word, tag in stream:
+            sink.add(word, tag)
+        assert sink.words == p.relators and sink.tags == p.tags, (g.order, n, r)
 
 
 def test_gr_export_pinned():

@@ -28,7 +28,8 @@ from gact import (
     wreath_identity,
 )
 from gact import rees
-from gact.rees import kernel_index_of, matrix_to_text
+from gact.endo import wreath_to_text
+from gact.rees import kernel_index_of, matrix_to_text, value_alphabet
 
 from helpers import eps_rank_r, stirling, wreath_elements
 
@@ -304,6 +305,18 @@ def test_equal_entries_are_one_object():
                 assert v == WreathElem(2, perm, tuple(th.weights[u - 1] for u in lam))
                 objects.add(id(v))
         assert len(objects) == len(m.value_positions())
+        assert {id(v) for v in m.values} == objects and len(m.values) == len(objects)
+
+
+def test_value_alphabet_matches_value_positions():
+    # the values come from the interned table, without the per-value position map
+    for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("Z3", 5, 3), ("trivial", 6, 3), ("Z2", 5, 3)):
+        m = build_sandwich(make_group(spec), n, r)
+        values, columns, _ = value_alphabet(m)
+        assert m._value_positions is None
+        assert values == sorted(m.value_positions(), key=wreath_to_text)
+        for col_ids, col in zip(columns, m.entries):
+            assert col_ids == [-1 if v is None else values.index(v) for v in col]
 
 
 def test_distinct_theta_rows_l_related_not_r_related():
