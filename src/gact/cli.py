@@ -138,9 +138,11 @@ def _emit(args, lines):
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.writelines(lines)
             os.replace(tmp, target)
-        except BaseException:
+        except BaseException as exc:
             if os.path.exists(tmp):
                 os.remove(tmp)
+            if isinstance(exc, OSError) and exc.filename == tmp:
+                exc.filename = output  # report the path the user gave
             raise
 
 
@@ -228,7 +230,7 @@ def _dispatch(args) -> int:
             _emit(args, presentation_lines(names, (word for word, _ in relators)))
             return 0
         if args.kind == "lavers":
-            p = lavers_presentation(g, args.r)
+            p = lavers_presentation(g, args.r, caps["max_relators"])
         elif args.kind == "gr":
             p = build_gr_presentation(m, schreier_build(g, args.n, args.r), caps["max_relators"])
         else:
@@ -278,11 +280,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "connectivity":
-        pg = connectivity(m)
-        counts = value_component_counts(pg)
-        rows = sorted(
-            (wreath_to_text(v), npos, ncomp) for v, (npos, ncomp) in counts.items()
-        )
+        rows = [(wreath_to_text(v), *c) for v, c in value_component_counts(connectivity(m)).items()]
         if args.json:
             print(json.dumps([
                 {"value": v, "positions": npos, "components": ncomp}
@@ -307,7 +305,7 @@ def _dispatch(args) -> int:
 
     if args.command == "occurrences":
         phi = parse_wreath(g, args.r, args.alpha)
-        found = m.value_positions().get(phi, [])
+        found = m.positions_of(phi)
         if args.json:
             print(json.dumps([
                 {

@@ -398,7 +398,7 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
 
 # -- the wreath-product presentation ------------------------------------------
 
-def lavers_presentation(g: Group, r: int) -> Presentation:
+def lavers_presentation(g: Group, r: int, max_relators: int = DEFAULT_MAX_RELATORS) -> Presentation:
     """Standard presentation of the weighted permutation group of rank r.
 
     Generators are the adjacent transpositions and one diagonal insertion
@@ -429,7 +429,7 @@ def lavers_presentation(g: Group, r: int) -> Presentation:
     def ins_inv(a, j):
         return () if a == 0 else (-gen_of[("i", a, j)],)
 
-    sink = _RelatorSink(DEFAULT_MAX_RELATORS)
+    sink = _RelatorSink(max_relators)
     for i in range(1, r):
         sink.add((t(i), t(i)), "W1")
     for i in range(1, r):

@@ -11,7 +11,7 @@ quadruple found in the matrix.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .endo import (
@@ -72,25 +72,29 @@ def connectivity(m: SandwichMatrix) -> PositionGraph:
     """Close the same-row and same-column equal-value links in one row-major pass.
 
     Each position is linked to the first position of its value in its row
-    (a map reset at every row) and in its column.
+    (a map reset at every row) and in its column, both keyed on value ids.
     """
     pg = PositionGraph(m)
-    first_in_col: dict[tuple[int, WreathElem], int] = {}
-    first_in_row: dict[WreathElem, int] = {}
+    ids = m.id_columns
+    first_in_col: list[dict[int, int]] = [{} for _ in ids]
+    first_in_row: dict[int, int] = {}
     row = -1
     for idx, (i, l_idx) in enumerate(pg.positions):
         if i != row:
             row, first_in_row = i, {}
-        v = m.entries[l_idx][i]
+        v = ids[l_idx][i]
         pg._union(first_in_row.setdefault(v, idx), idx)
-        pg._union(first_in_col.setdefault((l_idx, v), idx), idx)
+        pg._union(first_in_col[l_idx].setdefault(v, idx), idx)
     return pg
 
 
 def value_component_counts(pg: PositionGraph) -> dict[WreathElem, tuple[int, int]]:
-    """Per value: (number of positions, number of components)."""
-    ncomps = Counter(pg.value_of(root) for root in pg.components())
-    return {v: (len(ps), ncomps[v]) for v, ps in pg.matrix.value_positions().items()}
+    """Per value, in the matrix's value order: (number of positions, number of components)."""
+    counts = dict.fromkeys(pg.matrix.values, (0, 0))
+    for root, members in pg.components().items():
+        npos, ncomp = counts[v := pg.value_of(root)]
+        counts[v] = (npos + len(members), ncomp + 1)
+    return counts
 
 
 # -- the three walking steps ---------------------------------------------------
@@ -305,11 +309,11 @@ def find_singular_witness(
         raise ValueError("quadruple fails the square condition")
     if m.entries[l_idx][k_idx] != psi:
         return None
-    for i_idx, col in m.value_positions().get(phi, []):
-        if col != l_idx:
-            continue
-        for mu, column in enumerate(m.entries):
-            if column[i_idx] == phi2 and column[k_idx] == sigma:
+    ids = m.id_columns
+    x, x2, z = (m.value_id.get(v, -2) for v in (phi, phi2, sigma))  # -2 matches no cell
+    for i_idx in (i for i, cell in enumerate(ids[l_idx]) if cell == x):  # rows holding phi
+        for mu, column in enumerate(ids):
+            if column[i_idx] == x2 and column[k_idx] == z:
                 return (i_idx, k_idx, l_idx, mu)
     return None
 
@@ -342,8 +346,7 @@ def simplify_presentation(
     """
     g = m.group
     identity = wreath_identity(m.r)
-    vp = m.value_positions()
-    if p.gen_keys is None or any(key not in vp for key in p.gen_keys):
+    if p.gen_keys is None or any(key not in m.value_id for key in p.gen_keys):
         raise ValueError("needs a presentation keyed by the values of this matrix")
 
     # component roots per value; merging a value collapses its list to one root
@@ -365,8 +368,8 @@ def simplify_presentation(
             )
 
     pending: list[tuple[WreathElem, WreathElem, WreathElem]] = []
-    multi = [v for v, roots in roots_by_value.items() if len(roots) > 1]
-    multi.sort(key=lambda v: (rising_point(v), wreath_to_text(v)))
+    # m.values is in text order and sorted() is stable, so ties keep text order
+    multi = sorted([v for v in m.values if len(roots_by_value.get(v, ())) > 1], key=rising_point)
     for value in multi:
         if rising_point(value) < 3:
             raise WitnessNotFound(
@@ -391,7 +394,7 @@ def simplify_presentation(
         pending.append((value, gamma, beta))
 
     # after merging, each nonidentity value must sit in exactly one class
-    values = sorted(roots_by_value, key=wreath_to_text)
+    values = [v for v in m.values if v in roots_by_value]
     for value in values:
         certify_single(value)
     gen_of_value = {v: gi + 1 for gi, v in enumerate(values)}

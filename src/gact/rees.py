@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 
 from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
@@ -138,7 +138,8 @@ class SandwichMatrix:
     """Immutable bundle of the rank-r structure over one group.
 
     entries[column][row] is a WreathElem or None (the adjoined zero).
-    Equal entries are one shared object, built and validated once; values lists them.
+    Equal entries are one shared object, built and validated once; values
+    lists them sorted by text, and a value's id is its index there.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -181,7 +182,8 @@ class SandwichMatrix:
                     column.append(v)
             entries.append(column)
         self.entries = entries
-        self.values = list(interned.values())
+        self.values = sorted(interned.values(), key=wreath_to_text)
+        self.value_id = {v: idx for idx, v in enumerate(self.values)}
         for i in rng:
             if entries[self.lambda_pos[self.districts[i]]][i] != identity:
                 raise AssertionError("district column does not give the identity entry")
@@ -189,7 +191,6 @@ class SandwichMatrix:
             if all(v is None for v in per_lambda):
                 raise AssertionError(f"image column {self.lambdas[l_idx]} is entirely zero")
         # every kernel row is nonzero at its own district column, checked above
-        self._value_positions: dict[WreathElem, list[tuple[int, int]]] | None = None
 
     def nonzero_positions(self):
         """Positions as (row index, column index) pairs in lexicographic order."""
@@ -198,14 +199,17 @@ class SandwichMatrix:
                 if self.entries[l_idx][i] is not None:
                     yield (i, l_idx)
 
-    def value_positions(self) -> dict[WreathElem, list[tuple[int, int]]]:
-        """Map each nonzero value to its positions, computed once."""
-        if self._value_positions is None:
-            vp: dict[WreathElem, list[tuple[int, int]]] = {}
-            for pos in self.nonzero_positions():
-                vp.setdefault(self.entries[pos[1]][pos[0]], []).append(pos)
-            self._value_positions = vp
-        return self._value_positions
+    def positions_of(self, v: WreathElem) -> list[tuple[int, int]]:
+        """The positions (row index, column index) holding v, in lexicographic order."""
+        x, ids = self.value_id.get(v, -2), self.id_columns  # -2 matches no cell
+        return [(i, l_idx) for i in range(len(self.kernels)) for l_idx, col in enumerate(ids) if col[i] == x]
+
+    @cached_property
+    def id_columns(self) -> list[list[int]]:
+        """id_columns[l][i] is the value id of entries[l][i], -1 at a zero; built on first use."""
+        # equal entries are one object, so an entry's id() finds its value id
+        vid = {id(v): idx for idx, v in enumerate(self.values)} | {id(None): -1}
+        return [list(map(vid.__getitem__, map(id, col))) for col in self.entries]
 
 
 def build_sandwich(g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SandwichMatrix:
@@ -213,25 +217,19 @@ def build_sandwich(g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTR
 
 
 def value_alphabet(m: SandwichMatrix):
-    """Intern the occurring values and give the column-pair square key.
+    """The matrix's value numbering and the column-pair square key.
 
-    Returns (values, columns, key): values sorted by text, columns[l][i]
-    the id of the entry at column l and row i (-1 at a zero entry, the
-    layout of m.entries), and the memoized key(x, y) = y * inv(x) of two
-    value ids.  Rows holding x, y and x', y' in columns l, m close a
-    singular square exactly when key(x, y) == key(x', y').
+    Returns (m.values, m.id_columns, key), with the memoized key(x, y) =
+    y * inv(x) of two value ids.  Rows holding x, y and x', y' in columns
+    l, m close a singular square exactly when key(x, y) == key(x', y').
     """
-    g = m.group
-    values = sorted(m.values, key=wreath_to_text)
-    # equal entries are one object, so an entry's id finds its value id
-    vid = {id(v): idx for idx, v in enumerate(values)} | {id(None): -1}
-    columns = [list(map(vid.__getitem__, map(id, col))) for col in m.entries]
+    g, values = m.group, m.values
 
     @cache
     def key(x: int, y: int) -> WreathElem:
         return wreath_mul(g, values[y], wreath_inv(g, values[x]))
 
-    return values, columns, key
+    return values, m.id_columns, key
 
 
 def matrix_lines(m: SandwichMatrix):

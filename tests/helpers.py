@@ -194,3 +194,29 @@ def dense_r3_relators(m):
                     out.append((-gen[(i, prev)], gen[(i, l_idx)], -gen[(k, l_idx)], gen[(k, prev)]))
                 last_col[q] = l_idx
     return out
+
+
+def value_positions(m):
+    """Each value's positions (row, column), row-major, read off m.entries."""
+    vp = {}
+    for i, l_idx in m.nonzero_positions():
+        vp.setdefault(m.entries[l_idx][i], []).append((i, l_idx))
+    return vp
+
+
+def scan_singular_witness(m, phi, phi2, psi, sigma, k_idx, l_idx):
+    """The first square [[phi, psi], [phi2, sigma]] anchored at psi's position, on m.entries.
+
+    Rows i ascending in column l, then columns mu ascending; returns
+    (i, k, l, mu) or None.
+    """
+    entries = m.entries
+    if entries[l_idx][k_idx] != psi:
+        return None
+    for i_idx in range(len(m.kernels)):
+        if entries[l_idx][i_idx] != phi:
+            continue
+        for mu, column in enumerate(entries):
+            if column[i_idx] == phi2 and column[k_idx] == sigma:
+                return (i_idx, k_idx, l_idx, mu)
+    return None

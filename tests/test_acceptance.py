@@ -40,7 +40,7 @@ from gact.endo import WreathElem, compose
 from gact.presentation import Presentation, evaluate_word
 from gact.rees import q_of
 
-from helpers import MAIN_CASES, eps_rank_r, wreath_elements
+from helpers import MAIN_CASES, eps_rank_r, value_positions, wreath_elements
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -131,7 +131,7 @@ def test_criterion_4_rank_n_trivial():
 def test_criterion_5_nonconnected_value_merges_with_witness():
     g, m, p = built("Z2", 4, 2)
     diag = parse_wreath(g, 2, "1:1;2:1")
-    occ = m.value_positions().get(diag, [])
+    occ = value_positions(m).get(diag, [])
     pg = connectivity(m)
     counts = value_component_counts(pg)[diag]
     log = []
@@ -182,7 +182,7 @@ def test_criterion_7_coverage_thresholds():
         for r in range(1, n + 1):
             for g in (T, Z2):
                 m = build_sandwich(g, n, r)
-                present = set(m.value_positions())
+                present = set(value_positions(m))
                 full = g.order ** r * factorial(r)
                 covers = len(present) == full
                 threshold = (2 * r <= n) if g.order > 1 else (2 * r <= n + 1)
@@ -193,7 +193,7 @@ def test_criterion_7_coverage_thresholds():
                     perm = tuple(range(r, 0, -1))
                     weights = (1 if g.order > 1 else 0,) + (0,) * (r - 1)
                     reversal = WreathElem(r, perm, weights)
-                    if reversal in m.value_positions():
+                    if reversal in value_positions(m):
                         failures.append(("witness", n, r, g.order))
     record("7 coverage thresholds with reversal witnesses", not failures, str(failures))
 

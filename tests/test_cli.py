@@ -2,6 +2,7 @@ import json
 import os
 import stat
 import threading
+from math import comb
 
 import pytest
 
@@ -15,8 +16,11 @@ from gact.presentation import (
     presentation_to_text,
     schreier_build,
 )
+from gact.endo import parse_wreath
 from gact.fpgroup import todd_coxeter
 from gact.rees import build_sandwich, matrix_to_text
+
+from helpers import value_positions
 
 
 def run(capsys, *argv):
@@ -111,6 +115,11 @@ def test_decompose_cli(capsys):
     )
     assert code == 0
     assert out.strip() == "beta=2:0;3:0;4:0;1:0 gamma=1:0;3:0;2:1;4:0"
+    code, out, _ = run(
+        capsys, "decompose", "--r", "4", "--group", "Z2", "--alpha", "3:0;2:1;4:0;1:0", "--json"
+    )
+    assert code == 0
+    assert json.loads(out) == {"beta": "2:0;3:0;4:0;1:0", "gamma": "1:0;3:0;2:1;4:0"}
 
 
 def test_decompose_cli_rejects_low(capsys):
@@ -131,6 +140,19 @@ def test_occurrences_cli(capsys):
     assert lines[0] == "count=2"
     assert "kernel=" in lines[1] and "district=1.2 lambda=3.4" in lines[1]
     assert "district=1.3 lambda=2.4" in lines[2]
+    # --json lists the positions the entries-based oracle finds, in its order
+    for spec, alphas in (("Z2", ("1:1;2:1", "2:0;1:1", "1:0;2:0")), ("S3", ("2:3;1:1", "1:0;2:0"))):
+        m = build_sandwich(make_group(spec), 4, 2)
+        for alpha in alphas:
+            argv = ["occurrences", "--n", "4", "--r", "2", "--group", spec, "--alpha", alpha]
+            code, out, _ = run(capsys, *argv, "--json")
+            assert code == 0
+            want = value_positions(m).get(parse_wreath(m.group, 2, alpha), [])
+            assert json.loads(out) == [
+                {"kernel": i, "district": list(m.districts[i]), "lambda": list(m.lambdas[l_idx])}
+                for i, l_idx in want
+            ]
+            assert run(capsys, *argv)[1].splitlines()[0] == f"count={len(want)}"
 
 
 def test_connectivity_cli(capsys):
@@ -140,6 +162,18 @@ def test_connectivity_cli(capsys):
         (line.split()[0].split("=", 1)[1], line) for line in out.strip().splitlines()
     )
     assert lines["1:1;2:1"].endswith("positions=2 components=2")
+    # --json carries the plain output's rows, in the same order: by value text
+    for spec in ("Z2", "S3"):
+        argv = ["connectivity", "--n", "4", "--r", "2", "--group", spec]
+        code, out, _ = run(capsys, *argv)
+        code_json, out_json, _ = run(capsys, *argv, "--json")
+        assert code == code_json == 0
+        rows = json.loads(out_json)
+        assert [
+            f"value={row['value']} positions={row['positions']} components={row['components']}"
+            for row in rows
+        ] == out.splitlines()
+        assert [row["value"] for row in rows] == sorted(row["value"] for row in rows)
 
 
 def test_squares_cli(capsys):
@@ -160,6 +194,19 @@ def test_sandwich_cli_to_file(capsys, tmp_path):
     assert out == ""
     text = path.read_text()
     assert text.startswith("sandwich n=4 r=2 group-order=2 lambdas=6 kernels=28\n")
+    # --json has one entry per nonzero position: C(n, r) * (r|G|)^(n-r) idempotents
+    for spec in ("Z2", "S3"):
+        m = build_sandwich(make_group(spec), 4, 2)
+        code, out, _ = run(capsys, "sandwich", "--n", "4", "--r", "2", "--group", spec, "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert len(data["entries"]) == comb(4, 2) * (2 * m.group.order) ** 2
+        assert [(e["kernel"], tuple(e["lambda"])) for e in data["entries"]] == [
+            (i, m.lambdas[l_idx]) for i, l_idx in m.nonzero_positions()
+        ]
+        for e in data["entries"]:
+            v = m.entries[m.lambda_pos[tuple(e["lambda"])]][e["kernel"]]
+            assert (e["perm"], e["weights"]) == (list(v.perm), list(v.weights))
 
 
 def test_presentation_cli_round_trip(capsys):
@@ -182,6 +229,19 @@ def test_presentation_cli_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert set(data) == {"generators", "relators", "tags"}
+    # the gr --json export carries build_gr_presentation's relators and tags
+    for spec in ("Z2", "S3"):
+        g = make_group(spec)
+        p = build_gr_presentation(build_sandwich(g, 4, 2), schreier_build(g, 4, 2))
+        code, out, _ = run(
+            capsys, "presentation", "--n", "4", "--r", "2", "--group", spec, "--kind", "gr", "--json"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "generators": p.generators,
+            "relators": [list(w) for w in p.relators],
+            "tags": p.tags,
+        }
 
 
 def test_group_table_file_spec(capsys, tmp_path):
@@ -277,3 +337,27 @@ def test_export_targets_keep_their_kind(capsys, tmp_path):
     reader.join(timeout=30)
     assert got == [text] and stat.S_ISFIFO(fifo.lstat().st_mode)
     assert sorted(os.listdir(tmp_path)) == ["fifo", "link", "real"]
+
+
+def test_capped_lavers_export(capsys, tmp_path):
+    # the Lavers export honours --max-relators like the other presentations
+    count = len(lavers_presentation(make_group("S3"), 4).relators)
+    assert count > 5
+    argv = ["presentation", "--kind", "lavers", "--group", "S3", "--n", "4", "--r", "4"]
+    path = tmp_path / "L"
+    for extra in ((), ("--output", str(path))):
+        code, out, err = run(capsys, *argv, *extra, "--max-relators", "5")
+        assert (code, out) == (3, "") and "cap 5" in err
+        assert os.listdir(tmp_path) == []
+    assert run(capsys, *argv, "--max-relators", str(count - 1))[0] == 3
+    assert run(capsys, *argv, "--max-relators", str(count), "--output", str(path)) == (0, "", "")
+    assert os.listdir(tmp_path) == ["L"]
+
+
+def test_output_error_names_the_given_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(
+        capsys, "sandwich", "--group", "Z2", "--n", "4", "--r", "2", "--output", str(target)
+    )
+    assert (code, out) == (2, "")
+    assert f"No such file or directory: '{target}'\n" in err and ".tmp" not in err

@@ -35,6 +35,7 @@ from helpers import (
     eps_rank_r,
     lavers_assignment,
     validate_presentation,
+    value_positions,
     wreath_elements,
 )
 
@@ -389,7 +390,7 @@ def test_occurring_values_generate_the_wreath_group():
     for n, spec, r in cases:
         g = make_group(spec)
         m = build_sandwich(g, n, r)
-        gens = set(m.value_positions())
+        gens = set(value_positions(m))
         gens |= {wreath_inv(g, v) for v in set(gens)}
         closure = set(gens)
         frontier = set(gens)

@@ -31,7 +31,7 @@ from gact import (
 )
 from gact.reduction import _free_set
 
-from helpers import def81_rising_point, wreath_elements
+from helpers import def81_rising_point, scan_singular_witness, value_positions, wreath_elements
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -243,7 +243,7 @@ def test_decompose_random_rank_four():
 def test_witness_for_identity_quadruple():
     m = build_sandwich(Z2, 4, 2)
     e = wreath_identity(2)
-    k, l_idx = m.value_positions()[e][0]
+    k, l_idx = value_positions(m)[e][0]
     found = find_singular_witness(m, e, e, e, e, k, l_idx)
     assert found is not None
     i, k, l_idx, m_idx = found
@@ -260,7 +260,7 @@ def test_witness_for_simple_split():
     assert wreath_mul(Z2, beta, gamma) == alpha
     e = wreath_identity(2)
     found = [
-        w for k, l_idx in m.value_positions()[alpha]
+        w for k, l_idx in value_positions(m)[alpha]
         if (w := find_singular_witness(m, beta, e, alpha, gamma, k, l_idx))
     ]
     assert found
@@ -270,7 +270,7 @@ def test_witness_for_simple_split():
         assert m.entries[l_idx][k] == alpha
         assert m.entries[m_idx][k] == gamma
     # psi must sit at the anchor position, or there is nothing to search
-    k, l_idx = m.value_positions()[e][0]
+    k, l_idx = value_positions(m)[e][0]
     assert find_singular_witness(m, beta, e, alpha, gamma, k, l_idx) is None
 
 
@@ -347,7 +347,7 @@ def test_equal_values_equal_generators_in_presented_group():
     gen = {pos: gi + 1 for gi, pos in enumerate(p.gen_keys)}
     from gact import word_equal
 
-    for positions in m.value_positions().values():
+    for positions in value_positions(m).values():
         first = positions[0]
         for other in positions[1:]:
             assert word_equal(table, (gen[first],), (gen[other],))
@@ -375,7 +375,7 @@ def test_same_row_and_column_positions_are_linked():
     component_of = {
         pos: root for root, members in connectivity(m).components().items() for pos in members
     }
-    for positions in m.value_positions().values():
+    for positions in value_positions(m).values():
         for a in positions:
             for b in positions:
                 if a != b and (a[0] == b[0] or a[1] == b[1]):
@@ -452,6 +452,26 @@ def test_merge_witnesses_certify_their_squares():
         assert m.entries[mu_idx][j_idx] == w.simple_factor
         assert (j_idx, l_idx) == w.component
         assert wreath_mul(g, w.remainder, w.simple_factor) == w.value
+
+
+def test_witness_search_matches_entry_scan():
+    # the id-based search finds the square the entries-based scan finds first,
+    # at every merge root and at every other position of each merged value
+    from gact import make_group
+
+    for spec, n, r in (("S3", 4, 2), ("Z2", 5, 3), ("Z3", 5, 3), ("Z4", 5, 3)):
+        m = build_sandwich(make_group(spec), n, r)
+        log = []
+        simplify_presentation(build_quotient_presentation(m), m, connectivity(m), log)
+        assert log
+        e = wreath_identity(r)
+        vp = value_positions(m)
+        for w in log:
+            args = (m, w.remainder, e, w.value, w.simple_factor)
+            assert scan_singular_witness(*args, *w.component) == w.square
+            assert find_singular_witness(*args, *w.component) == w.square
+            for pos in vp[w.value]:
+                assert find_singular_witness(*args, *pos) == scan_singular_witness(*args, *pos)
 
 
 def test_simplify_output_pinned():

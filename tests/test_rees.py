@@ -31,7 +31,7 @@ from gact import rees
 from gact.endo import wreath_to_text
 from gact.rees import kernel_index_of, matrix_to_text, value_alphabet
 
-from helpers import eps_rank_r, stirling, wreath_elements
+from helpers import eps_rank_r, stirling, value_positions, wreath_elements
 
 Z2 = cyclic_group(2)
 T = trivial_group()
@@ -232,19 +232,19 @@ def district_prefiltered_occurrences(m, phi):
 def test_occurrences_examples():
     m = build_sandwich(Z2, 4, 2)
     phi = parse_wreath(Z2, 2, "1:1;2:1")
-    occ = m.value_positions().get(phi, [])
+    occ = m.positions_of(phi)
     assert [(m.districts[i], m.lambdas[l]) for i, l in occ] == [
         ((1, 2), (3, 4)),
         ((1, 3), (2, 4)),
     ]
     m6 = build_sandwich(Z2, 6, 4)
     phi6 = parse_wreath(Z2, 4, "3:0;2:1;4:0;1:0")
-    occ6 = m6.value_positions().get(phi6, [])
+    occ6 = m6.positions_of(phi6)
     assert len(occ6) == 1
     assert m6.lambdas[occ6[0][1]] == (3, 4, 5, 6)
     m43 = build_sandwich(T, 4, 3)
     reversal = parse_wreath(T, 3, "3:0;2:0;1:0")
-    assert m43.value_positions().get(reversal, []) == []
+    assert m43.positions_of(reversal) == []
 
 
 def test_occurrences_matches_full_scan():
@@ -257,7 +257,7 @@ def test_occurrences_matches_full_scan():
                 for l in range(len(m.lambdas))
                 if m.entries[l][i] == phi
             ]
-            assert m.value_positions().get(phi, []) == brute
+            assert m.positions_of(phi) == brute
             assert district_prefiltered_occurrences(m, phi) == brute
 
 
@@ -267,7 +267,7 @@ def test_coverage_threshold_small():
     for n, r in ((4, 2), (5, 2), (4, 3)):
         m = build_sandwich(Z2, n, r)
         all_values = set(wreath_elements(Z2, r))
-        present = set(m.value_positions())
+        present = set(value_positions(m))
         assert (present == all_values) == (2 * r <= n)
 
 
@@ -304,19 +304,23 @@ def test_equal_entries_are_one_object():
                 perm = tuple(th.targets[u - 1] for u in lam)
                 assert v == WreathElem(2, perm, tuple(th.weights[u - 1] for u in lam))
                 objects.add(id(v))
-        assert len(objects) == len(m.value_positions())
+        assert len(objects) == len(value_positions(m))
         assert {id(v) for v in m.values} == objects and len(m.values) == len(objects)
 
 
 def test_value_alphabet_matches_value_positions():
-    # the values come from the interned table, without the per-value position map
+    # one value numbering per matrix: values in text order, id columns built
+    # once on first use, and never by the text export
     for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("Z3", 5, 3), ("trivial", 6, 3), ("Z2", 5, 3)):
         m = build_sandwich(make_group(spec), n, r)
+        matrix_to_text(m)
+        assert "id_columns" not in vars(m)
         values, columns, _ = value_alphabet(m)
-        assert m._value_positions is None
-        assert values == sorted(m.value_positions(), key=wreath_to_text)
+        assert values == sorted(value_positions(m), key=wreath_to_text)
+        assert value_alphabet(m)[1] is columns
         for col_ids, col in zip(columns, m.entries):
             assert col_ids == [-1 if v is None else values.index(v) for v in col]
+        assert all(m.positions_of(v) == ps for v, ps in value_positions(m).items())
 
 
 def test_distinct_theta_rows_l_related_not_r_related():
