@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from math import factorial
 
 from .biorder import squares_report
@@ -24,6 +25,7 @@ from .presentation import (
     build_gr_presentation,
     build_quotient_presentation,
     eliminate_generators,
+    gr_grids,
     gr_relators,
     lavers_presentation,
     position_gen_name,
@@ -225,9 +227,11 @@ def _dispatch(args) -> int:
 
     if args.command == "presentation":
         if args.kind == "gr" and not args.json:
-            names = [position_gen_name(m, i, l) for i, l in m.nonzero_positions()]
-            relators = gr_relators(m, schreier_build(g, args.n, args.r), caps["max_relators"])
-            _emit(args, presentation_lines(names, (word for word, _ in relators)))
+            grids = gr_grids(m, lambda _, i, l: (name := position_gen_name(m, i, l), name + "'"))
+            names = [grids[0][i][l] for i, cols in enumerate(grids[3]) for l in cols]
+            relators = gr_relators(m, schreier_build(g, args.n, args.r), caps["max_relators"], grids)
+            rels = ("rel " + " ".join(letters) + "\n" for letters, _ in relators)
+            _emit(args, chain(presentation_lines(names, ()), rels))
             return 0
         if args.kind == "lavers":
             p = lavers_presentation(g, args.r, caps["max_relators"])

@@ -128,45 +128,57 @@ def position_gen_name(m: SandwichMatrix, i_idx: int, l_idx: int) -> str:
     return f"f_{i_idx}_{lam}"
 
 
-def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS):
+def gr_grids(m: SandwichMatrix, spell=None):
+    """(plus, minus, rows_of, cols_of) from one pass over `m.nonzero_positions()`.
+
+    plus[i][l], minus[i][l] = spell(g, i, l), by default (g, -g), spell the g-th
+    position's generator and its inverse; rows_of and cols_of list ascending
+    the nonzero rows of each column and columns of each row.
+    """
+    nrows, ncols = len(m.kernels), len(m.lambdas)
+    plus = [[None] * ncols for _ in range(nrows)]
+    minus = [[None] * ncols for _ in range(nrows)]
+    rows_of: list[list[int]] = [[] for _ in range(ncols)]
+    cols_of: list[list[int]] = [[] for _ in range(nrows)]
+    for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
+        plus[i][l_idx], minus[i][l_idx] = spell(gen, i, l_idx) if spell else (gen, -gen)
+        rows_of[l_idx].append(i)
+        cols_of[i].append(l_idx)
+    return plus, minus, rows_of, cols_of
+
+
+def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS, grids=None):
     """Yield the position presentation's relators as (word, tag), keeping none.
 
-    Generator g is the g-th of `m.nonzero_positions()`.  R1 follows the Schreier
-    tree edges, R2 kills each row's district generator, and R3 chains, per row
-    pair i < k, the shared columns whose quotients agree; order i, k, column.
-    Each word is freely reduced and new; the one past max_relators raises ResourceLimit.
+    Generator g is the g-th of `m.nonzero_positions()`; words spell it from the
+    letter grids of `grids`, by default `gr_grids(m)`: g and -g.  R1 follows
+    the Schreier tree edges, R2 kills each row's district generator, and R3
+    chains, per row pair i < k, the shared columns whose quotients agree;
+    order i, k, column.  Each word is freely reduced and new; the one past
+    max_relators raises ResourceLimit.
     """
-    relators = _gr_words(m, s)
+    relators = _gr_words(m, s, *(grids or gr_grids(m)))
     yield from islice(relators, max(max_relators, 0))
     if next(relators, None) is not None:
         raise ResourceLimit("relators", max_relators)
 
 
-def _gr_words(m: SandwichMatrix, s: SchreierSystem):
+def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, rows_of, cols_of):
+    """`gr_relators` uncapped, spelt from the letter grids."""
     if (m.n, m.r) != (s.n, s.r):
         raise ValueError("matrix and Schreier system disagree on (n, r)")
-    nrows = len(m.kernels)
-    ncols = len(m.lambdas)
-    gen2d = [[0] * ncols for _ in range(nrows)]
-    # incidence lists, ascending: rows nonzero in each column, columns in each row
-    rows_of: list[list[int]] = [[] for _ in range(ncols)]
-    cols_of: list[list[int]] = [[] for _ in range(nrows)]
-    for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
-        gen2d[i][l_idx] = gen
-        rows_of[l_idx].append(i)
-        cols_of[i].append(l_idx)
     # R1 along tree edges, only when the parent-side position is nonzero
     for lam in s.lambdas[1:]:
-        i_idx = m.kernel_pos[s.attach[lam]]
-        l_idx = m.lambda_pos[lam]
-        par_idx = m.lambda_pos[s.parent[lam]]
+        i_idx, par_idx = m.kernel_pos[s.attach[lam]], m.lambda_pos[s.parent[lam]]
         if m.entries[par_idx][i_idx] is not None:
-            yield (gen2d[i_idx][par_idx], -gen2d[i_idx][l_idx]), "R1"
+            yield (plus[i_idx][par_idx], minus[i_idx][m.lambda_pos[lam]]), "R1"
     # R2 at each row's district column
-    for i_idx in range(nrows):
-        yield (gen2d[i_idx][m.lambda_pos[m.districts[i_idx]]],), "R2"
+    for i_idx, district in enumerate(m.districts):
+        yield (plus[i_idx][m.lambda_pos[district]],), "R2"
     # R3 chains per row pair and left quotient inv(a) * b of the rows' entries
-    # a, b in a column; the four letters name four distinct positions
+    # a, b in a column, in one pass per row i: its columns l ascending, in each
+    # the rows k > i; a repeated key (k, quotient) chains l to the key's last
+    # column, and the row's finds are sorted into the order k, column
     g = m.group
     values, columns, _ = value_alphabet(m)
     quotients: dict[WreathElem, int] = {}
@@ -174,34 +186,32 @@ def _gr_words(m: SandwichMatrix, s: SchreierSystem):
     for a in values:
         inv_a = wreath_inv(g, a)
         qtab.append([quotients.setdefault(wreath_mul(g, inv_a, b), len(quotients)) for b in values])
-    col_ids = list(zip(*columns))
-    for i in range(nrows):
-        ids_i, gen_i = col_ids[i], gen2d[i]
-        shared: dict[int, list[int]] = defaultdict(list)
-        for l_idx in cols_of[i]:
-            rows = rows_of[l_idx]
+    nq = len(quotients)
+    for i, cols in enumerate(cols_of):
+        last: dict[int, int] = {}  # k * nq + quotient id -> last column
+        finds = []
+        for l_idx in cols:
+            rows, col = rows_of[l_idx], columns[l_idx]
+            qrow = qtab[col[i]]
             for k in rows[bisect_right(rows, i):]:
-                shared[k].append(l_idx)
-        for k in sorted(shared):
-            common = shared[k]
-            if len(common) < 2:
-                continue
-            ids_k, gen_k = col_ids[k], gen2d[k]
-            last_col: dict[int, int] = {}
-            for l_idx in common:
-                q = qtab[ids_i[l_idx]][ids_k[l_idx]]
-                prev = last_col.get(q)
+                key = k * nq + qrow[col[k]]
+                prev = last.get(key)
                 if prev is not None:
-                    yield (-gen_i[prev], gen_i[l_idx], -gen_k[l_idx], gen_k[prev]), "R3"
-                last_col[q] = l_idx
+                    finds.append((k, l_idx, prev))
+                last[key] = l_idx
+        finds.sort()
+        plus_i, minus_i = plus[i], minus[i]  # the four letters name four distinct positions
+        for k, l_idx, prev in finds:
+            yield (minus_i[prev], plus_i[l_idx], minus[k][l_idx], plus[k][prev]), "R3"
 
 
 def build_gr_presentation(
     m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS
 ) -> Presentation:
     """`gr_relators` collected, one generator per nonzero position, keyed by it."""
-    npos = list(m.nonzero_positions())
-    words, tags = map(list, zip(*gr_relators(m, s, max_relators)))
+    grids = gr_grids(m)
+    npos = [(i, l_idx) for i, cols in enumerate(grids[3]) for l_idx in cols]
+    words, tags = map(list, zip(*gr_relators(m, s, max_relators, grids)))
     return Presentation([position_gen_name(m, i, l) for i, l in npos], words, tags, gen_keys=npos)
 
 

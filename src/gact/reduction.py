@@ -309,13 +309,16 @@ def find_singular_witness(
         raise ValueError("quadruple fails the square condition")
     if m.entries[l_idx][k_idx] != psi:
         return None
-    ids = m.id_columns
+    ids, i_idx = m.id_columns, -1
     x, x2, z = (m.value_id.get(v, -2) for v in (phi, phi2, sigma))  # -2 matches no cell
-    for i_idx in (i for i, cell in enumerate(ids[l_idx]) if cell == x):  # rows holding phi
+    while True:  # the rows holding phi, ascending
+        try:
+            i_idx = ids[l_idx].index(x, i_idx + 1)
+        except ValueError:
+            return None
         for mu, column in enumerate(ids):
             if column[i_idx] == x2 and column[k_idx] == z:
                 return (i_idx, k_idx, l_idx, mu)
-    return None
 
 
 @dataclass

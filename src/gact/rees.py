@@ -158,7 +158,6 @@ class SandwichMatrix:
         self.thetas = [theta(g, n, r, ki) for ki in self.kernels]
         self.districts = [ki.mins() for ki in self.kernels]
         identity = wreath_identity(r)
-        rng = range(len(self.kernels))
         # the rows of one partition are consecutive and share their targets,
         # so the perm and the zero test are made once per partition
         block = g.order ** (n - r)
@@ -184,7 +183,7 @@ class SandwichMatrix:
         self.entries = entries
         self.values = sorted(interned.values(), key=wreath_to_text)
         self.value_id = {v: idx for idx, v in enumerate(self.values)}
-        for i in rng:
+        for i in range(len(self.kernels)):
             if entries[self.lambda_pos[self.districts[i]]][i] != identity:
                 raise AssertionError("district column does not give the identity entry")
         for l_idx, per_lambda in enumerate(entries):
@@ -238,14 +237,12 @@ def matrix_lines(m: SandwichMatrix):
         f"sandwich n={m.n} r={m.r} group-order={m.group.order} "
         f"lambdas={len(m.lambdas)} kernels={len(m.kernels)}\n"
     )
-    # each column's and each distinct value's text is formatted once
+    # column and value texts are made once; an entry's id() finds its value's text
     lams = [".".join(map(str, lam)) for lam in m.lambdas]
-    texts: dict[WreathElem, str] = {}
+    texts = {id(v): f"perm={','.join(map(str, v.perm))} weights={','.join(map(str, v.weights))}"
+             for v in m.values}
     for i, l_idx in m.nonzero_positions():
-        v = m.entries[l_idx][i]
-        if v not in texts:
-            texts[v] = f"perm={','.join(map(str, v.perm))} weights={','.join(map(str, v.weights))}"
-        yield f"lambda={lams[l_idx]} kernel={i} {texts[v]}\n"
+        yield f"lambda={lams[l_idx]} kernel={i} {texts[id(m.entries[l_idx][i])]}\n"
 
 
 def matrix_to_text(m: SandwichMatrix) -> str:

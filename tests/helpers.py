@@ -196,6 +196,58 @@ def dense_r3_relators(m):
     return out
 
 
+def gr_r3_oracle(m):
+    """The gr presentation's R3 relators by the per-row-pair chain.
+
+    For each row i, the shared columns of every row k > i are collected from
+    the incidence lists; then, for each k ascending with two or more shared
+    columns, each column is chained to the previous one with the same left
+    quotient id.  Order i, k, column.
+    """
+    from bisect import bisect_right
+    from collections import defaultdict
+
+    from gact.rees import value_alphabet
+
+    g = m.group
+    nrows, ncols = len(m.kernels), len(m.lambdas)
+    gen2d = [[0] * ncols for _ in range(nrows)]
+    rows_of = [[] for _ in range(ncols)]
+    cols_of = [[] for _ in range(nrows)]
+    for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
+        gen2d[i][l_idx] = gen
+        rows_of[l_idx].append(i)
+        cols_of[i].append(l_idx)
+    values, columns, _ = value_alphabet(m)
+    quotients = {}
+    qtab = []
+    for a in values:
+        inv_a = wreath_inv(g, a)
+        qtab.append([quotients.setdefault(wreath_mul(g, inv_a, b), len(quotients)) for b in values])
+    col_ids = list(zip(*columns))
+    out = []
+    for i in range(nrows):
+        ids_i, gen_i = col_ids[i], gen2d[i]
+        shared = defaultdict(list)
+        for l_idx in cols_of[i]:
+            rows = rows_of[l_idx]
+            for k in rows[bisect_right(rows, i):]:
+                shared[k].append(l_idx)
+        for k in sorted(shared):
+            common = shared[k]
+            if len(common) < 2:
+                continue
+            ids_k, gen_k = col_ids[k], gen2d[k]
+            last_col = {}
+            for l_idx in common:
+                q = qtab[ids_i[l_idx]][ids_k[l_idx]]
+                prev = last_col.get(q)
+                if prev is not None:
+                    out.append((-gen_i[prev], gen_i[l_idx], -gen_k[l_idx], gen_k[prev]))
+                last_col[q] = l_idx
+    return out
+
+
 def value_positions(m):
     """Each value's positions (row, column), row-major, read off m.entries."""
     vp = {}

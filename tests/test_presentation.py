@@ -27,12 +27,21 @@ from gact import (
     wreath_identity,
     wreath_inv,
 )
-from gact.presentation import _RelatorSink, eliminate_generators, evaluate_word, free_reduce, gr_relators
+from gact.presentation import (
+    _RelatorSink,
+    eliminate_generators,
+    evaluate_word,
+    free_reduce,
+    gr_grids,
+    gr_relators,
+    position_gen_name,
+)
 
 from helpers import (
     MAIN_CASES,
     dense_r3_relators,
     eps_rank_r,
+    gr_r3_oracle,
     lavers_assignment,
     validate_presentation,
     value_positions,
@@ -217,6 +226,22 @@ def test_gr_stream_equals_collector():
         for word, tag in stream:
             sink.add(word, tag)
         assert sink.words == p.relators and sink.tags == p.tags, (g.order, n, r)
+
+
+def test_gr_r3_matches_row_pair_chain_oracle():
+    # the one-pass-per-row R3 kernel emits the per-row-pair chain's relators
+    # in its order, and the name grids spell the int stream letter for letter
+    cases = [(make_group(spec), n, r) for n, spec, r, _ in MAIN_CASES]
+    cases += [(make_group("S3"), 4, 2), (Z3, 5, 3), (make_group("Z4"), 5, 2), (T, 6, 3)]
+    for g, n, r in cases:
+        m = build_sandwich(g, n, r)
+        s = schreier_build(g, n, r)
+        stream = list(gr_relators(m, s))
+        assert [w for w, tag in stream if tag == "R3"] == gr_r3_oracle(m), (g.order, n, r)
+        names = [position_gen_name(m, i, l) for i, l in m.nonzero_positions()]
+        spelt = [tuple(names[x - 1] if x > 0 else names[-x - 1] + "'" for x in w) for w, _ in stream]
+        grids = gr_grids(m, lambda _, i, l: (name := position_gen_name(m, i, l), name + "'"))
+        assert list(gr_relators(m, s, grids=grids)) == list(zip(spelt, (t for _, t in stream)))
 
 
 def test_gr_export_pinned():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from gact import (
     trivial_group,
     value_component_counts,
     wreath_identity,
+    wreath_inv,
     wreath_mul,
 )
 from gact.reduction import _free_set
@@ -460,7 +462,8 @@ def test_witness_search_matches_entry_scan():
     from gact import make_group
 
     for spec, n, r in (("S3", 4, 2), ("Z2", 5, 3), ("Z3", 5, 3), ("Z4", 5, 3)):
-        m = build_sandwich(make_group(spec), n, r)
+        g = make_group(spec)
+        m = build_sandwich(g, n, r)
         log = []
         simplify_presentation(build_quotient_presentation(m), m, connectivity(m), log)
         assert log
@@ -472,6 +475,15 @@ def test_witness_search_matches_entry_scan():
             assert find_singular_witness(*args, *w.component) == w.square
             for pos in vp[w.value]:
                 assert find_singular_witness(*args, *pos) == scan_singular_witness(*args, *pos)
+            # at the merge root, every phi held by two or more rows of its column
+            # with phi2 = e or gamma, so the row scan also passes rows that close
+            # no square, finds some squares past them and runs off the column
+            held = Counter(m.entries[w.component[1]])
+            for phi in (v for v in m.values if held[v] > 1):
+                for phi2 in (e, w.simple_factor):
+                    sigma = wreath_mul(g, phi2, wreath_mul(g, wreath_inv(g, phi), w.value))
+                    quad = (m, phi, phi2, w.value, sigma, *w.component)
+                    assert find_singular_witness(*quad) == scan_singular_witness(*quad)
 
 
 def test_simplify_output_pinned():
