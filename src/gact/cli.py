@@ -1,5 +1,8 @@
-"""Command-line front end.
+"""Command-line front end, driven by one table.
 
+`COMMANDS` gives each subcommand its handler, its help and the flags it takes,
+whose argparse specs `FLAGS` holds once; `main` resolves only the caps the
+subcommand takes, and `_emit` writes the lines every handler returns.
 Exit codes: 0 success (and verified), 1 verification mismatch, 2 usage or
 input errors, 3 a resource cap was hit (the message names the cap).
 Text exports stream line by line.  A regular `--output` file is replaced only
@@ -41,11 +44,6 @@ from .reduction import (
 )
 from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, matrix_lines
 
-ENV_CAPS = {
-    "max_entries": "GACT_MAX_ENTRIES",
-    "max_relators": "GACT_MAX_RELATORS",
-    "max_cosets": "GACT_MAX_COSETS",
-}
 DEFAULT_CAPS = {
     "max_entries": DEFAULT_MAX_ENTRIES,
     "max_relators": DEFAULT_MAX_RELATORS,
@@ -54,64 +52,18 @@ DEFAULT_CAPS = {
 
 
 def _cap(args, name: str) -> int:
-    value = getattr(args, name, None)
+    """The flag's value, else the GACT_<NAME> variable's, else the default."""
+    value = getattr(args, name)
     if value is not None:
         return value
-    env = os.environ.get(ENV_CAPS[name])
+    var = "GACT_" + name.upper()
+    env = os.environ.get(var)
     if env is not None:
         try:
             return int(env)
         except ValueError:
-            raise ParseError(f"{ENV_CAPS[name]}={env!r} is not an integer") from None
+            raise ParseError(f"{var}={env!r} is not an integer") from None
     return DEFAULT_CAPS[name]
-
-
-def _add_common(sub, need_n=True, need_r=True):
-    sub.add_argument("--group", required=True, help="trivial | Z<m> | S<k> | table:<path>")
-    if need_n:
-        sub.add_argument("--n", type=int, required=True, help="act rank, at least 3")
-    if need_r:
-        sub.add_argument("--r", type=int, required=True, help="slice rank")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--max-entries", dest="max_entries", type=int)
-    sub.add_argument("--max-relators", dest="max_relators", type=int)
-    sub.add_argument("--max-cosets", dest="max_cosets", type=int)
-
-
-def _build_parser():
-    ap = argparse.ArgumentParser(prog="gact")
-    sp = ap.add_subparsers(dest="command", required=True)
-
-    s = sp.add_parser("sandwich", help="emit the nonzero sandwich entries")
-    _add_common(s)
-    s.add_argument("--output", help="write to this path instead of stdout")
-
-    s = sp.add_parser("presentation", help="emit a presentation file")
-    _add_common(s)
-    s.add_argument("--kind", choices=("gr", "quotient", "lavers"), default="gr")
-    s.add_argument("--output", help="write to this path instead of stdout")
-
-    s = sp.add_parser("verify", help="check the presented group against the wreath order")
-    _add_common(s)
-
-    s = sp.add_parser("rising-point", help="rising point of a rank-r map")
-    _add_common(s, need_n=False)
-    s.add_argument("--alpha", required=True, help="r entries t:g separated by ;")
-
-    s = sp.add_parser("decompose", help="split off a simple form")
-    _add_common(s, need_n=False)
-    s.add_argument("--alpha", required=True, help="r entries t:g separated by ;")
-
-    s = sp.add_parser("connectivity", help="per-value position and component counts")
-    _add_common(s)
-
-    s = sp.add_parser("squares", help="idempotent and singular-square counts per rank")
-    _add_common(s, need_r=False)
-
-    s = sp.add_parser("occurrences", help="positions of one value in the matrix")
-    _add_common(s)
-    s.add_argument("--alpha", required=True, help="r entries t:g separated by ;")
-    return ap
 
 
 def _check_ranks(args) -> str | None:
@@ -181,153 +133,177 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
     return report
 
 
+def _json(obj) -> list[str]:
+    return [json.dumps(obj) + "\n"]
+
+
+def _sandwich(args, g, caps):
+    m = build_sandwich(g, args.n, args.r, caps["max_entries"])
+    if not args.json:
+        return matrix_lines(m), 0
+    entries = [
+        {
+            "lambda": list(m.lambdas[l_idx]),
+            "kernel": i,
+            "perm": list(m.entries[l_idx][i].perm),
+            "weights": list(m.entries[l_idx][i].weights),
+        }
+        for i, l_idx in m.nonzero_positions()
+    ]
+    return _json({
+        "n": args.n, "r": args.r, "group_order": g.order,
+        "lambdas": len(m.lambdas), "kernels": len(m.kernels),
+        "entries": entries,
+    }), 0
+
+
+def _presentation(args, g, caps):
+    if args.kind == "lavers":
+        p = lavers_presentation(g, args.r, caps["max_relators"])
+    else:
+        m = build_sandwich(g, args.n, args.r, caps["max_entries"])
+        if args.kind == "quotient":
+            p = build_quotient_presentation(m, caps["max_relators"])
+        elif args.json:
+            p = build_gr_presentation(m, schreier_build(g, args.n, args.r), caps["max_relators"])
+        else:
+            grids = gr_grids(m, lambda _, i, l: (name := position_gen_name(m, i, l), name + "'"))
+            names = [grids[0][i][l] for i, cols in enumerate(grids[3]) for l in cols]
+            relators = gr_relators(m, schreier_build(g, args.n, args.r), caps["max_relators"], grids)
+            rels = ("rel " + " ".join(letters) + "\n" for letters, _ in relators)
+            return chain(presentation_lines(names, ()), rels), 0
+    if args.json:
+        relators = [list(w) for w in p.relators]
+        return _json({"generators": p.generators, "relators": relators, "tags": p.tags}), 0
+    return presentation_lines(p.generators, p.relators), 0
+
+
+def _verify(args, g, caps):
+    report = run_verify(g, args.n, args.r, caps)
+    code = 0 if report["ok"] else 1
+    verdict = "OK" if report["ok"] else "MISMATCH"
+    if args.json:
+        return _json(report), code
+    if report["mode"] == "order":
+        expected = report["expected_order"]
+        return [f"order={report['computed_order']} expected={expected} {verdict}\n"], code
+    ab = report["abelianization"]
+    torsion = ",".join(str(d) for d in ab["torsion"]) or "none"
+    return [
+        f"r3-relators={report['r3_relators']} expected=0 {verdict} "
+        f"free-rank={ab['free_rank']} torsion={torsion}\n"
+    ], code
+
+
+def _rising_point(args, g, caps):
+    value = rising_point(parse_wreath(g, args.r, args.alpha))
+    return _json({"rising_point": value}) if args.json else [f"{value}\n"], 0
+
+
+def _decompose(args, g, caps):
+    beta, gamma = (wreath_to_text(x) for x in decompose(g, parse_wreath(g, args.r, args.alpha)))
+    if args.json:
+        return _json({"beta": beta, "gamma": gamma}), 0
+    return [f"beta={beta} gamma={gamma}\n"], 0
+
+
+def _connectivity(args, g, caps):
+    m = build_sandwich(g, args.n, args.r, caps["max_entries"])
+    rows = [(wreath_to_text(v), *c) for v, c in value_component_counts(connectivity(m)).items()]
+    if args.json:
+        return _json([{"value": v, "positions": p, "components": c} for v, p, c in rows]), 0
+    return [f"value={v} positions={p} components={c}\n" for v, p, c in rows], 0
+
+
+def _squares(args, g, caps):
+    report = squares_report(g, args.n, caps["max_entries"])
+    if args.json:
+        return _json(report), 0
+    return [
+        f"rank={row['rank']} idempotents={row['idempotents']} "
+        f"squares={row['squares']} singular={row['singular']}\n"
+        for row in report
+    ], 0
+
+
+def _occurrences(args, g, caps):
+    m = build_sandwich(g, args.n, args.r, caps["max_entries"])
+    found = m.positions_of(parse_wreath(g, args.r, args.alpha))
+    if args.json:
+        return _json([
+            {"kernel": i, "district": list(m.districts[i]), "lambda": list(m.lambdas[l_idx])}
+            for i, l_idx in found
+        ]), 0
+    dotted = lambda xs: ".".join(str(x) for x in xs)  # noqa: E731
+    return [f"count={len(found)}\n"] + [
+        f"kernel={i} district={dotted(m.districts[i])} lambda={dotted(m.lambdas[l_idx])}\n"
+        for i, l_idx in found
+    ], 0
+
+
+# one argparse spec per flag; a flag's dest is its name
+FLAGS = {
+    "group": dict(required=True, help="trivial | Z<m> | S<k> | table:<path>"),
+    "n": dict(type=int, required=True, help="act rank, at least 3"),
+    "r": dict(type=int, required=True, help="slice rank"),
+    "json": dict(action="store_true", help="machine-readable output"),
+    "max_entries": dict(type=int),
+    "max_relators": dict(type=int),
+    "max_cosets": dict(type=int),
+    "kind": dict(choices=("gr", "quotient", "lavers"), default="gr"),
+    "output": dict(help="write to this path instead of stdout"),
+    "alpha": dict(required=True, help="r entries t:g separated by ;"),
+}
+
+# subcommand: (handler, help, the flags it takes); a handler gets the parsed
+# arguments, the group and the caps it takes, and returns (lines, exit code)
+COMMANDS = {
+    "sandwich": (_sandwich, "emit the nonzero sandwich entries",
+                 "group n r json max_entries output"),
+    "presentation": (_presentation, "emit a presentation file",
+                     "group n r json max_entries max_relators kind output"),
+    "verify": (_verify, "check the presented group against the wreath order",
+               "group n r json max_entries max_relators max_cosets"),
+    "rising-point": (_rising_point, "rising point of a rank-r map", "group r json alpha"),
+    "decompose": (_decompose, "split off a simple form", "group r json alpha"),
+    "connectivity": (_connectivity, "per-value position and component counts",
+                     "group n r json max_entries"),
+    "squares": (_squares, "idempotent and singular-square counts per rank",
+                "group n json max_entries"),
+    "occurrences": (_occurrences, "positions of one value in the matrix",
+                    "group n r json max_entries alpha"),
+}
+
+
+def _parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="gact")
+    sp = ap.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, flags) in COMMANDS.items():
+        sub = sp.add_parser(command, help=help_text)
+        for flag in flags.split():
+            sub.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
+    return ap
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     problem = _check_ranks(args)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
+    handler, _, flags = COMMANDS[args.command]
     try:
-        return _dispatch(args)
+        g = make_group(args.group)
+        caps = {name: _cap(args, name) for name in flags.split() if name in DEFAULT_CAPS}
+        lines, code = handler(args, g, caps)
+        _emit(args, lines)
+        return code
     except (ResourceLimit, Capped) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (GactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    g = make_group(args.group)
-    caps = {name: _cap(args, name) for name in DEFAULT_CAPS}
-    if args.command in ("sandwich", "presentation", "connectivity", "occurrences") and (
-        getattr(args, "kind", None) != "lavers"
-    ):
-        m = build_sandwich(g, args.n, args.r, caps["max_entries"])
-
-    if args.command == "sandwich":
-        if args.json:
-            entries = [
-                {
-                    "lambda": list(m.lambdas[l_idx]),
-                    "kernel": i,
-                    "perm": list(m.entries[l_idx][i].perm),
-                    "weights": list(m.entries[l_idx][i].weights),
-                }
-                for i, l_idx in m.nonzero_positions()
-            ]
-            _emit(args, [json.dumps({
-                "n": args.n, "r": args.r, "group_order": g.order,
-                "lambdas": len(m.lambdas), "kernels": len(m.kernels),
-                "entries": entries,
-            }) + "\n"])
-        else:
-            _emit(args, matrix_lines(m))
-        return 0
-
-    if args.command == "presentation":
-        if args.kind == "gr" and not args.json:
-            grids = gr_grids(m, lambda _, i, l: (name := position_gen_name(m, i, l), name + "'"))
-            names = [grids[0][i][l] for i, cols in enumerate(grids[3]) for l in cols]
-            relators = gr_relators(m, schreier_build(g, args.n, args.r), caps["max_relators"], grids)
-            rels = ("rel " + " ".join(letters) + "\n" for letters, _ in relators)
-            _emit(args, chain(presentation_lines(names, ()), rels))
-            return 0
-        if args.kind == "lavers":
-            p = lavers_presentation(g, args.r, caps["max_relators"])
-        elif args.kind == "gr":
-            p = build_gr_presentation(m, schreier_build(g, args.n, args.r), caps["max_relators"])
-        else:
-            p = build_quotient_presentation(m, caps["max_relators"])
-        if args.json:
-            _emit(args, [json.dumps({
-                "generators": p.generators,
-                "relators": [list(w) for w in p.relators],
-                "tags": p.tags,
-            }) + "\n"])
-        else:
-            _emit(args, presentation_lines(p.generators, p.relators))
-        return 0
-
-    if args.command == "verify":
-        report = run_verify(g, args.n, args.r, caps)
-        if args.json:
-            print(json.dumps(report))
-        elif report["mode"] == "rank-free":
-            ab = report["abelianization"]
-            torsion = ",".join(str(d) for d in ab["torsion"]) or "none"
-            print(
-                f"r3-relators={report['r3_relators']} expected=0 "
-                f"{'OK' if report['ok'] else 'MISMATCH'} "
-                f"free-rank={ab['free_rank']} torsion={torsion}"
-            )
-        else:
-            print(
-                f"order={report['computed_order']} expected={report['expected_order']} "
-                f"{'OK' if report['ok'] else 'MISMATCH'}"
-            )
-        return 0 if report["ok"] else 1
-
-    if args.command == "rising-point":
-        phi = parse_wreath(g, args.r, args.alpha)
-        value = rising_point(phi)
-        print(json.dumps({"rising_point": value}) if args.json else value)
-        return 0
-
-    if args.command == "decompose":
-        phi = parse_wreath(g, args.r, args.alpha)
-        beta, gamma = decompose(g, phi)
-        if args.json:
-            print(json.dumps({"beta": wreath_to_text(beta), "gamma": wreath_to_text(gamma)}))
-        else:
-            print(f"beta={wreath_to_text(beta)} gamma={wreath_to_text(gamma)}")
-        return 0
-
-    if args.command == "connectivity":
-        rows = [(wreath_to_text(v), *c) for v, c in value_component_counts(connectivity(m)).items()]
-        if args.json:
-            print(json.dumps([
-                {"value": v, "positions": npos, "components": ncomp}
-                for v, npos, ncomp in rows
-            ]))
-        else:
-            for v, npos, ncomp in rows:
-                print(f"value={v} positions={npos} components={ncomp}")
-        return 0
-
-    if args.command == "squares":
-        report = squares_report(g, args.n, caps["max_entries"])
-        if args.json:
-            print(json.dumps(report))
-        else:
-            for row in report:
-                print(
-                    f"rank={row['rank']} idempotents={row['idempotents']} "
-                    f"squares={row['squares']} singular={row['singular']}"
-                )
-        return 0
-
-    if args.command == "occurrences":
-        phi = parse_wreath(g, args.r, args.alpha)
-        found = m.positions_of(phi)
-        if args.json:
-            print(json.dumps([
-                {
-                    "kernel": i,
-                    "district": list(m.districts[i]),
-                    "lambda": list(m.lambdas[l_idx]),
-                }
-                for i, l_idx in found
-            ]))
-        else:
-            print(f"count={len(found)}")
-            for i, l_idx in found:
-                d = ".".join(str(x) for x in m.districts[i])
-                lam = ".".join(str(x) for x in m.lambdas[l_idx])
-                print(f"kernel={i} district={d} lambda={lam}")
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

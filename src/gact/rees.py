@@ -39,25 +39,18 @@ def set_partitions(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     """
     if not 1 <= r <= n:
         raise BadRank(f"rank {r} outside [1, {n}]")
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def place(k: int, blocks: list[list[int]]):
-        if n - k + 1 < r - len(blocks):
-            return  # not enough elements left to open the remaining blocks
-        if k > n:
-            if len(blocks) == r:
-                out.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(k)
-            place(k + 1, blocks)
-            b.pop()
-        if len(blocks) < r:
-            blocks.append([k])
-            place(k + 1, blocks)
-            blocks.pop()
-
-    place(1, [])
+    # partial partitions of [1, k], extended one point at a time; a partial
+    # partition is kept only while the points left can open its missing blocks
+    out: list[tuple[tuple[int, ...], ...]] = [()]
+    for k in range(1, n + 1):
+        left = n - k
+        grown = []
+        for blocks in out:
+            if r <= len(blocks) + left:
+                grown.extend(blocks[:j] + (b + (k,),) + blocks[j + 1:] for j, b in enumerate(blocks))
+            if len(blocks) < r <= len(blocks) + 1 + left:
+                grown.append(blocks + ((k,),))
+        out = grown
     out.sort(key=lambda blocks: (tuple(b[0] for b in blocks), blocks))
     return out
 
@@ -145,8 +138,12 @@ class SandwichMatrix:
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         if not 1 <= r <= n:
             raise BadRank(f"rank {r} outside [1, {n}]")
-        # columns times rows in closed form, so the cap fires before the rows exist
-        if comb(n, r) * stirling2(n, r) * g.order ** (n - r) > max_entries:
+        # columns times rows in closed form, so the cap fires before the rows exist;
+        # first the nonzero count, a lower bound (S(n, r) >= r^(n-r)) that costs no
+        # O(n r) Stirling recurrence
+        cols = comb(n, r)
+        if (cols * (r * g.order) ** (n - r) > max_entries
+                or cols * stirling2(n, r) * g.order ** (n - r) > max_entries):
             raise ResourceLimit("sandwich matrix entries", max_entries)
         self.group = g
         self.n = n

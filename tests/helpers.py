@@ -32,6 +32,35 @@ def stirling(n, r):
     return r * stirling(n - 1, r) + stirling(n - 1, r - 1)
 
 
+def recursive_set_partitions(n, r):
+    """Partitions of [1, n] into r blocks, by a recursion with one call per point.
+
+    The reference for the iterative `rees.set_partitions`: the same pruning
+    and the same final sort.
+    """
+    out = []
+
+    def place(k, blocks):
+        if n - k + 1 < r - len(blocks):
+            return  # not enough elements left to open the remaining blocks
+        if k > n:
+            if len(blocks) == r:
+                out.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(k)
+            place(k + 1, blocks)
+            b.pop()
+        if len(blocks) < r:
+            blocks.append([k])
+            place(k + 1, blocks)
+            blocks.pop()
+
+    place(1, [])
+    out.sort(key=lambda blocks: (tuple(b[0] for b in blocks), blocks))
+    return out
+
+
 def all_endos(g, n):
     """The full endomorphism monoid by raw product enumeration."""
     out = []

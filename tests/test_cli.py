@@ -1,8 +1,14 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
+import shlex
 import stat
 import threading
+from itertools import takewhile
 from math import comb
+from unittest import mock
 
 import pytest
 
@@ -45,6 +51,16 @@ def test_verify_rank_top(capsys):
     code, out, _ = run(capsys, "verify", "--n", "4", "--r", "4", "--group", "Z3")
     assert code == 0
     assert "order=1 expected=1 OK" in out
+
+
+def test_verify_at_large_n(capsys):
+    # the partitions are made without recursion, and the entries cap fires
+    # before the Stirling number of a far larger slice is computed
+    assert run(capsys, "verify", "--group", "Z2", "--n", "1200", "--r", "1200") == (
+        0, "order=1 expected=1 OK\n", ""
+    )
+    code, out, err = run(capsys, "verify", "--group", "Z2", "--n", "4000", "--r", "2000")
+    assert (code, out) == (3, "") and "sandwich matrix entries exceeds the cap 10000000" in err
 
 
 def test_verify_rank_free_branch(capsys):
@@ -361,3 +377,164 @@ def test_output_error_names_the_given_path(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert f"No such file or directory: '{target}'\n" in err and ".tmp" not in err
+
+
+# exit code and sha256 of stdout, stderr and ./out.txt (None: no file) per
+# invocation, recorded before the command-table rewrite of the front end
+EMPTY = hashlib.sha256(b"").hexdigest()
+GOLDEN = {
+    "sandwich --group Z2 --n 4 --r 2":
+        (0, "fea5a9db3ba3baf852a6037efb86cc25b551d3da616075d14287b26fd211e791", EMPTY, None),
+    "sandwich --group Z2 --n 4 --r 2 --json":
+        (0, "49e87f07b0e15bfdd7fbeee45f0849a7fdc1b8bb7d4593fcf2da5157ac40e87a", EMPTY, None),
+    "presentation --group Z2 --n 4 --r 2":
+        (0, "fe13099ce5f7d078a28f252c0f2e8712d06f5f4ff4ac48ce690f31cf73a9acfa", EMPTY, None),
+    "presentation --group Z2 --n 4 --r 2 --json":
+        (0, "e251677c63982ed6bfd2f78643576acbc8ad2f8206dbe706a509da9e2a2aaaca", EMPTY, None),
+    "presentation --kind quotient --group trivial --n 4 --r 2":
+        (0, "25826bfc69de44158524716f502ce9bc944a69704570f25b032a425714307baa", EMPTY, None),
+    "presentation --kind quotient --group S3 --n 4 --r 2 --json":
+        (0, "2730974fa730bf6e26fef10e9bdad032397e60a19921a355425bce6be6699566", EMPTY, None),
+    "presentation --kind lavers --group Z2 --n 4 --r 2":
+        (0, "534f41a59950a9245d06bec7d61371815d0ae86ca0ae100f553b0760ebca79e4", EMPTY, None),
+    "presentation --kind lavers --group S3 --n 4 --r 3 --json":
+        (0, "b23be851933fdbb3bf5334877f855141dd1aa05fb98c97751170fd2500452a2b", EMPTY, None),
+    "verify --group Z2 --n 4 --r 2":
+        (0, "b9ab0b8af735d2903929823bc4d8e725961d6df5c8003006a242745b43005023", EMPTY, None),
+    "verify --group S3 --n 4 --r 2 --json":
+        (0, "817ce50b2af373e11b4f3bcb69087d862f981495c9c60c9cae7d6f46be69364b", EMPTY, None),
+    "verify --group Z2 --n 4 --r 3":
+        (0, "fd1e7a4ee10643abed17be69c03876edfa37cb1b70cb9d0d7cca6ada57a662e0", EMPTY, None),
+    "verify --group Z2 --n 4 --r 3 --json":
+        (0, "3f3a25813a5ca3633c2ecb0209dd9fb6499ba994aa111f9efd46c1feb6c18824", EMPTY, None),
+    "verify --group Z3 --n 4 --r 4":
+        (0, "651cfecdf66a91e7cb19218ea3fa3034281da69e7e5f2eaceb606662f329844b", EMPTY, None),
+    "verify --group Z3 --n 4 --r 4 --json":
+        (0, "522dd8d541e3f8efd939d50f666f1df058541eed3a04ff04433618e34ce23e6c", EMPTY, None),
+    "rising-point --group Z2 --r 4 --alpha 3:0;2:1;4:0;1:0":
+        (0, "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2", EMPTY, None),
+    "rising-point --group Z2 --r 4 --alpha 3:0;2:1;4:0;1:0 --json":
+        (0, "0851a1e77c78a974fea11e987b787c1204bde808cb230aeb59ce063eb3617d75", EMPTY, None),
+    "decompose --group Z2 --r 4 --alpha 3:0;2:1;4:0;1:0":
+        (0, "75d3d7ceca16b4134df3ca0f87cd0418be088ebcf523fed213acc21ea53a78af", EMPTY, None),
+    "decompose --group Z2 --r 4 --alpha 3:0;2:1;4:0;1:0 --json":
+        (0, "8373cdf197a5a935e7cb9d615fbbb1a02a7129bf2dbfff64755046f2503b736a", EMPTY, None),
+    "connectivity --group S3 --n 4 --r 2":
+        (0, "8b5f6072b7acf3e9b02743396ac749cd3d727c603a052cacde6440dba459f67c", EMPTY, None),
+    "connectivity --group Z2 --n 5 --r 3 --json":
+        (0, "e2d716579a9c77a9e938d97f39e5aa4206da8acdfd435308fcd845cc8e7316b8", EMPTY, None),
+    "squares --group Z2 --n 3":
+        (0, "38ec0efca789ea5921dce4c05990109d394f0da424b51cd227e70072548072e8", EMPTY, None),
+    "squares --group trivial --n 4 --json":
+        (0, "b36d80de82b8ff257c9f1c11dd45c3aa3fb287007d0eef610b23e9f4583e6927", EMPTY, None),
+    "occurrences --group Z2 --n 4 --r 2 --alpha 1:1;2:1":
+        (0, "b1535eec4bbe04c41b591e5f3ab647fe47899c1d11c0c7ad77da1568735a3f04", EMPTY, None),
+    "occurrences --group S3 --n 4 --r 2 --alpha 1:0;2:0 --json":
+        (0, "8a54db24b8b9e263c3c45d31a9e7b1ef5ef8d972b854fad66fad4e2e5a418cad", EMPTY, None),
+    "verify --group Z2 --n 4 --r 2 --max-relators 10":
+        (3, EMPTY, "9862a54ec7b288b7a58a4018c58cfbc1635ac26edf3b8025a547f7257594e424", None),
+    "verify --group Z2 --n 4 --r 2 --max-cosets 5":
+        (3, EMPTY, "acb9812ce90470cbe26770df73e4b882fb6a1324b22d7f24dc961301d0cb5eec", None),
+    "verify --group Z2 --n 4 --r 2 --max-entries 3 --json":
+        (3, EMPTY, "e8c51f01aad4c2b6b8fef26bc52ef4ab5d992d9af3f6a8936036a55f4a06a3c2", None),
+    "GACT_MAX_ENTRIES=3 verify --group Z2 --n 4 --r 2":
+        (3, EMPTY, "e8c51f01aad4c2b6b8fef26bc52ef4ab5d992d9af3f6a8936036a55f4a06a3c2", None),
+    "GACT_MAX_COSETS=many verify --group Z2 --n 4 --r 2":
+        (2, EMPTY, "9d7fe70876d9d8fdb1675263b2038a0d1cd96255769e6e96defef2890e1d389e", None),
+    "verify --group Q8 --n 4 --r 2":
+        (2, EMPTY, "c88634fde197b263ed26df003796dafb38446266f088c693e1e73d80c0f5a854", None),
+    "verify --group Z2 --n 2 --r 1":
+        (2, EMPTY, "22c6b1509e5ce342d3258b7619321808cf7d48d77d16bca103c1164279da80f9", None),
+    "verify --group Z2 --n 4 --r 5":
+        (2, EMPTY, "743abf10226245f170b17c32f390f1c1ab6f25ab8e640eab35d6d6a7cd1729f8", None),
+    "verify --group Z2 --n 4":
+        (2, EMPTY, "bd2aabe1362302dde91bfd1d2f79d40338a931a74af200441c226e80690cd8c2", None),
+    "rising-point --group Z2 --r 3 --alpha 1:0;2:0":
+        (2, EMPTY, "966180ccd3d540b9f89b84fa182ca8f276f863cc3ad0042817f14b7d0f37a535", None),
+    "decompose --group Z2 --r 3 --alpha 1:0;2:0;3:0":
+        (2, EMPTY, "5a1f5a2433318afdfce1edfd0c4802e7ab998e1d29f33ef60246e46c371e84ff", None),
+    "occurrences --group Z2 --n 4 --r 2 --alpha bogus":
+        (2, EMPTY, "8f46dcf23d0d74ca7cbaf66ff95748c22224024326e7765747df8a745faa35cd", None),
+    "occurrences --group Z2 --n 4 --r 2 --alpha bogus --max-entries 3":
+        (3, EMPTY, "e8c51f01aad4c2b6b8fef26bc52ef4ab5d992d9af3f6a8936036a55f4a06a3c2", None),
+    "connectivity --group Z2 --n 4 --r 2 --max-entries 10":
+        (3, EMPTY, "8f0be08d005abcfab1e99420bfa780cd6080a928b8d14c461a03813b6452a3af", None),
+    "squares --group Z2 --n 3 --max-entries 10":
+        (3, EMPTY, "8f0be08d005abcfab1e99420bfa780cd6080a928b8d14c461a03813b6452a3af", None),
+    "sandwich --group Z2 --n 4 --r 2 --max-entries 10 --output out.txt":
+        (3, EMPTY, "8f0be08d005abcfab1e99420bfa780cd6080a928b8d14c461a03813b6452a3af", None),
+    "presentation --kind lavers --group Z3 --n 9 --r 2 --max-entries 10":
+        (0, "5efbe90e1008b81aa2a8ace92af74a0aa06aeb426e393d8f7d74216285e8dba9", EMPTY, None),
+    "presentation --group Z2 --n 4 --r 2 --max-relators 10":
+        (3,
+         "1af41c5497a05f50607d36990100494f52b52c368344769f1ea529cb3592b911",
+         "9862a54ec7b288b7a58a4018c58cfbc1635ac26edf3b8025a547f7257594e424",
+         None),
+    "presentation --kind gr --group Z2 --n 4 --r 2 --output out.txt":
+        (0, EMPTY, EMPTY, "fe13099ce5f7d078a28f252c0f2e8712d06f5f4ff4ac48ce690f31cf73a9acfa"),
+    "sandwich --group Z2 --n 4 --r 2 --output missing/out.txt":
+        (2, EMPTY, "83efe36c1d6581a5bc366b62cd7701c0ede2c33fbda3b3947b983e3c328c3aa8", None),
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+def golden_run(case):
+    """(exit code, sha256 of stdout, of stderr, of ./out.txt or None) of one in-process run.
+
+    Leading NAME=value words set GACT_* variables; no other GACT_* variable
+    is set.  Where argparse exits, stderr is kept from its error line on:
+    the usage text above it lists the subcommand's flags.
+    """
+    words = shlex.split(case)
+    env = dict(w.split("=", 1) for w in takewhile(lambda w: w.startswith("GACT_"), words))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ):
+        for key in [k for k in os.environ if k.startswith("GACT_")]:
+            del os.environ[key]
+        os.environ.update(env)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(words[len(env):])
+            except SystemExit as exc:
+                code = exc.code
+                text = err.getvalue()
+                err = io.StringIO(text[text.index("\ngact ") + 1:])
+    file_sha = _sha(open("out.txt", "rb").read()) if os.path.exists("out.txt") else None
+    return code, _sha(out.getvalue()), _sha(err.getvalue()), file_sha
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_golden_invocations(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert golden_run(case) == GOLDEN[case]
+
+
+def test_unread_cap_flag_is_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["squares", "--group", "Z2", "--n", "3", "--max-cosets", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-cosets 5" in capsys.readouterr().err
+    # verify reads all three caps and still takes each of them
+    caps = ["--max-entries", "1000", "--max-relators", "1000", "--max-cosets", "1000"]
+    code, out, _ = run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "2", *caps)
+    assert (code, out) == (0, "order=8 expected=8 OK\n")
+
+
+def test_unread_cap_variable_is_ignored(capsys, monkeypatch):
+    # only the caps a subcommand reads are resolved from the environment
+    monkeypatch.setenv("GACT_MAX_ENTRIES", "many")
+    argv = ["rising-point", "--group", "Z2", "--r", "4", "--alpha", "3:0;2:1;4:0;1:0"]
+    assert run(capsys, *argv) == (0, "3\n", "")
+    code, _, err = run(capsys, "squares", "--group", "Z2", "--n", "3")
+    assert code == 2 and "GACT_MAX_ENTRIES='many' is not an integer" in err
+
+
+def test_subcommand_help_lists_its_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rising-point", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert "--alpha" in text and "--max-" not in text and "--n " not in text

@@ -31,7 +31,7 @@ from gact import rees
 from gact.endo import wreath_to_text
 from gact.rees import kernel_index_of, matrix_to_text, value_alphabet
 
-from helpers import eps_rank_r, stirling, value_positions, wreath_elements
+from helpers import eps_rank_r, recursive_set_partitions, stirling, value_positions, wreath_elements
 
 Z2 = cyclic_group(2)
 T = trivial_group()
@@ -51,6 +51,15 @@ def test_set_partition_counts():
     for n in range(1, 7):
         for r in range(1, n + 1):
             assert len(set_partitions(n, r)) == stirling(n, r) == rees.stirling2(n, r)
+
+
+def test_set_partitions_match_recursive_oracle():
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            assert set_partitions(n, r) == recursive_set_partitions(n, r), (n, r)
+    # one point per loop step, no call per point: far past the default stack depth
+    assert set_partitions(1500, 1) == [(tuple(range(1, 1501)),)]
+    assert set_partitions(1200, 1200) == [tuple((k,) for k in range(1, 1201))]
 
 
 def test_set_partitions_sorted_and_min_led():
@@ -202,6 +211,16 @@ def test_sandwich_cap_fires_before_rows_are_built(monkeypatch):
     build_sandwich(Z2, 4, 2, max_entries=total)
     with pytest.raises(ResourceLimit):
         build_sandwich(Z2, 4, 2, max_entries=total - 1)
+
+
+def test_sandwich_cap_fires_before_the_stirling_recurrence(monkeypatch):
+    # the nonzero count C(n, r) (r|G|)^(n-r) is over the cap on its own
+    def no_stirling(*args):
+        raise AssertionError("stirling2 called before the nonzero-count check")
+
+    monkeypatch.setattr(rees, "stirling2", no_stirling)
+    with pytest.raises(ResourceLimit):
+        build_sandwich(Z2, 4000, 2000)
 
 
 def test_sandwich_entry_lookup():
