@@ -19,7 +19,7 @@ from .endo import (
 )
 from .errors import ResourceLimit, ZeroEntry
 from .groups import Group
-from .rees import DEFAULT_MAX_ENTRIES, SandwichMatrix, build_sandwich, q_of, value_alphabet
+from .rees import DEFAULT_MAX_ENTRIES, SandwichMatrix, build_sandwich, check_entries_cap, q_of, square_key
 
 DEFAULT_MAX_IDEMPOTENTS = 1_000_000
 
@@ -133,10 +133,7 @@ def singular_witness(
 def square_condition(m: SandwichMatrix, i_idx: int, k_idx: int, l_idx: int, m_idx: int) -> bool:
     """Entry test for a singular square on rows i, k and columns l, m."""
     g = m.group
-    p_li = m.entries[l_idx][i_idx]
-    p_lk = m.entries[l_idx][k_idx]
-    p_mi = m.entries[m_idx][i_idx]
-    p_mk = m.entries[m_idx][k_idx]
+    p_li, p_lk, p_mi, p_mk = (m.value_at(i, l) for l in (l_idx, m_idx) for i in (i_idx, k_idx))
     if p_li is None or p_lk is None or p_mi is None or p_mk is None:
         raise ZeroEntry("all four entries must be nonzero")
     return wreath_mul(g, wreath_inv(g, p_li), p_lk) == wreath_mul(g, wreath_inv(g, p_mi), p_mk)
@@ -151,7 +148,7 @@ def rees_element(m: SandwichMatrix, i_idx: int, w: WreathElem, l_idx: int) -> En
 
 def idempotent_at(m: SandwichMatrix, i_idx: int, l_idx: int) -> Endo:
     """The unique idempotent in the group H-class at (row i, column l)."""
-    p = m.entries[l_idx][i_idx]
+    p = m.value_at(i_idx, l_idx)
     if p is None:
         raise ZeroEntry(f"H-class at row {i_idx}, column {m.lambdas[l_idx]} is not a group")
     return rees_element(m, i_idx, wreath_inv(m.group, p), l_idx)
@@ -171,13 +168,16 @@ def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> 
     """Per-rank counts of idempotents, nondegenerate E-squares and singular ones.
 
     Per column pair, every two rows nonzero in both columns close a square,
-    and a singular one when their value_alphabet keys agree (square_condition
-    is the entry-level oracle for this).
+    and a singular one when their `square_key` keys agree (square_condition
+    is the entry-level oracle for this).  The entries cap is checked for
+    every rank, ascending, before any rank is built.
     """
+    for r in range(1, n + 1):
+        check_entries_cap(g, n, r, max_entries)
     report = []
     for r in range(1, n + 1):
         m = build_sandwich(g, n, r, max_entries)
-        _, columns, key = value_alphabet(m)
+        columns, key = m.id_columns, square_key(m)
         n_squares = 0
         n_singular = 0
         for l_idx, col_l in enumerate(columns):

@@ -145,10 +145,11 @@ def _sandwich(args, g, caps):
         {
             "lambda": list(m.lambdas[l_idx]),
             "kernel": i,
-            "perm": list(m.entries[l_idx][i].perm),
-            "weights": list(m.entries[l_idx][i].weights),
+            "perm": list(v.perm),
+            "weights": list(v.weights),
         }
         for i, l_idx in m.nonzero_positions()
+        for v in [m.value_at(i, l_idx)]
     ]
     return _json({
         "n": args.n, "r": args.r, "group_order": g.order,
@@ -275,18 +276,22 @@ COMMANDS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name."""
     ap = argparse.ArgumentParser(prog="gact")
     sp = ap.add_subparsers(dest="command", required=True)
     for command, (_, help_text, flags) in COMMANDS.items():
         sub = sp.add_parser(command, help=help_text)
         for flag in flags.split():
             sub.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
-    return ap
+    return ap, sp.choices
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    ap, subparsers = _parser()
+    args, unread = ap.parse_known_args(argv)
+    if unread:  # reported with the subcommand's own usage
+        subparsers[args.command].error(f"unrecognized arguments: {' '.join(unread)}")
     problem = _check_ranks(args)
     if problem:
         print(f"error: {problem}", file=sys.stderr)

@@ -16,7 +16,7 @@ from itertools import count, islice
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ParseError, ResourceLimit
 from .groups import Group
-from .rees import KernelIndex, SandwichMatrix, kernel_index_of, lambda_list, value_alphabet
+from .rees import KernelIndex, SandwichMatrix, kernel_index_of, lambda_list, square_key
 
 DEFAULT_MAX_RELATORS = 5_000_000
 
@@ -170,7 +170,7 @@ def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, rows_of, cols_o
     # R1 along tree edges, only when the parent-side position is nonzero
     for lam in s.lambdas[1:]:
         i_idx, par_idx = m.kernel_pos[s.attach[lam]], m.lambda_pos[s.parent[lam]]
-        if m.entries[par_idx][i_idx] is not None:
+        if m.id_columns[par_idx][i_idx] >= 0:
             yield (plus[i_idx][par_idx], minus[i_idx][m.lambda_pos[lam]]), "R1"
     # R2 at each row's district column
     for i_idx, district in enumerate(m.districts):
@@ -179,8 +179,7 @@ def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, rows_of, cols_o
     # a, b in a column, in one pass per row i: its columns l ascending, in each
     # the rows k > i; a repeated key (k, quotient) chains l to the key's last
     # column, and the row's finds are sorted into the order k, column
-    g = m.group
-    values, columns, _ = value_alphabet(m)
+    g, values, columns = m.group, m.values, m.id_columns
     quotients: dict[WreathElem, int] = {}
     qtab = []
     for a in values:
@@ -232,7 +231,7 @@ def build_quotient_presentation(
     relator inv(x0) y0 inv(y) x, in the order l, then m, then first row.
     The relator killing the identity value comes last.
     """
-    values, columns, key = value_alphabet(m)
+    values, columns, key = m.values, m.id_columns, square_key(m)
     names = [value_gen_name(v) for v in values]
     sink = _RelatorSink(max_relators)
     for l_idx, col_l in enumerate(columns):

@@ -64,9 +64,6 @@ class PositionGraph:
             out.setdefault(self.positions[self._find(i)], []).append(pos)
         return out
 
-    def value_of(self, pos: Position) -> WreathElem:
-        return self.matrix.entries[pos[1]][pos[0]]
-
 
 def connectivity(m: SandwichMatrix) -> PositionGraph:
     """Close the same-row and same-column equal-value links in one row-major pass.
@@ -92,7 +89,7 @@ def value_component_counts(pg: PositionGraph) -> dict[WreathElem, tuple[int, int
     """Per value, in the matrix's value order: (number of positions, number of components)."""
     counts = dict.fromkeys(pg.matrix.values, (0, 0))
     for root, members in pg.components().items():
-        npos, ncomp = counts[v := pg.value_of(root)]
+        npos, ncomp = counts[v := pg.matrix.value_at(*root)]
         counts[v] = (npos + len(members), ncomp + 1)
     return counts
 
@@ -120,7 +117,7 @@ def _moved_row(m: SandwichMatrix, i_idx: int, t: int, target: int, weight: int) 
 
 
 def _check_same_value(m: SandwichMatrix, old: Position, new: Position):
-    if m.entries[old[1]][old[0]] != m.entries[new[1]][new[0]]:
+    if m.id_columns[old[1]][old[0]] != m.id_columns[new[1]][new[0]]:
         raise AssertionError("step changed the matrix value")
 
 
@@ -307,10 +304,10 @@ def find_singular_witness(
     g = m.group
     if wreath_mul(g, wreath_inv(g, phi), psi) != wreath_mul(g, wreath_inv(g, phi2), sigma):
         raise ValueError("quadruple fails the square condition")
-    if m.entries[l_idx][k_idx] != psi:
-        return None
     ids, i_idx = m.id_columns, -1
-    x, x2, z = (m.value_id.get(v, -2) for v in (phi, phi2, sigma))  # -2 matches no cell
+    x, x2, y, z = (m.value_id.get(v, -2) for v in (phi, phi2, psi, sigma))  # -2 matches no cell
+    if ids[l_idx][k_idx] != y:
+        return None
     while True:  # the rows holding phi, ascending
         try:
             i_idx = ids[l_idx].index(x, i_idx + 1)
@@ -355,7 +352,7 @@ def simplify_presentation(
     # component roots per value; merging a value collapses its list to one root
     roots_by_value: dict[WreathElem, list[Position]] = defaultdict(list)
     for root in sorted(pg.components()):
-        v = pg.value_of(root)
+        v = m.value_at(*root)
         if v != identity:
             roots_by_value[v].append(root)
 

@@ -7,7 +7,7 @@ non-minimal positions.  Each row has a canonical transversal endomorphism
 that sends each block minimum to its block index with trivial weight; the
 matrix entry at (column, row) is the rank-r composite of the column's
 diagonal embedding with that transversal, or zero when the composite drops
-rank.
+rank.  The matrix is stored once, as a grid of value ids.
 """
 
 from __future__ import annotations
@@ -127,24 +127,29 @@ def kernel_index_of(alpha: Endo) -> KernelIndex:
     return KernelIndex(kd.blocks, weightvec)
 
 
+def check_entries_cap(g: Group, n: int, r: int, max_entries: int):
+    """Raise ResourceLimit when the (n, r) matrix has more than max_entries cells."""
+    # columns times rows in closed form, so the cap fires before any row exists;
+    # first the nonzero count, a lower bound (S(n, r) >= r^(n-r)) that costs no
+    # O(n r) Stirling recurrence
+    cols = comb(n, r)
+    if (cols * (r * g.order) ** (n - r) > max_entries
+            or cols * stirling2(n, r) * g.order ** (n - r) > max_entries):
+        raise ResourceLimit("sandwich matrix entries", max_entries)
+
+
 class SandwichMatrix:
     """Immutable bundle of the rank-r structure over one group.
 
-    entries[column][row] is a WreathElem or None (the adjoined zero).
-    Equal entries are one shared object, built and validated once; values
-    lists them sorted by text, and a value's id is its index there.
+    The matrix is id_columns[column][row], a value id or -1 at the adjoined
+    zero; values lists the distinct entries sorted by text, and a value's id
+    is its index there.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         if not 1 <= r <= n:
             raise BadRank(f"rank {r} outside [1, {n}]")
-        # columns times rows in closed form, so the cap fires before the rows exist;
-        # first the nonzero count, a lower bound (S(n, r) >= r^(n-r)) that costs no
-        # O(n r) Stirling recurrence
-        cols = comb(n, r)
-        if (cols * (r * g.order) ** (n - r) > max_entries
-                or cols * stirling2(n, r) * g.order ** (n - r) > max_entries):
-            raise ResourceLimit("sandwich matrix entries", max_entries)
+        check_entries_cap(g, n, r, max_entries)
         self.group = g
         self.n = n
         self.r = r
@@ -154,45 +159,56 @@ class SandwichMatrix:
         self.kernel_pos = {ki: i for i, ki in enumerate(self.kernels)}
         self.thetas = [theta(g, n, r, ki) for ki in self.kernels]
         self.districts = [ki.mins() for ki in self.kernels]
-        identity = wreath_identity(r)
         # the rows of one partition are consecutive and share their targets,
-        # so the perm and the zero test are made once per partition
+        # so the perm and the zero test are made once per partition; each
+        # (perm, weights) key is numbered in order of first sight
         block = g.order ** (n - r)
-        interned: dict[tuple, WreathElem] = {}
-        entries: list[list[WreathElem | None]] = []
+        seen: dict[tuple, int] = {}
+        self.id_columns = ids = []
         for lam in self.lambdas:
             offsets = [u - 1 for u in lam]
-            column: list[WreathElem | None] = []
+            column: list[int] = []
             for start in range(0, len(self.thetas), block):
                 targets = self.thetas[start].targets
                 perm = tuple([targets[u] for u in offsets])
                 if len(set(perm)) != r:
-                    column.extend([None] * block)
+                    column.extend([-1] * block)
                     continue
                 for th in self.thetas[start:start + block]:
-                    weights = th.weights
-                    key = (perm, tuple([weights[u] for u in offsets]))
-                    v = interned.get(key)
-                    if v is None:
-                        v = interned[key] = WreathElem(r, *key)
-                    column.append(v)
-            entries.append(column)
-        self.entries = entries
-        self.values = sorted(interned.values(), key=wreath_to_text)
+                    key = (perm, tuple([th.weights[u] for u in offsets]))
+                    column.append(seen.setdefault(key, len(seen)))
+            ids.append(column)
+        first_seen = [WreathElem(r, *key) for key in seen]
+        self.values = sorted(first_seen, key=wreath_to_text)
         self.value_id = {v: idx for idx, v in enumerate(self.values)}
+        # renumbered in place to the text order; renumber[-1] is -1, so zeros stay -1
+        renumber = [self.value_id[v] for v in first_seen] + [-1]
+        for column in ids:
+            column[:] = map(renumber.__getitem__, column)
+        identity = self.value_id.get(wreath_identity(r))
         for i in range(len(self.kernels)):
-            if entries[self.lambda_pos[self.districts[i]]][i] != identity:
+            if ids[self.lambda_pos[self.districts[i]]][i] != identity:
                 raise AssertionError("district column does not give the identity entry")
-        for l_idx, per_lambda in enumerate(entries):
-            if all(v is None for v in per_lambda):
+        for l_idx, column in enumerate(ids):
+            if max(column) < 0:
                 raise AssertionError(f"image column {self.lambdas[l_idx]} is entirely zero")
         # every kernel row is nonzero at its own district column, checked above
+
+    def value_at(self, i_idx: int, l_idx: int) -> WreathElem | None:
+        """The entry at (row i, column l), None at a zero."""
+        return self.values[x] if (x := self.id_columns[l_idx][i_idx]) >= 0 else None
+
+    @cached_property
+    def entries(self) -> list[list[WreathElem | None]]:
+        """entries[l][i] is value_at(i, l): a view of the id grid, built on first use."""
+        values = self.values + [None]  # -1 indexes the None
+        return [[values[x] for x in column] for column in self.id_columns]
 
     def nonzero_positions(self):
         """Positions as (row index, column index) pairs in lexicographic order."""
         for i in range(len(self.kernels)):
-            for l_idx in range(len(self.lambdas)):
-                if self.entries[l_idx][i] is not None:
+            for l_idx, column in enumerate(self.id_columns):
+                if column[i] >= 0:
                     yield (i, l_idx)
 
     def positions_of(self, v: WreathElem) -> list[tuple[int, int]]:
@@ -200,24 +216,16 @@ class SandwichMatrix:
         x, ids = self.value_id.get(v, -2), self.id_columns  # -2 matches no cell
         return [(i, l_idx) for i in range(len(self.kernels)) for l_idx, col in enumerate(ids) if col[i] == x]
 
-    @cached_property
-    def id_columns(self) -> list[list[int]]:
-        """id_columns[l][i] is the value id of entries[l][i], -1 at a zero; built on first use."""
-        # equal entries are one object, so an entry's id() finds its value id
-        vid = {id(v): idx for idx, v in enumerate(self.values)} | {id(None): -1}
-        return [list(map(vid.__getitem__, map(id, col))) for col in self.entries]
-
 
 def build_sandwich(g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SandwichMatrix:
     return SandwichMatrix(g, n, r, max_entries)
 
 
-def value_alphabet(m: SandwichMatrix):
-    """The matrix's value numbering and the column-pair square key.
+def square_key(m: SandwichMatrix):
+    """The column-pair square key: the memoized key(x, y) = y * inv(x) of two value ids.
 
-    Returns (m.values, m.id_columns, key), with the memoized key(x, y) =
-    y * inv(x) of two value ids.  Rows holding x, y and x', y' in columns
-    l, m close a singular square exactly when key(x, y) == key(x', y').
+    Rows holding x, y and x', y' in columns l, m close a singular square
+    exactly when key(x, y) == key(x', y').
     """
     g, values = m.group, m.values
 
@@ -225,7 +233,7 @@ def value_alphabet(m: SandwichMatrix):
     def key(x: int, y: int) -> WreathElem:
         return wreath_mul(g, values[y], wreath_inv(g, values[x]))
 
-    return values, m.id_columns, key
+    return key
 
 
 def matrix_lines(m: SandwichMatrix):
@@ -234,12 +242,12 @@ def matrix_lines(m: SandwichMatrix):
         f"sandwich n={m.n} r={m.r} group-order={m.group.order} "
         f"lambdas={len(m.lambdas)} kernels={len(m.kernels)}\n"
     )
-    # column and value texts are made once; an entry's id() finds its value's text
+    # column and value texts are made once, the value texts in id order
     lams = [".".join(map(str, lam)) for lam in m.lambdas]
-    texts = {id(v): f"perm={','.join(map(str, v.perm))} weights={','.join(map(str, v.weights))}"
-             for v in m.values}
+    texts = [f"perm={','.join(map(str, v.perm))} weights={','.join(map(str, v.weights))}"
+             for v in m.values]
     for i, l_idx in m.nonzero_positions():
-        yield f"lambda={lams[l_idx]} kernel={i} {texts[id(m.entries[l_idx][i])]}\n"
+        yield f"lambda={lams[l_idx]} kernel={i} {texts[m.id_columns[l_idx][i]]}\n"
 
 
 def matrix_to_text(m: SandwichMatrix) -> str:

@@ -236,8 +236,6 @@ def gr_r3_oracle(m):
     from bisect import bisect_right
     from collections import defaultdict
 
-    from gact.rees import value_alphabet
-
     g = m.group
     nrows, ncols = len(m.kernels), len(m.lambdas)
     gen2d = [[0] * ncols for _ in range(nrows)]
@@ -247,7 +245,7 @@ def gr_r3_oracle(m):
         gen2d[i][l_idx] = gen
         rows_of[l_idx].append(i)
         cols_of[i].append(l_idx)
-    values, columns, _ = value_alphabet(m)
+    values, columns = m.values, m.id_columns
     quotients = {}
     qtab = []
     for a in values:

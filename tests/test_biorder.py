@@ -23,6 +23,7 @@ from gact import (
     trivial_group,
     wreath_inv,
 )
+from gact import biorder
 from gact.biorder import count_idempotents, rees_element, squares_report
 
 from helpers import all_endos
@@ -196,3 +197,19 @@ def test_squares_report_counts():
             squares = all_esquares(g, n, row["rank"])
             assert row["squares"] == len(squares)
             assert row["singular"] == sum(1 for sq in squares if square_condition(*sq))
+
+
+def test_squares_checks_every_rank_cap_before_building(monkeypatch):
+    built = []
+
+    def counted(g, n, r, max_entries):
+        built.append(r)
+        return build_sandwich(g, n, r, max_entries)
+
+    monkeypatch.setattr(biorder, "build_sandwich", counted)
+    # rank 3 of Z2 n=9 has 16.3M entries; ranks 1 and 2 fit but are not built
+    with pytest.raises(ResourceLimit):
+        squares_report(Z2, 9)
+    assert built == []
+    squares_report(Z2, 3)
+    assert built == [1, 2, 3]

@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from gact import make_group
+from gact import biorder, cli, make_group
 from gact.cli import main
 from gact.presentation import (
     build_gr_presentation,
@@ -516,7 +516,10 @@ def test_unread_cap_flag_is_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["squares", "--group", "Z2", "--n", "3", "--max-cosets", "5"])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --max-cosets 5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # reported with the subcommand's own usage, which lists the flags it takes
+    assert err.startswith("usage: gact squares [-h] --group GROUP --n N")
+    assert "gact squares: error: unrecognized arguments: --max-cosets 5" in err
     # verify reads all three caps and still takes each of them
     caps = ["--max-entries", "1000", "--max-relators", "1000", "--max-cosets", "1000"]
     code, out, _ = run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "2", *caps)
@@ -538,3 +541,35 @@ def test_subcommand_help_lists_its_flags(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert "--alpha" in text and "--max-" not in text and "--n " not in text
+
+
+
+def test_commands_read_the_id_grid_alone(capsys, monkeypatch, tmp_path):
+    # every matrix a command builds is read through its value ids; the
+    # entries view is never made
+    built = []
+
+    def capture(*args):
+        built.append(build_sandwich(*args))
+        return built[-1]
+
+    for module in (cli, biorder):
+        monkeypatch.setattr(module, "build_sandwich", capture)
+    monkeypatch.chdir(tmp_path)
+    common = ["--group", "Z2", "--n", "5"]
+    for argv in (
+        ["verify", *common, "--r", "3"],
+        ["verify", *common, "--r", "4"],
+        ["presentation", *common, "--r", "3", "--output", "gr.txt"],
+        ["presentation", *common, "--r", "3", "--json"],
+        ["presentation", "--kind", "quotient", *common, "--r", "3"],
+        ["sandwich", *common, "--r", "3"],
+        ["sandwich", *common, "--r", "3", "--json"],
+        ["connectivity", *common, "--r", "3"],
+        ["occurrences", *common, "--r", "3", "--alpha", "2:0;3:0;1:1"],
+        ["squares", "--group", "Z2", "--n", "4"],
+    ):
+        before = len(built)
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(built) > before, argv
+        assert all("entries" not in vars(m) for m in built), argv

@@ -67,7 +67,7 @@ def test_connectivity_components_carry_one_value():
     m = build_sandwich(Z2, 4, 2)
     pg = connectivity(m)
     for root, members in pg.components().items():
-        values = {pg.value_of(p) for p in members}
+        values = {m.value_at(*p) for p in members}
         assert len(values) == 1
         assert root == min(members)
 

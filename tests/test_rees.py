@@ -28,8 +28,8 @@ from gact import (
     wreath_identity,
 )
 from gact import rees
-from gact.endo import wreath_to_text
-from gact.rees import kernel_index_of, matrix_to_text, value_alphabet
+from gact.endo import wreath_inv, wreath_mul, wreath_to_text
+from gact.rees import kernel_index_of, matrix_to_text, square_key
 
 from helpers import eps_rank_r, recursive_set_partitions, stirling, value_positions, wreath_elements
 
@@ -327,19 +327,33 @@ def test_equal_entries_are_one_object():
         assert {id(v) for v in m.values} == objects and len(m.values) == len(objects)
 
 
-def test_value_alphabet_matches_value_positions():
-    # one value numbering per matrix: values in text order, id columns built
-    # once on first use, and never by the text export
+def test_value_numbering_matches_value_positions():
+    # one value numbering per matrix: values in text order, the id grid is
+    # the matrix, and the entries view is made only when read, never by the
+    # text export
     for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("Z3", 5, 3), ("trivial", 6, 3), ("Z2", 5, 3)):
         m = build_sandwich(make_group(spec), n, r)
         matrix_to_text(m)
-        assert "id_columns" not in vars(m)
-        values, columns, _ = value_alphabet(m)
+        assert "entries" not in vars(m)
+        values, columns = m.values, m.id_columns
         assert values == sorted(value_positions(m), key=wreath_to_text)
-        assert value_alphabet(m)[1] is columns
+        assert m.entries is m.entries
         for col_ids, col in zip(columns, m.entries):
             assert col_ids == [-1 if v is None else values.index(v) for v in col]
         assert all(m.positions_of(v) == ps for v, ps in value_positions(m).items())
+        key = square_key(m)
+        for x, y in itertools.product(range(min(len(values), 12)), repeat=2):
+            assert key(x, y) == wreath_mul(m.group, values[y], wreath_inv(m.group, values[x]))
+
+
+def test_entries_view_matches_value_at():
+    for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("Z3", 5, 3), ("trivial", 6, 3), ("Z2", 5, 4)):
+        m = build_sandwich(make_group(spec), n, r)
+        for l_idx, column in enumerate(m.entries):
+            assert len(column) == len(m.kernels)
+            for i, v in enumerate(column):
+                assert v == m.value_at(i, l_idx)
+                assert (v is None) == (m.id_columns[l_idx][i] < 0)
 
 
 def test_distinct_theta_rows_l_related_not_r_related():
