@@ -169,8 +169,9 @@ def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> 
 
     Per column pair, every two rows nonzero in both columns close a square,
     and a singular one when their `square_key` keys agree (square_condition
-    is the entry-level oracle for this).  The entries cap is checked for
-    every rank, ascending, before any rank is built.
+    is the entry-level oracle for this); only rows nonzero in the first column
+    are walked, and each nonzero cell holds one idempotent.  The entries cap is
+    checked for every rank, ascending, before any rank is built.
     """
     for r in range(1, n + 1):
         check_entries_cap(g, n, r, max_entries)
@@ -178,22 +179,26 @@ def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> 
     for r in range(1, n + 1):
         m = build_sandwich(g, n, r, max_entries)
         columns, key = m.id_columns, square_key(m)
+        n_idempotents = 0
         n_squares = 0
         n_singular = 0
         for l_idx, col_l in enumerate(columns):
+            rows = list(itertools.compress(range(len(col_l)), map((0).__le__, col_l)))  # nonzero, ascending
+            xs = list(map(col_l.__getitem__, rows))
+            n_idempotents += len(rows)
             for col_m in columns[l_idx + 1:]:
-                rows = 0
+                shared = 0
                 classes: Counter = Counter()
-                for (x, y), count in Counter(zip(col_l, col_m)).items():
-                    if x < 0 or y < 0:
+                for (x, y), count in Counter(zip(xs, map(col_m.__getitem__, rows))).items():
+                    if y < 0:
                         continue
-                    rows += count
+                    shared += count
                     classes[key(x, y)] += count
-                n_squares += comb(rows, 2)
+                n_squares += comb(shared, 2)
                 n_singular += sum(comb(size, 2) for size in classes.values())
         report.append({
             "rank": r,
-            "idempotents": sum(x >= 0 for col in columns for x in col),
+            "idempotents": n_idempotents,
             "squares": n_squares,
             "singular": n_singular,
         })

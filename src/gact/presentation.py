@@ -11,7 +11,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count, islice
+from itertools import compress, count, islice
 
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ParseError, ResourceLimit
@@ -228,17 +228,20 @@ def build_quotient_presentation(
     Rows holding x and y in columns l < m close a singular square exactly
     when their keys y * inv(x) agree.  Per column pair, each distinct value
     pair (x, y) is tied to the first pair (x0, y0) of its key class by the
-    relator inv(x0) y0 inv(y) x, in the order l, then m, then first row.
-    The relator killing the identity value comes last.
+    relator inv(x0) y0 inv(y) x, in the order l, then m, then first row; only
+    rows nonzero in column l are walked.  The relator killing the identity
+    value comes last.
     """
     values, columns, key = m.values, m.id_columns, square_key(m)
     names = [value_gen_name(v) for v in values]
     sink = _RelatorSink(max_relators)
     for l_idx, col_l in enumerate(columns):
+        rows = list(compress(range(len(col_l)), map((0).__le__, col_l)))  # nonzero, ascending
+        xs = list(map(col_l.__getitem__, rows))
         for col_m in columns[l_idx + 1:]:
             first: dict[WreathElem, tuple[int, int]] = {}
-            for x, y in dict.fromkeys(zip(col_l, col_m)):
-                if x < 0 or y < 0:
+            for x, y in dict.fromkeys(zip(xs, map(col_m.__getitem__, rows))):
+                if y < 0:
                     continue
                 x0, y0 = first.setdefault(key(x, y), (x, y))
                 if x0 != x:

@@ -7,7 +7,8 @@ non-minimal positions.  Each row has a canonical transversal endomorphism
 that sends each block minimum to its block index with trivial weight; the
 matrix entry at (column, row) is the rank-r composite of the column's
 diagonal embedding with that transversal, or zero when the composite drops
-rank.  The matrix is stored once, as a grid of value ids.
+rank, which happens exactly when the column is not a transversal of the
+row's partition.  The matrix is stored once, as a grid of value ids.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
+from operator import itemgetter
 
 from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ResourceLimit
@@ -143,7 +145,9 @@ class SandwichMatrix:
 
     The matrix is id_columns[column][row], a value id or -1 at the adjoined
     zero; values lists the distinct entries sorted by text, and a value's id
-    is its index there.
+    is its index there.  A row is nonzero exactly at the columns that pick one
+    point per block of its partition, so only those cells are built; thetas is
+    made when read.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -157,28 +161,26 @@ class SandwichMatrix:
         self.kernels = kernel_list(g, n, r)
         self.lambda_pos = {lam: i for i, lam in enumerate(self.lambdas)}
         self.kernel_pos = {ki: i for i, ki in enumerate(self.kernels)}
-        self.thetas = [theta(g, n, r, ki) for ki in self.kernels]
-        self.districts = [ki.mins() for ki in self.kernels]
-        # the rows of one partition are consecutive and share their targets,
-        # so the perm and the zero test are made once per partition; each
-        # (perm, weights) key is numbered in order of first sight
-        block = g.order ** (n - r)
+        # a partition's rows are consecutive and share the weight vectors, padded
+        # with a 0 that block minima read: at each transversal one getter gives
+        # every row's weights; (perm, weights) keys are numbered in order of first sight
+        padded = [wv + (0,) for wv in itertools.product(range(g.order), repeat=n - r)]
+        block, lambda_pos = len(padded), self.lambda_pos
+        self.districts = [ki.mins() for ki in self.kernels[::block] for _ in padded]
         seen: dict[tuple, int] = {}
-        self.id_columns = ids = []
-        for lam in self.lambdas:
-            offsets = [u - 1 for u in lam]
-            column: list[int] = []
-            for start in range(0, len(self.thetas), block):
-                targets = self.thetas[start].targets
-                perm = tuple([targets[u] for u in offsets])
-                if len(set(perm)) != r:
-                    column.extend([-1] * block)
-                    continue
-                for th in self.thetas[start:start + block]:
-                    key = (perm, tuple([th.weights[u] for u in offsets]))
-                    column.append(seen.setdefault(key, len(seen)))
-            ids.append(column)
-        first_seen = [WreathElem(r, *key) for key in seen]
+        self.id_columns = ids = [[-1] * len(self.kernels) for _ in self.lambdas]
+        for start in range(0, len(self.kernels), block):
+            part = self.kernels[start].partition
+            slot = [n - r] * (n + 1)  # a point's index among the non-minima, else the pad
+            for idx, point in enumerate(sorted(p for b in part for p in b[1:])):
+                slot[point] = idx
+            for choice in itertools.product(*part):  # a transversal, one point per block
+                lam, perm = zip(*sorted(zip(choice, itertools.count(1))))  # perm: each point's block
+                get = itemgetter(*map(slot.__getitem__, lam))
+                ids[lambda_pos[lam]][start:start + block] = [
+                    seen.setdefault((perm, w), len(seen)) for w in map(get, padded)]
+        # at r = 1 the getter returns a bare weight, not a 1-tuple
+        first_seen = [WreathElem(r, perm, w if r > 1 else (w,)) for perm, w in seen]
         self.values = sorted(first_seen, key=wreath_to_text)
         self.value_id = {v: idx for idx, v in enumerate(self.values)}
         # renumbered in place to the text order; renumber[-1] is -1, so zeros stay -1
@@ -194,6 +196,11 @@ class SandwichMatrix:
                 raise AssertionError(f"image column {self.lambdas[l_idx]} is entirely zero")
         # every kernel row is nonzero at its own district column, checked above
 
+    @cached_property
+    def thetas(self) -> list[Endo]:
+        """Each row's canonical transversal endomorphism, built on first use."""
+        return [theta(self.group, self.n, self.r, ki) for ki in self.kernels]
+
     def value_at(self, i_idx: int, l_idx: int) -> WreathElem | None:
         """The entry at (row i, column l), None at a zero."""
         return self.values[x] if (x := self.id_columns[l_idx][i_idx]) >= 0 else None
@@ -206,10 +213,11 @@ class SandwichMatrix:
 
     def nonzero_positions(self):
         """Positions as (row index, column index) pairs in lexicographic order."""
-        for i in range(len(self.kernels)):
-            for l_idx, column in enumerate(self.id_columns):
-                if column[i] >= 0:
-                    yield (i, l_idx)
+        block = self.group.order ** (self.n - self.r)
+        for start in range(0, len(self.kernels), block):
+            picks = itertools.product(*self.kernels[start].partition)
+            cols = sorted(map(self.lambda_pos.__getitem__, map(tuple, map(sorted, picks))))
+            yield from itertools.product(range(start, start + block), cols)
 
     def positions_of(self, v: WreathElem) -> list[tuple[int, int]]:
         """The positions (row index, column index) holding v, in lexicographic order."""

@@ -4,7 +4,7 @@ code paths they check."""
 import itertools
 from functools import lru_cache
 
-from gact import Endo, WreathElem, compose, wreath_inv, wreath_mul
+from gact import Endo, WreathElem, compose, wreath_identity, wreath_inv, wreath_mul
 from gact.presentation import free_reduce
 
 # (n, group, r, expected order) of the desk-scale main-theorem checks
@@ -299,3 +299,101 @@ def scan_singular_witness(m, phi, phi2, psi, sigma, k_idx, l_idx):
             if column[i_idx] == phi2 and column[k_idx] == sigma:
                 return (i_idx, k_idx, l_idx, mu)
     return None
+
+
+# -- dense oracles for the transversal build and the nonzero-row walks ---------
+
+# (group, n, r) at desk scale: every group, with r = 1, r = n - 1 and r = n
+WALK_CASES = [(spec, 4, r) for spec in ("trivial", "Z2", "Z3", "Z4", "S3") for r in (1, 2, 3, 4)] + [
+    ("trivial", 6, 3), ("Z2", 5, 1), ("Z2", 5, 3), ("Z3", 5, 2), ("Z4", 5, 3), ("S3", 5, 4),
+]
+
+def dense_sandwich_ids(m):
+    """(values, id_columns) of m's slice by testing every (partition, column) cell.
+
+    Each row's entry at column lam is read off its transversal endomorphism
+    theta: the block indices and weights at the points of lam, or zero when
+    lam misses a block.  Keys are numbered in column-major first sight, then
+    sorted by text and renumbered, as the sandwich was built before it walked
+    each partition's transversals.
+    """
+    from gact.endo import wreath_to_text
+    from gact.rees import theta
+
+    g, n, r = m.group, m.n, m.r
+    thetas = [theta(g, n, r, ki) for ki in m.kernels]
+    seen = {}
+    columns = []
+    for lam in m.lambdas:
+        column = []
+        for th in thetas:
+            perm = tuple(th.targets[u - 1] for u in lam)
+            if len(set(perm)) != r:
+                column.append(-1)
+                continue
+            key = (perm, tuple(th.weights[u - 1] for u in lam))
+            column.append(seen.setdefault(key, len(seen)))
+        columns.append(column)
+    first_seen = [WreathElem(r, *key) for key in seen]
+    values = sorted(first_seen, key=wreath_to_text)
+    value_id = {v: idx for idx, v in enumerate(values)}
+    renumber = [value_id[v] for v in first_seen] + [-1]
+    return values, [[renumber[x] for x in column] for column in columns]
+
+
+def dense_p1_relators(m):
+    """(words, tags) of the value presentation by zipping whole dense columns.
+
+    Per column pair l < m, each distinct value pair of the zipped columns in
+    order of first sight, zeros skipped, is tied to the first pair of its
+    square-key class; the P2 relator comes last.
+    """
+    from gact.presentation import DEFAULT_MAX_RELATORS, _RelatorSink
+    from gact.rees import square_key
+
+    values, columns, key = m.values, m.id_columns, square_key(m)
+    sink = _RelatorSink(DEFAULT_MAX_RELATORS)
+    for l_idx, col_l in enumerate(columns):
+        for col_m in columns[l_idx + 1:]:
+            first = {}
+            for x, y in dict.fromkeys(zip(col_l, col_m)):
+                if x < 0 or y < 0:
+                    continue
+                x0, y0 = first.setdefault(key(x, y), (x, y))
+                if x0 != x:
+                    sink.add((-x0 - 1, y0 + 1, -y - 1, x + 1), "P1")
+    sink.add((values.index(wreath_identity(m.r)) + 1,), "P2")
+    return sink.words, sink.tags
+
+
+def dense_squares_counts(m):
+    """(idempotents, squares, singular) of m's rank by zipping whole dense columns."""
+    from collections import Counter
+    from math import comb
+
+    from gact.rees import square_key
+
+    columns, key = m.id_columns, square_key(m)
+    n_squares = n_singular = 0
+    for l_idx, col_l in enumerate(columns):
+        for col_m in columns[l_idx + 1:]:
+            rows = 0
+            classes = Counter()
+            for (x, y), count in Counter(zip(col_l, col_m)).items():
+                if x < 0 or y < 0:
+                    continue
+                rows += count
+                classes[key(x, y)] += count
+            n_squares += comb(rows, 2)
+            n_singular += sum(comb(size, 2) for size in classes.values())
+    return sum(x >= 0 for col in columns for x in col), n_squares, n_singular
+
+
+def dense_nonzero_positions(m):
+    """The nonzero (row, column) positions by scanning the whole grid, row-major."""
+    return [
+        (i, l_idx)
+        for i in range(len(m.kernels))
+        for l_idx, column in enumerate(m.id_columns)
+        if column[i] >= 0
+    ]

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 
@@ -26,7 +27,7 @@ from gact import (
 from gact import biorder
 from gact.biorder import count_idempotents, rees_element, squares_report
 
-from helpers import all_endos
+from helpers import all_endos, dense_squares_counts
 
 Z2 = cyclic_group(2)
 T = trivial_group()
@@ -197,6 +198,20 @@ def test_squares_report_counts():
             squares = all_esquares(g, n, row["rank"])
             assert row["squares"] == len(squares)
             assert row["singular"] == sum(1 for sq in squares if square_condition(*sq))
+
+
+def test_squares_report_matches_dense_zip():
+    # counts from the nonzero-row walk equal the dense column zip, and the
+    # idempotents read off the walked rows equal C(n, r) (r|G|)^(n-r)
+    for spec, n in (("trivial", 6), ("Z2", 5), ("Z3", 4), ("Z4", 4), ("S3", 4)):
+        g = make_group(spec)
+        report = squares_report(g, n)
+        assert [row["rank"] for row in report] == list(range(1, n + 1))
+        for row in report:
+            r = row["rank"]
+            dense = dense_squares_counts(build_sandwich(g, n, r))
+            assert (row["idempotents"], row["squares"], row["singular"]) == dense, (spec, n, r)
+            assert row["idempotents"] == comb(n, r) * (r * g.order) ** (n - r)
 
 
 def test_squares_checks_every_rank_cap_before_building(monkeypatch):

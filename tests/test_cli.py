@@ -573,3 +573,31 @@ def test_commands_read_the_id_grid_alone(capsys, monkeypatch, tmp_path):
         assert run(capsys, *argv)[0] == 0, argv
         assert len(built) > before, argv
         assert all("entries" not in vars(m) for m in built), argv
+
+
+def test_verify_and_text_exports_leave_thetas_unbuilt(capsys, monkeypatch, tmp_path):
+    # the sandwich is built from the partitions' transversals; below rank n-1
+    # verify and every text export run without one transversal map per row
+    built = []
+
+    def capture(*args):
+        built.append(build_sandwich(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_sandwich", capture)
+    monkeypatch.chdir(tmp_path)
+    for spec, n, r in (("Z2", 5, 3), ("S3", 4, 2), ("trivial", 6, 3), ("Z3", 4, 1)):
+        report = cli.run_verify(make_group(spec), n, r, cli.DEFAULT_CAPS)
+        assert report["ok"] and "thetas" not in vars(built[-1]), (spec, n, r)
+    common = ["--group", "Z2", "--n", "5", "--r", "3"]
+    for argv in (
+        ["presentation", *common, "--output", "gr.txt"],
+        ["presentation", *common],
+        ["presentation", "--kind", "quotient", *common],
+        ["presentation", "--kind", "quotient", *common, "--output", "q.txt"],
+        ["sandwich", *common],
+        ["sandwich", *common, "--output", "sw.txt"],
+    ):
+        before = len(built)
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(built) == before + 1 and "thetas" not in vars(built[-1]), argv

@@ -38,6 +38,8 @@ from gact.presentation import (
 )
 
 from helpers import (
+    WALK_CASES,
+    dense_p1_relators,
     MAIN_CASES,
     dense_r3_relators,
     eps_rank_r,
@@ -288,6 +290,15 @@ def test_quotient_relator_order_pinned():
     for spec, digest in pinned.items():
         text = presentation_to_text(build_quotient_presentation(build_sandwich(make_group(spec), 4, 2)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_quotient_walk_matches_dense_zip():
+    # walking only column l's nonzero rows gives the dense zip's words and
+    # tags, in the same order
+    for spec, n, r in WALK_CASES:
+        m = build_sandwich(make_group(spec), n, r)
+        p = build_quotient_presentation(m)
+        assert (p.relators, p.tags) == dense_p1_relators(m), (spec, n, r)
 
 
 def test_quotient_relator_cap():

@@ -31,7 +31,16 @@ from gact import rees
 from gact.endo import wreath_inv, wreath_mul, wreath_to_text
 from gact.rees import kernel_index_of, matrix_to_text, square_key
 
-from helpers import eps_rank_r, recursive_set_partitions, stirling, value_positions, wreath_elements
+from helpers import (
+    WALK_CASES,
+    dense_nonzero_positions,
+    dense_sandwich_ids,
+    eps_rank_r,
+    recursive_set_partitions,
+    stirling,
+    value_positions,
+    wreath_elements,
+)
 
 Z2 = cyclic_group(2)
 T = trivial_group()
@@ -377,3 +386,18 @@ def test_zero_pattern_is_transversality():
             for l_idx, lam in enumerate(m.lambdas):
                 hits = {block_of[u] for u in lam}
                 assert (m.entries[l_idx][i] is not None) == (len(hits) == r)
+
+
+def test_transversal_build_matches_per_cell_oracle():
+    # the grid is filled from each partition's transversals only; testing
+    # every (partition, column) cell gives the same values and ids
+    for spec, n, r in WALK_CASES:
+        m = build_sandwich(make_group(spec), n, r)
+        assert (m.values, m.id_columns) == dense_sandwich_ids(m), (spec, n, r)
+        assert "thetas" not in vars(m)
+
+
+def test_nonzero_positions_match_dense_scan():
+    for spec, n, r in WALK_CASES:
+        m = build_sandwich(make_group(spec), n, r)
+        assert list(m.nonzero_positions()) == dense_nonzero_positions(m), (spec, n, r)
