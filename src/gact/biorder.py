@@ -19,7 +19,7 @@ from .endo import (
 )
 from .errors import ResourceLimit, ZeroEntry
 from .groups import Group
-from .rees import DEFAULT_MAX_ENTRIES, SandwichMatrix, build_sandwich, check_entries_cap, q_of, square_key
+from .rees import DEFAULT_MAX_ENTRIES, SandwichMatrix, build_sandwich, check_entries_cap, column_pairs, q_of
 
 DEFAULT_MAX_IDEMPOTENTS = 1_000_000
 
@@ -167,38 +167,27 @@ def esquare_at(m: SandwichMatrix, i_idx: int, k_idx: int, l_idx: int, m_idx: int
 def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> list[dict]:
     """Per-rank counts of idempotents, nondegenerate E-squares and singular ones.
 
-    Per column pair, every two rows nonzero in both columns close a square,
-    and a singular one when their `square_key` keys agree (square_condition
-    is the entry-level oracle for this); only rows nonzero in the first column
-    are walked, and each nonzero cell holds one idempotent.  The entries cap is
-    checked for every rank, ascending, before any rank is built.
+    Each nonzero cell of the built grid holds one idempotent.  Per column
+    pair of `column_pairs`, every two rows nonzero in both columns close a
+    square, and a singular one when their pairs share a key class
+    (square_condition is the entry-level oracle for this).  The entries cap
+    is checked for every rank, ascending, before any rank is built.
     """
     for r in range(1, n + 1):
         check_entries_cap(g, n, r, max_entries)
     report = []
     for r in range(1, n + 1):
         m = build_sandwich(g, n, r, max_entries)
-        columns, key = m.id_columns, square_key(m)
-        n_idempotents = 0
-        n_squares = 0
-        n_singular = 0
-        for l_idx, col_l in enumerate(columns):
-            rows = list(itertools.compress(range(len(col_l)), map((0).__le__, col_l)))  # nonzero, ascending
-            xs = list(map(col_l.__getitem__, rows))
-            n_idempotents += len(rows)
-            for col_m in columns[l_idx + 1:]:
-                shared = 0
-                classes: Counter = Counter()
-                for (x, y), count in Counter(zip(xs, map(col_m.__getitem__, rows))).items():
-                    if y < 0:
-                        continue
-                    shared += count
-                    classes[key(x, y)] += count
-                n_squares += comb(shared, 2)
-                n_singular += sum(comb(size, 2) for size in classes.values())
+        n_squares = n_singular = 0
+        for pairs in column_pairs(m):
+            classes: Counter = Counter()
+            for _, _, rows, x0, y0 in pairs:
+                classes[x0, y0] += rows
+            n_squares += comb(sum(classes.values()), 2)
+            n_singular += sum(comb(size, 2) for size in classes.values())
         report.append({
             "rank": r,
-            "idempotents": n_idempotents,
+            "idempotents": sum(len(col) - col.count(-1) for col in m.id_columns),
             "squares": n_squares,
             "singular": n_singular,
         })

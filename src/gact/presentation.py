@@ -11,12 +11,12 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import compress, count, islice
+from itertools import chain, count, islice
 
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ParseError, ResourceLimit
 from .groups import Group
-from .rees import KernelIndex, SandwichMatrix, kernel_index_of, lambda_list, square_key
+from .rees import KernelIndex, SandwichMatrix, column_pairs, kernel_index_of, lambda_list
 
 DEFAULT_MAX_RELATORS = 5_000_000
 
@@ -225,29 +225,17 @@ def build_quotient_presentation(
 ) -> Presentation:
     """One generator per distinct nonzero value; square relators per column pair.
 
-    Rows holding x and y in columns l < m close a singular square exactly
-    when their keys y * inv(x) agree.  Per column pair, each distinct value
-    pair (x, y) is tied to the first pair (x0, y0) of its key class by the
-    relator inv(x0) y0 inv(y) x, in the order l, then m, then first row; only
-    rows nonzero in column l are walked.  The relator killing the identity
-    value comes last.
+    Each value pair (x, y) of a column pair that is not the first (x0, y0) of
+    its key class in `column_pairs` is tied to it by the relator
+    inv(x0) y0 inv(y) x, in the walk's order: l, then m, then first row.  The
+    relator killing the identity value comes last.
     """
-    values, columns, key = m.values, m.id_columns, square_key(m)
-    names = [value_gen_name(v) for v in values]
     sink = _RelatorSink(max_relators)
-    for l_idx, col_l in enumerate(columns):
-        rows = list(compress(range(len(col_l)), map((0).__le__, col_l)))  # nonzero, ascending
-        xs = list(map(col_l.__getitem__, rows))
-        for col_m in columns[l_idx + 1:]:
-            first: dict[WreathElem, tuple[int, int]] = {}
-            for x, y in dict.fromkeys(zip(xs, map(col_m.__getitem__, rows))):
-                if y < 0:
-                    continue
-                x0, y0 = first.setdefault(key(x, y), (x, y))
-                if x0 != x:
-                    sink.add((-x0 - 1, y0 + 1, -y - 1, x + 1), "P1")
-    sink.add((values.index(wreath_identity(m.r)) + 1,), "P2")
-    return Presentation(names, sink.words, sink.tags, gen_keys=values)
+    for x, y, _, x0, y0 in chain.from_iterable(column_pairs(m)):
+        if x0 != x:
+            sink.add((-x0 - 1, y0 + 1, -y - 1, x + 1), "P1")
+    sink.add((m.values.index(wreath_identity(m.r)) + 1,), "P2")
+    return Presentation([value_gen_name(v) for v in m.values], sink.words, sink.tags, gen_keys=m.values)
 
 
 # -- Tietze elimination -------------------------------------------------------

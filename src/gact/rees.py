@@ -14,10 +14,11 @@ row's partition.  The matrix is stored once, as a grid of value ids.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ResourceLimit
@@ -146,8 +147,8 @@ class SandwichMatrix:
     The matrix is id_columns[column][row], a value id or -1 at the adjoined
     zero; values lists the distinct entries sorted by text, and a value's id
     is its index there.  A row is nonzero exactly at the columns that pick one
-    point per block of its partition, so only those cells are built; thetas is
-    made when read.
+    point per block of its partition, so only those cells are built; thetas and
+    kernel_pos are made when read.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -160,7 +161,6 @@ class SandwichMatrix:
         self.lambdas = lambda_list(n, r)
         self.kernels = kernel_list(g, n, r)
         self.lambda_pos = {lam: i for i, lam in enumerate(self.lambdas)}
-        self.kernel_pos = {ki: i for i, ki in enumerate(self.kernels)}
         # a partition's rows are consecutive and share the weight vectors, padded
         # with a 0 that block minima read: at each transversal one getter gives
         # every row's weights; (perm, weights) keys are numbered in order of first sight
@@ -201,6 +201,11 @@ class SandwichMatrix:
         """Each row's canonical transversal endomorphism, built on first use."""
         return [theta(self.group, self.n, self.r, ki) for ki in self.kernels]
 
+    @cached_property
+    def kernel_pos(self) -> dict[KernelIndex, int]:
+        """Each row index's position in kernels, built on first use."""
+        return {ki: i for i, ki in enumerate(self.kernels)}
+
     def value_at(self, i_idx: int, l_idx: int) -> WreathElem | None:
         """The entry at (row i, column l), None at a zero."""
         return self.values[x] if (x := self.id_columns[l_idx][i_idx]) >= 0 else None
@@ -229,19 +234,36 @@ def build_sandwich(g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTR
     return SandwichMatrix(g, n, r, max_entries)
 
 
-def square_key(m: SandwichMatrix):
-    """The column-pair square key: the memoized key(x, y) = y * inv(x) of two value ids.
+def column_pairs(m: SandwichMatrix):
+    """Per column pair l < m, in order, the value pairs of the rows nonzero in both.
 
-    Rows holding x, y and x', y' in columns l, m close a singular square
-    exactly when key(x, y) == key(x', y').
+    Each pair of columns gives one list of (x, y, rows, x0, y0), one entry per
+    distinct value-id pair (x, y) in columns l and m, in order of first row:
+    rows counts the rows holding it, and (x0, y0) is the first pair of its key
+    class.  Two rows close a singular square exactly when their keys
+    y * inv(x) agree.  Column l's nonzero rows are listed once; a row's pair is
+    counted as the code x * K + y + 1, K = len(values) + 1, so a zero y gives
+    a multiple of K and is skipped.
     """
-    g, values = m.group, m.values
-
-    @cache
-    def key(x: int, y: int) -> WreathElem:
-        return wreath_mul(g, values[y], wreath_inv(g, values[x]))
-
-    return key
+    g, values, columns = m.group, m.values, m.id_columns
+    base = len(values) + 1
+    inverses = [wreath_inv(g, v) for v in values]
+    keys: dict[WreathElem, int] = {}  # key y * inv(x) -> class id
+    classes: dict[int, int] = {}  # code -> class id
+    for l_idx, col_l in enumerate(columns):
+        rows = list(itertools.compress(range(len(col_l)), map((0).__le__, col_l)))  # nonzero, ascending
+        codes_l = [x * base + 1 for x in map(col_l.__getitem__, rows)]
+        for col_m in columns[l_idx + 1:]:
+            first: dict[int, tuple[int, int]] = {}
+            pairs = []
+            for code, count in Counter(map(add, codes_l, map(col_m.__getitem__, rows))).items():
+                if code % base:  # else column m is zero there
+                    x, y = divmod(code - 1, base)
+                    if (c := classes.get(code)) is None:
+                        c = classes[code] = keys.setdefault(wreath_mul(g, values[y], inverses[x]), len(keys))
+                    x0, y0 = first.setdefault(c, (x, y))
+                    pairs.append((x, y, count, x0, y0))
+            yield pairs
 
 
 def matrix_lines(m: SandwichMatrix):

@@ -341,6 +341,29 @@ def dense_sandwich_ids(m):
     return values, [[renumber[x] for x in column] for column in columns]
 
 
+def dense_square_key(m):
+    """key(x, y) = y * inv(x) of two value ids, by the wreath product itself."""
+    g, values = m.group, m.values
+    return lambda x, y: wreath_mul(g, values[y], wreath_inv(g, values[x]))
+
+
+def dense_column_pairs(m):
+    """Per column pair l < m, [(x, y, rows, x0, y0)] by zipping whole dense columns.
+
+    The value pairs of the rows nonzero in both columns, in order of first
+    row, each with its row count and the first pair of its square-key class.
+    """
+    from collections import Counter
+
+    key = dense_square_key(m)
+    out = []
+    for col_l, col_m in itertools.combinations(m.id_columns, 2):
+        counts = Counter((x, y) for x, y in zip(col_l, col_m) if x >= 0 and y >= 0)
+        first = {}
+        out.append([(x, y, rows, *first.setdefault(key(x, y), (x, y))) for (x, y), rows in counts.items()])
+    return out
+
+
 def dense_p1_relators(m):
     """(words, tags) of the value presentation by zipping whole dense columns.
 
@@ -349,9 +372,8 @@ def dense_p1_relators(m):
     square-key class; the P2 relator comes last.
     """
     from gact.presentation import DEFAULT_MAX_RELATORS, _RelatorSink
-    from gact.rees import square_key
 
-    values, columns, key = m.values, m.id_columns, square_key(m)
+    values, columns, key = m.values, m.id_columns, dense_square_key(m)
     sink = _RelatorSink(DEFAULT_MAX_RELATORS)
     for l_idx, col_l in enumerate(columns):
         for col_m in columns[l_idx + 1:]:
@@ -371,9 +393,7 @@ def dense_squares_counts(m):
     from collections import Counter
     from math import comb
 
-    from gact.rees import square_key
-
-    columns, key = m.id_columns, square_key(m)
+    columns, key = m.id_columns, dense_square_key(m)
     n_squares = n_singular = 0
     for l_idx, col_l in enumerate(columns):
         for col_m in columns[l_idx + 1:]:
