@@ -3,8 +3,8 @@
 The package builds the rank-r slice of such a monoid as a Rees matrix
 structure, derives presentations of the maximal subgroup attached to a
 rank-r idempotent, reduces them through connectivity and rising-point
-decompositions, and checks by coset enumeration that the presented group
-is the expected wreath product.
+decompositions, and checks by coset enumeration, at n or at the (r+2, r)
+slice, that the presented group is the expected wreath product.
 """
 
 from .biorder import (

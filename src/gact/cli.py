@@ -15,25 +15,31 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, takewhile
 from math import factorial
 
-from .biorder import squares_report
-from .endo import parse_wreath, wreath_to_text
+from .biorder import square_condition, squares_report
+from .endo import parse_wreath, subgroup_order, wreath_identity, wreath_inv, wreath_to_text
 from .errors import Capped, GactError, ParseError, ResourceLimit
 from .fpgroup import DEFAULT_MAX_COSETS, abelianization, todd_coxeter
 from .groups import Group, make_group
 from .presentation import (
     DEFAULT_MAX_RELATORS,
+    Presentation,
+    _RelatorSink,
     build_gr_presentation,
     build_quotient_presentation,
+    close_generators,
     eliminate_generators,
+    evaluate_word,
     gr_grids,
     gr_relators,
     lavers_presentation,
     position_gen_name,
     presentation_lines,
+    quotient_relators,
     schreier_build,
+    value_gen_name,
 )
 from .reduction import (
     connectivity,
@@ -42,7 +48,7 @@ from .reduction import (
     simplify_presentation,
     value_component_counts,
 )
-from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, matrix_lines
+from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, column_pairs, extended_rows, matrix_lines
 
 DEFAULT_CAPS = {
     "max_entries": DEFAULT_MAX_ENTRIES,
@@ -101,7 +107,15 @@ def _emit(args, lines):
 
 
 def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
-    """Build, simplify, Tietze-reduce and enumerate; returns the report fields."""
+    """Decide the maximal subgroup at (n, r); returns the report fields.
+
+    At rank n-1 the position presentation's R3 count and abelianization are
+    reported.  At r = n and n = r+2 the order comes from `enumerate_order`.
+    At n > r+2 the order comes from the (r+2, r) slice by `slice_order`, and
+    the report gains method ("slice", or "enumerate" when a check of the
+    route fails and `enumerate_order` at n decides), slice_n, pairs_walked
+    and closure_relators.  Every check runs under the same caps.
+    """
     m = build_sandwich(g, n, r, caps["max_entries"])
     report: dict = {"n": n, "r": r, "group_order": g.order}
     if r == n - 1:
@@ -118,19 +132,100 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
         )
         return report
     expected = 1 if r == n else (g.order ** r) * factorial(r)
+    route: dict = {}
+    decided = None
+    if n > r + 2:
+        route = {"method": "slice", "slice_n": r + 2, "pairs_walked": 0, "closure_relators": 0}
+        decided = slice_order(g, m, caps, route)
+        if decided is None:
+            route["method"] = "enumerate"
+    order, log = decided or enumerate_order(m, caps)
+    report.update(
+        mode="order",
+        computed_order=order,
+        expected_order=expected,
+        merges=len(log),
+        ok=order == expected,
+        **route,
+    )
+    return report
+
+
+def enumerate_order(m, caps: dict) -> tuple[int, list]:
+    """The order by coset enumeration, and the merge log, on the built (n, r) matrix.
+
+    The value presentation, position connectivity, simplification with
+    witness search, Tietze elimination and Todd-Coxeter.
+    """
     p = build_quotient_presentation(m, caps["max_relators"])
     pg = connectivity(m)
     log: list = []
     q, _ = eliminate_generators(simplify_presentation(p, m, pg, log))
-    table = todd_coxeter(q, max_cosets=caps["max_cosets"])
-    report.update(
-        mode="order",
-        computed_order=table.order,
-        expected_order=expected,
-        merges=len(log),
-        ok=table.order == expected,
-    )
-    return report
+    return todd_coxeter(q, max_cosets=caps["max_cosets"]).order, log
+
+
+def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None:
+    """The order at n > r+2 from the (r+2, r) slice, and the merge log at n; None if a check fails.
+
+    The merges at n are certified as by `enumerate_order`.  Upper bound:
+    `enumerate_order` at (r+2, r) gives |W|, W = G wr S_r; each slice row,
+    extended to n, carries the same value in every column inside [1..r+2];
+    each slice merge square is singular at n; and from the slice's values
+    every generator at n is solved, one unknown letter at a time, from the
+    merge relators and then the P1 relators of `column_pairs(m)`, read no
+    further than needed.  So the presentation at n is a quotient of the
+    slice's.  Lower bound: every relator emitted at n (P2, merges, walked
+    P1) maps to 1 under f[v] -> inv(v), and the images generate W.  The
+    route's counters go into route.
+    """
+    r = m.r
+    log: list = []
+    pg = connectivity(m)
+    # the merge relators alone, from the value generators with no relators
+    names = [value_gen_name(v) for v in m.values]
+    q = simplify_presentation(Presentation(names, [], [], gen_keys=m.values), m, pg, log)
+    s = build_sandwich(g, r + 2, r, caps["max_entries"])
+    order, slice_log = enumerate_order(s, caps)
+    if order != g.order ** r * factorial(r):
+        return None
+    rows = extended_rows(s, m)
+    cols = [m.lambda_pos[lam] for lam in s.lambdas]
+    to_n = [m.value_id.get(v, -2) for v in s.values] + [-1]  # -1 keeps a zero; -2 is no value at n
+    if any(to_n[x] != m.id_columns[l][i] for col, l in zip(s.id_columns, cols) for x, i in zip(col, rows)):
+        return None
+    squares = (w.square for w in slice_log)
+    if not all(square_condition(m, rows[i], rows[k], cols[l], cols[mu]) for i, k, l, mu in squares):
+        return None
+    inverses = [wreath_inv(g, v) for v in m.values]
+    one = wreath_identity(r)
+    letter = [m.value_id[v] + 1 for v in q.gen_keys]  # q's generators renumbered to value ids + 1
+    merges = [tuple(letter[x - 1] if x > 0 else -letter[-x - 1] for x in w) for w in q.relators]
+
+    def maps_to_one(w):
+        return evaluate_word(g, inverses, r, w) == one
+
+    if not all(map(maps_to_one, [(m.value_id[one] + 1,), *merges])):  # P2 and the merges
+        return None
+
+    def walked():
+        for pairs in column_pairs(m):
+            route["pairs_walked"] += 1
+            yield pairs
+
+    sink = _RelatorSink(caps["max_relators"])  # the walked P1 relators, each new one once
+    new = (sink.words[-1] for w in quotient_relators(walked()) if sink.add(w, "P1"))
+
+    def fed():  # the merges, then the walked relators up to one that does not map to 1, so the closure stalls
+        for w in chain(merges, takewhile(maps_to_one, new)):
+            route["closure_relators"] += 1
+            yield w
+
+    if not close_generators({m.value_id[v] + 1 for v in s.values}, len(m.values), fed()):
+        return None
+    # after the slice's enumeration: the closing holds at most |W| <= max_cosets elements
+    if subgroup_order(g, inverses, r, order) != order:
+        return None
+    return order, log
 
 
 def _json(obj) -> list[str]:

@@ -51,15 +51,17 @@ class _RelatorSink:
         self.seen: set[tuple[int, ...]] = set()
         self.max_relators = max_relators
 
-    def add(self, word, tag):
+    def add(self, word, tag) -> bool:
+        """Keep the word freely reduced unless it is empty or kept already; True when kept."""
         word = free_reduce(word)
         if not word or word in self.seen:
-            return
+            return False
         if len(self.words) >= self.max_relators:
             raise ResourceLimit("relators", self.max_relators)
         self.seen.add(word)
         self.words.append(word)
         self.tags.append(tag)
+        return True
 
 
 # -- Schreier system ----------------------------------------------------------
@@ -220,22 +222,60 @@ def value_gen_name(v: WreathElem) -> str:
     return f"f[{wreath_to_text(v)}]"
 
 
+def quotient_relators(pairs):
+    """Yield the P1 words of `column_pairs` lists, reading them lazily.
+
+    Each value pair (x, y) of a column pair that is not the first (x0, y0) of
+    its key class is tied to it by the word inv(x0) y0 inv(y) x, over value
+    ids + 1, in the walk's order: l, then m, then first row.
+    """
+    for x, y, _, x0, y0 in chain.from_iterable(pairs):
+        if x0 != x:
+            yield (-x0 - 1, y0 + 1, -y - 1, x + 1)
+
+
 def build_quotient_presentation(
     m: SandwichMatrix, max_relators: int = DEFAULT_MAX_RELATORS
 ) -> Presentation:
     """One generator per distinct nonzero value; square relators per column pair.
 
-    Each value pair (x, y) of a column pair that is not the first (x0, y0) of
-    its key class in `column_pairs` is tied to it by the relator
-    inv(x0) y0 inv(y) x, in the walk's order: l, then m, then first row.  The
-    relator killing the identity value comes last.
+    The P1 relators are the `quotient_relators` of `column_pairs(m)`, each new
+    one once; the relator P2 killing the identity value comes last.
     """
     sink = _RelatorSink(max_relators)
-    for x, y, _, x0, y0 in chain.from_iterable(column_pairs(m)):
-        if x0 != x:
-            sink.add((-x0 - 1, y0 + 1, -y - 1, x + 1), "P1")
+    for word in quotient_relators(column_pairs(m)):
+        sink.add(word, "P1")
     sink.add((m.values.index(wreath_identity(m.r)) + 1,), "P2")
     return Presentation([value_gen_name(v) for v in m.values], sink.words, sink.tags, gen_keys=m.values)
+
+
+def close_generators(known: set[int], size: int, words) -> bool:
+    """Solve relators for unknown generators until all size of them are known.
+
+    known holds generator numbers and grows in place.  A word solves a
+    generator that is its only unknown letter and occurs in it once: that
+    generator is then a product of known ones.  A word with several unknown
+    generators waits on each of them and is tried again as they become known.
+    Words are read lazily, and none once every generator is known.  False
+    when they run out first.
+    """
+    if len(known) == size:
+        return True
+    waiting: dict[int, list] = defaultdict(list)
+    for word in words:
+        todo = [word]
+        while todo:
+            w = todo.pop()
+            unknown = [abs(x) for x in w if abs(x) not in known]
+            if len(unknown) == 1:
+                known.add(unknown[0])
+                if len(known) == size:
+                    return True
+                todo += waiting.pop(unknown[0], ())
+            elif len(distinct := set(unknown)) > 1:
+                for x in distinct:
+                    waiting[x].append(w)
+    return False
 
 
 # -- Tietze elimination -------------------------------------------------------

@@ -234,6 +234,26 @@ def build_sandwich(g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTR
     return SandwichMatrix(g, n, r, max_entries)
 
 
+def extended_rows(s: SandwichMatrix, m: SandwichMatrix) -> list[int]:
+    """Per row of s, the row of m that extends it; both of rank r over one group, s at n' <= n.
+
+    The points n'+1..n join the block of 1 with weight 0.  They are non-minima
+    above every other one, the last digits of the mixed-radix weight index, so
+    the row is the extended partition's index times |G|^(n-r) plus the weight
+    index in s times |G|^(n-n').
+    """
+    k = m.group.order
+    block, s_block = k ** (m.n - m.r), k ** (s.n - s.r)
+    part_index = {ki.partition: idx for idx, ki in enumerate(m.kernels[::block])}
+    tail = tuple(range(s.n + 1, m.n + 1))
+    rows = []
+    for ki in s.kernels[::s_block]:
+        first, *rest = ki.partition
+        start = part_index[(first + tail, *rest)] * block
+        rows.extend(range(start, start + block, block // s_block))
+    return rows
+
+
 def column_pairs(m: SandwichMatrix):
     """Per column pair l < m, in order, the value pairs of the rows nonzero in both.
 

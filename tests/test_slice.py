@@ -1,0 +1,185 @@
+"""The slice route of `verify` at n > r+2, against direct enumeration at n."""
+
+import contextlib
+import io
+from math import factorial
+
+import pytest
+
+from gact import build_quotient_presentation, build_sandwich, cli, connectivity, make_group
+from gact import simplify_presentation, square_condition, wreath_identity, wreath_inv
+from gact.endo import WreathElem, subgroup_order
+from gact.presentation import close_generators, evaluate_word
+from gact.rees import KernelIndex, extended_rows
+
+from helpers import MAIN_CASES
+
+# every desk main case above n = r+2, trivial 7 5 (at n = r+2, where
+# enumerate_order alone decides), and five more instances, trivial 8 5 the
+# benchmark's slowest
+ROUTE_CASES = sorted({(spec, n, r) for n, spec, r, _ in MAIN_CASES if n > r + 2} | {
+    ("trivial", 7, 5), ("Z2", 6, 3), ("Z4", 5, 2), ("Z3", 5, 1), ("S3", 5, 2), ("trivial", 8, 5),
+})
+CAPS = cli.DEFAULT_CAPS
+
+
+def verify(spec, n, r):
+    return cli.run_verify(make_group(spec), n, r, CAPS)
+
+
+@pytest.mark.parametrize("spec, n, r", ROUTE_CASES)
+def test_slice_route_matches_direct_enumeration(spec, n, r):
+    g = make_group(spec)
+    report = cli.run_verify(g, n, r, CAPS)
+    order, log = cli.enumerate_order(build_sandwich(g, n, r), CAPS)
+    assert report["computed_order"] == order == g.order ** r * factorial(r)
+    assert report["merges"] == len(log)
+    assert report["ok"] is True
+    assert report.get("method") == ("slice" if n > r + 2 else None)
+
+
+@pytest.mark.parametrize("spec, n, r", ROUTE_CASES)
+def test_every_simplified_relator_maps_to_one(spec, n, r):
+    # the lower bound for the relators the route does not walk: the whole
+    # simplified presentation at n dies under f[v] -> inv(v)
+    g = make_group(spec)
+    m = build_sandwich(g, n, r)
+    q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+    images = [wreath_inv(g, v) for v in q.gen_keys]
+    for word in q.relators:
+        assert evaluate_word(g, images, r, word) == wreath_identity(r), (spec, n, r, word)
+
+
+def test_route_counters_pinned():
+    # (merges, pairs_walked of the column pairs, closure_relators) recorded when the route was added
+    pinned = {("Z2", 6, 3): (24, 37, 31), ("trivial", 8, 5): (23, 760, 204)}
+    for (spec, n, r), want in pinned.items():
+        report = verify(spec, n, r)
+        assert (report["method"], report["slice_n"]) == ("slice", r + 2)
+        assert (report["merges"], report["pairs_walked"], report["closure_relators"]) == want
+
+
+def test_extended_rows_are_the_rows_with_the_new_points_in_block_one():
+    for spec, n, r in (("Z2", 6, 3), ("S3", 5, 2), ("trivial", 8, 5), ("Z3", 5, 1), ("Z2", 5, 3)):
+        g = make_group(spec)
+        s, m = build_sandwich(g, r + 2, r), build_sandwich(g, n, r)
+        rows = extended_rows(s, m)
+        tail = tuple(range(r + 3, n + 1))
+        for ki, row in zip(s.kernels, rows):
+            first, *rest = ki.partition
+            assert m.kernels[row] == KernelIndex((first + tail, *rest), ki.weightvec + (0,) * len(tail))
+        for lam, col in zip(s.lambdas, s.id_columns):
+            l_idx = m.lambda_pos[lam]
+            assert [s.values[x] if x >= 0 else None for x in col] == [m.value_at(i, l_idx) for i in rows]
+
+
+def test_close_generators_solves_one_unknown_at_a_time():
+    # 3 1' 2' waits on 2 and 3; 4 4 1' has 4 twice and solves nothing; 2 1'
+    # solves 2, then the waiting word solves 3, and 4 3' solves 4
+    words = [(3, -1, -2), (4, 4, -1), (2, -1), (4, -3)]
+    known = {1}
+    assert close_generators(known, 4, iter(words)) is True and known == {1, 2, 3, 4}
+    known = {1}
+    assert close_generators(known, 4, iter(words[:3])) is False and known == {1, 2, 3}
+    # nothing is read once every generator is known
+    read = []
+    assert close_generators({1, 2}, 2, (read.append(w) or w for w in words)) is True and read == []
+
+
+def test_subgroup_order_in_the_wreath_group():
+    g = make_group("Z2")
+    swap = WreathElem(2, (2, 1), (0, 0))
+    twist = WreathElem(2, (1, 2), (1, 0))
+    assert subgroup_order(g, [swap], 2, 8) == 2
+    assert subgroup_order(g, [swap, twist], 2, 8) == 8
+    assert subgroup_order(g, [swap, twist], 2, 5) == 5  # stops at the limit
+    assert subgroup_order(g, [], 2, 8) == 1
+
+
+# -- mutations: each must fall back to enumeration at n, or fail -----------------
+
+def test_wrong_merge_relator_fails_the_lower_bound(monkeypatch):
+    real = cli.simplify_presentation
+    calls = []
+
+    def wrong_gamma(p, m, pg, log=None):
+        q = real(p, m, pg, log)
+        if not calls:  # the route's call at n: retarget the first merge's gamma
+            word = q.relators[0]
+            q.relators[0] = word[:-1] + (-(abs(word[-1]) % len(q.generators) + 1),)
+        calls.append(m.n)
+        return q
+
+    monkeypatch.setattr(cli, "simplify_presentation", wrong_gamma)
+    report = verify("Z2", 6, 3)
+    assert calls == [6, 5, 6]  # the route at n, the slice, the fallback at n
+    assert (report["method"], report["computed_order"], report["ok"]) == ("enumerate", 48, True)
+    assert report["pairs_walked"] == 0
+
+
+def test_perturbed_submatrix_fails_the_extension_check(monkeypatch):
+    real = cli.build_sandwich
+
+    def perturbed(g, n, r, max_entries):
+        m = real(g, n, r, max_entries)
+        if n == 6:  # slice row 0, slice column 1, at n
+            s = real(g, r + 2, r, max_entries)
+            col = m.id_columns[m.lambda_pos[s.lambdas[1]]]
+            row = extended_rows(s, m)[0]
+            col[row] = (col[row] + 1) % len(m.values)
+        return m
+
+    monkeypatch.setattr(cli, "build_sandwich", perturbed)
+    report = verify("Z2", 6, 3)
+    assert (report["method"], report["computed_order"], report["ok"]) == ("enumerate", 48, True)
+
+
+def test_stalled_closure_falls_back(monkeypatch):
+    monkeypatch.setattr(cli, "column_pairs", lambda m: iter(()))
+    report = verify("Z2", 6, 3)
+    assert (report["method"], report["computed_order"], report["ok"]) == ("enumerate", 48, True)
+    assert (report["pairs_walked"], report["closure_relators"]) == (0, 8)  # the 8 merge relators alone
+
+
+def test_every_other_failed_check_falls_back(monkeypatch):
+    real_enumerate, real_relators = cli.enumerate_order, cli.quotient_relators
+
+    def wrong_slice_order(m, caps):
+        order, log = real_enumerate(m, caps)
+        return (order // 2 if m.n == 5 else order), log
+
+    def nonsingular_slice_square(m, caps):
+        order, log = real_enumerate(m, caps)
+        if m.n == 5:  # swap the first square's row k for one closing no singular square
+            i, _, l, mu = log[0].square
+            k = next(k for k in range(len(m.kernels)) if m.id_columns[l][k] >= 0 and m.id_columns[mu][k] >= 0
+                     and not square_condition(m, i, k, l, mu))
+            log[0].square = (i, k, l, mu)
+        return order, log
+
+    def bad_walked_relator(pairs):
+        words = real_relators(pairs)
+        first = next(words)
+        yield first[:-1] + (first[-1] % 4 + 1,)  # x + 1 -> a value other than x: the word maps to 1 only at x
+        yield from words
+
+    for name, patch in (("enumerate_order", wrong_slice_order), ("enumerate_order", nonsingular_slice_square),
+                        ("quotient_relators", bad_walked_relator), ("subgroup_order", lambda *args: 1)):
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, name, patch)
+            report = verify("Z2", 6, 3)
+        assert (report["method"], report["computed_order"], report["ok"]) == ("enumerate", 48, True), patch
+
+
+def test_caps_still_fire_on_the_route():
+    # the slice's enumeration, and the sandwich at n
+    for flag, cap, says in (("--max-cosets", "5", "capped at 5 cosets"), ("--max-entries", "3", "cap 3")):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["verify", "--group", "Z2", "--n", "6", "--r", "3", flag, cap])
+        assert (code, out.getvalue()) == (3, "") and says in err.getvalue(), flag
+
+
+def test_default_stdout_unchanged_by_the_route(capsys):
+    assert cli.main(["verify", "--group", "Z2", "--n", "6", "--r", "3"]) == 0
+    assert capsys.readouterr().out == "order=48 expected=48 OK\n"
