@@ -70,7 +70,6 @@ from .presentation import (
     build_quotient_presentation,
     eliminate_generators,
     lavers_presentation,
-    presentation_from_text,
     presentation_to_text,
     schreier_build,
 )

@@ -181,9 +181,9 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
     r = m.r
     log: list = []
     pg = connectivity(m)
-    # the merge relators alone, from the value generators with no relators
+    # the merge relators alone, over value ids + 1 like the walked relators
     names = [value_gen_name(v) for v in m.values]
-    q = simplify_presentation(Presentation(names, [], [], gen_keys=m.values), m, pg, log)
+    merges = simplify_presentation(Presentation(names, [], [], gen_keys=m.values), m, pg, log).relators
     s = build_sandwich(g, r + 2, r, caps["max_entries"])
     order, slice_log = enumerate_order(s, caps)
     if order != g.order ** r * factorial(r):
@@ -198,8 +198,6 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
         return None
     inverses = [wreath_inv(g, v) for v in m.values]
     one = wreath_identity(r)
-    letter = [m.value_id[v] + 1 for v in q.gen_keys]  # q's generators renumbered to value ids + 1
-    merges = [tuple(letter[x - 1] if x > 0 else -letter[-x - 1] for x in w) for w in q.relators]
 
     def maps_to_one(w):
         return evaluate_word(g, inverses, r, w) == one

@@ -229,21 +229,6 @@ def word_equal(t: CosetTable, w1, w2) -> bool:
     return True
 
 
-def order_report(text: str, max_cosets: int = DEFAULT_MAX_COSETS) -> str:
-    """Enumerate a presentation file over the trivial subgroup.
-
-    Returns "order=<k>" on completion or "capped max=<cap>" when the coset
-    cap is hit.
-    """
-    from .presentation import presentation_from_text
-
-    try:
-        table = todd_coxeter(presentation_from_text(text), max_cosets=max_cosets)
-    except Capped:
-        return f"capped max={max_cosets}"
-    return f"order={table.order}"
-
-
 # -- abelianization -----------------------------------------------------------
 
 @dataclass

@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 from itertools import chain, count, islice
 
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
-from .errors import BadRank, ParseError, ResourceLimit
+from .errors import BadRank, ResourceLimit
 from .groups import Group
 from .rees import KernelIndex, SandwichMatrix, column_pairs, kernel_index_of, lambda_list
 
@@ -245,7 +245,7 @@ def build_quotient_presentation(
     sink = _RelatorSink(max_relators)
     for word in quotient_relators(column_pairs(m)):
         sink.add(word, "P1")
-    sink.add((m.values.index(wreath_identity(m.r)) + 1,), "P2")
+    sink.add((m.value_id[wreath_identity(m.r)] + 1,), "P2")
     return Presentation([value_gen_name(v) for v in m.values], sink.words, sink.tags, gen_keys=m.values)
 
 
@@ -313,16 +313,19 @@ def _substitute(word, g, w, w_inv) -> tuple[int, ...]:
 def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
     """Tietze-eliminate generators through relators of at most three letters.
 
-    Relators are cyclically reduced and deduplicated up to rotation and
-    inversion, then taken shortest first, ties broken by canonical form
-    (the least rotation of the word or its inverse).  A relator of length
-    at most 3 is solved for the first letter of its canonical form whose
-    generator occurs in it once, and that generator is substituted away
-    everywhere, unless the total relator length would rise above the
-    input's.  Relators longer than 4 letters are set aside and rewritten
-    once at the end.  Returns the reduced presentation (surviving
-    generators keep their names) and the substitutions (g, w), g = w over
-    the input's generators, in the order they were made.
+    A generator named by a one-letter relator (P2 kills the identity value)
+    is first erased from every relator and logged as (g, ()); the length
+    bound is the total length left.  Relators are then cyclically reduced
+    and deduplicated up to rotation and inversion, and taken shortest
+    first, ties broken by canonical form (the least rotation of the word or
+    its inverse).  A relator of length at most 3 is solved for the first
+    letter of its canonical form whose generator occurs in it once, and
+    that generator is substituted away everywhere, unless the total
+    relator length would rise above the bound.  Relators longer than 4
+    letters are set aside and rewritten once at the end.  Returns the
+    reduced presentation (surviving generators keep their names) and the
+    substitutions (g, w), g = w over the input's generators, in the order
+    they were made.
     """
     active: dict[int, tuple] = {}  # id -> (word, tag, canonical form); at most 4 letters
     where: dict[int, set[int]] = defaultdict(set)  # generator -> ids of active relators
@@ -365,9 +368,12 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
         pairs.subtract(_cyclic_pairs(word))
         return entry
 
-    bound = sum(map(len, p.relators))
-    total = sum(add(_cyclic_reduce(word), tag) for word, tag in zip(p.relators, p.tags))
-    log: list[tuple[int, tuple[int, ...]]] = []
+    # a generator a one-letter relator kills is erased before the bound is taken
+    killed = dict.fromkeys(abs(w[0]) for w in p.relators if len(w) == 1)
+    log: list[tuple[int, tuple[int, ...]]] = [(g, ()) for g in killed]
+    relators = [tuple(x for x in word if abs(x) not in killed) for word in p.relators]
+    bound = sum(map(len, relators))
+    total = sum(add(_cyclic_reduce(word), tag) for word, tag in zip(relators, p.tags))
     while heap:
         length, canon, rid = heappop(heap)
         if rid not in active:
@@ -527,38 +533,3 @@ def presentation_lines(names: list[str], words):
 
 def presentation_to_text(p: Presentation) -> str:
     return "".join(presentation_lines(p.generators, p.relators))
-
-
-def presentation_from_text(text: str) -> Presentation:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("generators "):
-        raise ParseError("expected a 'generators k' header")
-    try:
-        count = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise ParseError(f"bad header {lines[0]!r}") from None
-    names = []
-    idx = 1
-    while idx < len(lines) and lines[idx].startswith("gen "):
-        names.append(lines[idx][4:].strip())
-        idx += 1
-    if len(names) != count:
-        raise ParseError(f"header promises {count} generators, found {len(names)}")
-    index = {name: gi + 1 for gi, name in enumerate(names)}
-    if len(index) != len(names):
-        raise ParseError("duplicate generator names")
-    relators = []
-    tags = []
-    for ln in lines[idx:]:
-        if not ln.startswith("rel "):
-            raise ParseError(f"unexpected line {ln!r}")
-        word = []
-        for tok in ln[4:].split():
-            inv = tok.endswith("'")
-            name = tok[:-1] if inv else tok
-            if name not in index:
-                raise ParseError(f"unknown generator {name!r} in relator")
-            word.append(-index[name] if inv else index[name])
-        relators.append(tuple(word))
-        tags.append("rel")
-    return Presentation(names, relators, tags)

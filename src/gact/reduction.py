@@ -23,7 +23,7 @@ from .endo import (
     wreath_to_text,
 )
 from .errors import NotDecomposable, StepNotApplicable, WitnessNotFound
-from .presentation import Presentation, _RelatorSink, value_gen_name
+from .presentation import Presentation
 from .rees import SandwichMatrix, kernel_index_of
 
 Position = tuple[int, int]
@@ -337,16 +337,18 @@ def simplify_presentation(
 ) -> Presentation:
     """Certify the value presentation of m and tie each split value.
 
-    p carries one generator per matrix value (its gen_keys are the values).
-    The identity value is erased, and each value whose positions fall into
-    several components is tied to the others through a decomposition
-    square found in the matrix; the witness is recorded and a relator for
-    value = remainder * simple factor is added.  Every value must end in a
-    single class, so each identification is certified.
+    p carries one generator per matrix value, numbered value id + 1 (its
+    gen_keys are m.values).  Each value whose positions fall into several
+    components is tied to the others through a decomposition square found
+    in the matrix; the witness is recorded and the merge word
+    value * inv(remainder) * inv(simple factor) is appended to p's relators,
+    over the same generators.  Every value must end in a single class, so
+    each identification is certified.  The identity stays a generator; P2
+    kills it and `eliminate_generators` erases it.
     """
     g = m.group
     identity = wreath_identity(m.r)
-    if p.gen_keys is None or any(key not in m.value_id for key in p.gen_keys):
+    if p.gen_keys != m.values:
         raise ValueError("needs a presentation keyed by the values of this matrix")
 
     # component roots per value; merging a value collapses its list to one root
@@ -367,7 +369,7 @@ def simplify_presentation(
                 f"value {wreath_to_text(value)} is split across {classes} classes"
             )
 
-    pending: list[tuple[WreathElem, WreathElem, WreathElem]] = []
+    merges: list[tuple[int, ...]] = []
     # m.values is in text order and sorted() is stable, so ties keep text order
     multi = sorted([v for v in m.values if len(roots_by_value.get(v, ())) > 1], key=rising_point)
     for value in multi:
@@ -391,29 +393,11 @@ def simplify_presentation(
             if witness_log is not None:
                 witness_log.append(MergeWitness(value, root, gamma, beta, witness))
         roots_by_value[value] = [min(roots)]
-        pending.append((value, gamma, beta))
+        merges.append((m.value_id[value] + 1, -m.value_id[beta] - 1, -m.value_id[gamma] - 1))
 
     # after merging, each nonidentity value must sit in exactly one class
-    values = [v for v in m.values if v in roots_by_value]
-    for value in values:
+    for value in m.values:
         certify_single(value)
-    gen_of_value = {v: gi + 1 for gi, v in enumerate(values)}
-    names = [value_gen_name(v) for v in values]
-
-    # old generator -> new letter, 0 to erase
-    gen_letter = [0 if v == identity else gen_of_value[v] for v in p.gen_keys]
-
-    sink = _RelatorSink(len(p.relators) + len(pending) + 1)
-    for word, tag in zip(p.relators, p.tags):
-        out = []
-        for letter in word:
-            new = gen_letter[abs(letter) - 1]
-            if new:
-                out.append(new if letter > 0 else -new)
-        sink.add(tuple(out), tag)
-    for value, gamma, beta in pending:
-        word = (gen_of_value[value],)
-        word += (-gen_of_value[beta],) if beta != identity else ()
-        word += (-gen_of_value[gamma],)
-        sink.add(word, "merge")
-    return Presentation(names, sink.words, sink.tags, gen_keys=values)
+    return Presentation(
+        p.generators, p.relators + merges, p.tags + ["merge"] * len(merges), gen_keys=p.gen_keys
+    )

@@ -4,7 +4,19 @@ code paths they check."""
 import itertools
 from functools import lru_cache
 
-from gact import Endo, WreathElem, compose, wreath_identity, wreath_inv, wreath_mul
+from gact import (
+    Capped,
+    Endo,
+    ParseError,
+    Presentation,
+    WreathElem,
+    compose,
+    todd_coxeter,
+    wreath_identity,
+    wreath_inv,
+    wreath_mul,
+)
+from gact.fpgroup import DEFAULT_MAX_COSETS
 from gact.presentation import free_reduce
 
 # (n, group, r, expected order) of the desk-scale main-theorem checks
@@ -417,3 +429,68 @@ def dense_nonzero_positions(m):
         for l_idx, column in enumerate(m.id_columns)
         if column[i] >= 0
     ]
+
+
+def presentation_from_text(text):
+    """Parse the presentation text form that `presentation_lines` writes."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("generators "):
+        raise ParseError("expected a 'generators k' header")
+    try:
+        count = int(lines[0].split()[1])
+    except (IndexError, ValueError):
+        raise ParseError(f"bad header {lines[0]!r}") from None
+    names = []
+    idx = 1
+    while idx < len(lines) and lines[idx].startswith("gen "):
+        names.append(lines[idx][4:].strip())
+        idx += 1
+    if len(names) != count:
+        raise ParseError(f"header promises {count} generators, found {len(names)}")
+    index = {name: gi + 1 for gi, name in enumerate(names)}
+    if len(index) != len(names):
+        raise ParseError("duplicate generator names")
+    relators = []
+    tags = []
+    for ln in lines[idx:]:
+        if not ln.startswith("rel "):
+            raise ParseError(f"unexpected line {ln!r}")
+        word = []
+        for tok in ln[4:].split():
+            inv = tok.endswith("'")
+            name = tok[:-1] if inv else tok
+            if name not in index:
+                raise ParseError(f"unknown generator {name!r} in relator")
+            word.append(-index[name] if inv else index[name])
+        relators.append(tuple(word))
+        tags.append("rel")
+    return Presentation(names, relators, tags)
+
+
+def order_report(text, max_cosets=DEFAULT_MAX_COSETS):
+    """Enumerate a presentation file over the trivial subgroup.
+
+    Returns "order=<k>" on completion or "capped max=<cap>" when the coset
+    cap is hit.
+    """
+    try:
+        table = todd_coxeter(presentation_from_text(text), max_cosets=max_cosets)
+    except Capped:
+        return f"capped max={max_cosets}"
+    return f"order={table.order}"
+
+
+def erase_generators(p, erased):
+    """p with the generators in erased deleted from every relator.
+
+    The other generators are renumbered in order; words are freely reduced,
+    and empty or repeated ones dropped, the first tag kept.
+    """
+    keep = [g for g in range(1, len(p.generators) + 1) if g not in erased]
+    new = {g: k for k, g in enumerate(keep, start=1)}
+    words = {}
+    for word, tag in zip(p.relators, p.tags):
+        word = free_reduce(new[x] if x > 0 else -new[-x] for x in word if abs(x) not in erased)
+        if word:
+            words.setdefault(word, tag)
+    return Presentation([p.generators[g - 1] for g in keep], list(words), list(words.values()))

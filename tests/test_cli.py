@@ -18,7 +18,6 @@ from gact.presentation import (
     build_gr_presentation,
     build_quotient_presentation,
     lavers_presentation,
-    presentation_from_text,
     presentation_to_text,
     schreier_build,
 )
@@ -26,7 +25,7 @@ from gact.endo import parse_wreath
 from gact.fpgroup import todd_coxeter
 from gact.rees import build_sandwich, matrix_to_text
 
-from helpers import value_positions
+from helpers import presentation_from_text, value_positions
 
 
 def run(capsys, *argv):

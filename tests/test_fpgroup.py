@@ -125,9 +125,9 @@ def test_abelianization_examples():
 
 
 def test_order_report_on_presentation_files():
-    from gact.fpgroup import order_report
     from gact import lavers_presentation, cyclic_group
     from gact.presentation import presentation_to_text
+    from helpers import order_report
 
     text = presentation_to_text(lavers_presentation(cyclic_group(2), 2))
     assert order_report(text) == "order=8"

@@ -15,7 +15,6 @@ from gact import (
     is_idempotent,
     lavers_presentation,
     make_group,
-    presentation_from_text,
     presentation_to_text,
     q_of,
     schreier_build,
@@ -43,8 +42,10 @@ from helpers import (
     MAIN_CASES,
     dense_r3_relators,
     eps_rank_r,
+    erase_generators,
     gr_r3_oracle,
     lavers_assignment,
+    presentation_from_text,
     validate_presentation,
     value_positions,
     wreath_elements,
@@ -307,22 +308,19 @@ def test_quotient_relator_cap():
 
 
 def test_value_route_matches_position_route():
-    # the gr relators, written on the value generators with identity
-    # letters erased, plus the merge relators, present the same group as
-    # the simplified value presentation: each relator set holds in the
-    # other's coset table
+    # the gr relators, written on the value generators (the identity letter
+    # kept: R2 kills it as P2 does), plus the merge relators, present the
+    # same group as the simplified value presentation: each relator set
+    # holds in the other's coset table
     for n, spec, r, expected in MAIN_CASES + [(4, "S3", 2, 72), (5, "Z3", 3, 162)]:
         g = make_group(spec)
         m = build_sandwich(g, n, r)
         q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
-        gen_of_value = {v: gi + 1 for gi, v in enumerate(q.gen_keys)}
-        gen_of_value[wreath_identity(r)] = 0  # erased
         p = build_gr_presentation(m, schreier_build(g, n, r))
-        letter = [gen_of_value[m.entries[l_idx][i]] for i, l_idx in p.gen_keys]
+        letter = [m.id_columns[l_idx][i] + 1 for i, l_idx in p.gen_keys]
         words = set()
         for w in p.relators:
-            image = [letter[x - 1] if x > 0 else -letter[-x - 1] for x in w]
-            words.add(free_reduce(x for x in image if x))
+            words.add(free_reduce(letter[x - 1] if x > 0 else -letter[-x - 1] for x in w))
         words.discard(())
         merges = [w for w, tag in zip(q.relators, q.tags) if tag == "merge"]
         oracle_words = sorted(words) + merges
@@ -523,6 +521,32 @@ def test_elimination_preserves_the_group():
         assert table.order == todd_coxeter(e).order == expected, (n, spec, r)
 
 
+def test_elimination_erases_killed_generators_first():
+    # the value presentation plus the merge words, over value ids + 1, reduces
+    # as it does with the identity (which P2 kills) erased and the other
+    # values renumbered by hand; the identity is logged first, as ()
+    for n, spec, r, _ in MAIN_CASES + [(6, "Z2", 3, 48), (5, "Z4", 2, 32), (4, "S3", 2, 72)]:
+        m = build_sandwich(make_group(spec), n, r)
+        p, log = build_quotient_presentation(m), []
+        q = simplify_presentation(p, m, connectivity(m), log)
+        letter = {v: gi + 1 for gi, v in enumerate(m.values)}
+        # one merge word per split value, however many roots it was certified at
+        merges = list(dict.fromkeys(
+            (letter[w.value], -letter[w.remainder], -letter[w.simple_factor]) for w in log
+        ))
+        full = Presentation(p.generators, p.relators + merges, p.tags + ["merge"] * len(merges))
+        one = letter[wreath_identity(r)]
+        e, e_log = eliminate_generators(full)
+        want, want_log = eliminate_generators(erase_generators(full, {one}))
+        assert (e.generators, e.relators, e.tags) == (want.generators, want.relators, want.tags), (n, spec, r)
+        keep = [g for g in range(1, len(full.generators) + 1) if g != one]
+        back = [(keep[g - 1], tuple(keep[x - 1] if x > 0 else -keep[-x - 1] for x in w)) for g, w in want_log]
+        assert e_log == [(one, ())] + back, (n, spec, r)
+        # simplification returns exactly that presentation, keyed by the values
+        assert (q.generators, q.relators, q.tags) == (full.generators, full.relators, full.tags)
+        assert q.gen_keys == m.values
+
+
 def test_elimination_skips_generators_that_occur_twice():
     # a^2 and a^3 eliminate nothing; in a b a only b occurs once, so
     # b = a^-2 is the one substitution
@@ -547,7 +571,13 @@ def test_elimination_never_lengthens_the_relators():
 
 def test_elimination_output_pinned():
     # (generators, relators, total length) after the pass, recorded when it was added
-    pinned = {("Z2", 6, 4): (13, 165, 954), ("S3", 4, 2): (10, 157, 825)}
+    pinned = {
+        ("Z2", 6, 4): (13, 165, 954), ("S3", 4, 2): (10, 157, 825),
+        # recorded while simplification still erased the identity and renumbered the values
+        ("Z2", 6, 3): (12, 595, 3196), ("Z4", 5, 2): (7, 437, 2783), ("trivial", 8, 5): (46, 1424, 6285),
+        ("Z4", 5, 3): (18, 282, 1621), ("trivial", 8, 6): (13, 136, 824), ("Z3", 5, 3): (11, 137, 782),
+        ("S3", 5, 3): (32, 721, 4079),
+    }
     for (spec, n, r), want in pinned.items():
         e, _ = eliminate_generators(value_presentation(spec, n, r))
         assert (len(e.generators), len(e.relators), total_length(e)) == want, (spec, n, r)
@@ -555,7 +585,13 @@ def test_elimination_output_pinned():
 
 def test_cosets_defined_pinned():
     # cosets the enumeration defines on the verify path, coset 0 included
-    pinned = {("Z2", 4, 2): (8, 11), ("S3", 4, 2): (72, 120)}
+    pinned = {
+        ("Z2", 4, 2): (8, 11), ("S3", 4, 2): (72, 120),
+        # recorded while simplification still erased the identity and renumbered the values
+        ("Z2", 6, 3): (48, 137), ("Z4", 5, 2): (32, 69), ("trivial", 8, 5): (120, 917),
+        ("Z4", 5, 3): (384, 1653), ("trivial", 8, 6): (720, 2673), ("Z3", 5, 3): (162, 535),
+        ("S3", 5, 3): (1296, 7779),
+    }
     for (spec, n, r), want in pinned.items():
         table = todd_coxeter(eliminate_generators(value_presentation(spec, n, r))[0])
         assert (table.order, table.defined) == want, (spec, n, r)
