@@ -155,12 +155,22 @@ def enumerate_order(m, caps: dict) -> tuple[int, list]:
     """The order by coset enumeration, and the merge log, on the built (n, r) matrix.
 
     The value presentation, position connectivity, simplification with
-    witness search, Tietze elimination and Todd-Coxeter.
+    witness search, Tietze elimination and Todd-Coxeter over <h>: h is the
+    surviving generator f[v] whose value v has the largest order in W, the
+    lowest index on ties, and |P| = [P : <h>] * |<h>|.  When no relation on
+    h is found, or no generator survives, Todd-Coxeter over the trivial
+    subgroup decides, under the same caps.
     """
     p = build_quotient_presentation(m, caps["max_relators"])
     pg = connectivity(m)
     log: list = []
     q, _ = eliminate_generators(simplify_presentation(p, m, pg, log))
+    if q.generators:
+        g, r = m.group, m.r
+        orders = [subgroup_order(g, [v], r, g.order ** r * factorial(r)) for v in q.gen_keys]
+        table = todd_coxeter(q, orders.index(max(orders)) + 1, caps["max_cosets"])
+        if table.subgroup_order:
+            return table.order * table.subgroup_order, log
     return todd_coxeter(q, max_cosets=caps["max_cosets"]).order, log
 
 
@@ -220,7 +230,9 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
 
     if not close_generators({m.value_id[v] + 1 for v in s.values}, len(m.values), fed()):
         return None
-    # after the slice's enumeration: the closing holds at most |W| <= max_cosets elements
+    # the closing holds up to |W| elements, so it is capped like the cosets
+    if order > caps["max_cosets"]:
+        raise Capped(caps["max_cosets"])
     if subgroup_order(g, inverses, r, order) != order:
         return None
     return order, log

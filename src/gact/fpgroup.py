@@ -8,6 +8,16 @@ memory: `verify` enumerates the Tietze-reduced presentation of
 `presentation.eliminate_generators`, not the value presentation itself.
 Words are tuples of signed 1-based generator indices (+g for the
 generator, -g for its inverse).
+
+Given a generator h, the cosets enumerated are those of H = <h>, and the
+table is labelled (modified Todd-Coxeter, Holt-Eick-O'Brien §5.6): the
+entry c.x = d carries the exponent e with rep(c)x = h^e rep(d), and the
+union-find an offset, rep(a) = h^off rep(parent).  Coset 0 starts as
+0.h = 0 with label 1; a definition gets label 0, a deduction the label
+that closes its scan.  A scan that closes at its own coset, or a
+coincidence of two cosets already merged, proves h^E = 1, and the gcd of
+those E is |H|: the labels mod the gcd make P act on index * gcd points.
+Without h every label stays 0 and the table is the plain one.
 """
 
 from __future__ import annotations
@@ -26,149 +36,181 @@ class CosetTable:
     """A complete, standardized coset table.
 
     table[c][2*(g-1)] is the coset c.g and table[c][2*(g-1)+1] is c.g^-1,
-    with cosets numbered 0..order-1 and 0 the subgroup coset.  defined
-    counts every coset the enumeration defined, coset 0 included.
+    with cosets numbered 0..order-1 and 0 the subgroup coset, so order is
+    the index.  defined counts every coset the enumeration defined, coset 0
+    included.  subgroup_order is |<h>| (0 if no relation on h was found), or
+    1 over the trivial subgroup.
     """
 
     n_gens: int
     table: list[list[int]]
     order: int
     defined: int
+    subgroup_order: int = 1
 
 
 def _columns(word):
     return tuple((2 * (g - 1)) if g > 0 else (2 * (-g - 1) + 1) for g in word)
 
 
-def _invcol(c):
-    return c ^ 1
-
-
 class _Enumerator:
-    def __init__(self, n_gens, max_cosets):
+    def __init__(self, n_gens, max_cosets, h=None):
         self.ncols = 2 * n_gens
         self.max_cosets = max_cosets
         self.table = [[None] * self.ncols]
+        self.labels = [[0] * self.ncols]
         self.p = [0]
+        self.off = [0]
+        self.relation = 0  # gcd of every E found with h^E = 1
+        if h is not None:
+            col = 2 * (h - 1)
+            self.table[0][col] = self.table[0][col + 1] = 0
+            self.labels[0][col], self.labels[0][col + 1] = 1, -1
 
     def rep(self, a):
-        p = self.p
-        root = a
-        while p[root] != root:
-            root = p[root]
-        while p[a] != root:
-            p[a], a = root, p[a]
-        return root
+        """(root, e) with rep(a) = h^e rep(root); compresses the path."""
+        p, off = self.p, self.off
+        if p[a] == a:
+            return a, 0
+        path = []
+        while p[a] != a:
+            path.append(a)
+            a = p[a]
+        e = 0
+        for b in reversed(path):
+            e += off[b]
+            p[b], off[b] = a, e
+        return a, e
 
     def define(self, a, col):
         if len(self.table) >= self.max_cosets:
             raise Capped(self.max_cosets)
         b = len(self.table)
         self.table.append([None] * self.ncols)
+        self.labels.append([0] * self.ncols)
         self.p.append(b)
+        self.off.append(0)
         self.table[a][col] = b
-        self.table[b][_invcol(col)] = a
+        self.table[b][col ^ 1] = a
 
-    def coincidence(self, a, b):
+    def coincidence(self, a, b, e):
         queue = deque()
-        self._merge(a, b, queue)
-        table = self.table
+        self._merge(a, b, e, queue)
+        table, labels = self.table, self.labels
         while queue:
             dead = queue.popleft()
             row = table[dead]
             for col in range(self.ncols):
-                e = row[col]
-                if e is None:
+                d = row[col]
+                if d is None:
                     continue
-                # detach the backlink, then replay the fact rep(dead).col = rep(e)
-                table[e][_invcol(col)] = None
+                # detach the backlink, then replay the fact rep(u).col = h^lab rep(v)
+                inv = col ^ 1
+                table[d][inv] = None
                 row[col] = None
-                u = self.rep(dead)
-                v = self.rep(e)
+                u, eu = self.rep(dead)
+                v, ev = self.rep(d)
+                lab = labels[dead][col] + ev - eu
                 existing = table[u][col]
                 if existing is not None:
-                    self._merge(self.rep(existing), v, queue)
+                    self._merge(existing, v, lab - labels[u][col], queue)
                 else:
-                    back = table[v][_invcol(col)]
+                    back = table[v][inv]
                     if back is not None:
-                        self._merge(self.rep(back), u, queue)
+                        self._merge(back, u, -lab - labels[v][inv], queue)
                     else:
-                        table[u][col] = v
-                        table[v][_invcol(col)] = u
+                        table[u][col], labels[u][col] = v, lab
+                        table[v][inv], labels[v][inv] = u, -lab
 
-    def _merge(self, a, b, queue):
-        a, b = self.rep(a), self.rep(b)
+    def _merge(self, a, b, e, queue):
+        # rep(a) = h^e rep(b); the larger root dies
+        a, ea = self.rep(a)
+        b, eb = self.rep(b)
+        e += eb - ea
         if a == b:
+            self.relation = gcd(self.relation, e)
             return
-        if a > b:
-            a, b = b, a
-        self.p[b] = a
-        queue.append(b)
+        if a < b:
+            a, b, e = b, a, -e
+        self.p[a], self.off[a] = b, e
+        queue.append(a)
 
     def scan_and_fill(self, a, word_cols):
         # forward and backward positions persist across gap definitions,
-        # so each scan is linear in the word length
-        table = self.table
-        fwd, i = a, 0
-        bwd, j = a, len(word_cols) - 1
+        # so each scan is linear in the word length; rep(a) u = h^ef rep(fwd)
+        # for the prefix u traced, and rep(a) t^-1 = h^eb rep(bwd) for the suffix t
+        table, labels = self.table, self.labels
+        fwd, i, ef = a, 0, 0
+        bwd, j, eb = a, len(word_cols) - 1, 0
         while True:
             while i <= j:
-                nxt = table[fwd][word_cols[i]]
+                col = word_cols[i]
+                nxt = table[fwd][col]
                 if nxt is None:
                     break
+                ef += labels[fwd][col]
                 fwd = nxt
                 i += 1
-            if i > j:
-                if fwd != bwd:
-                    self.coincidence(fwd, bwd)
-                return
-            while j >= i:
-                prv = table[bwd][_invcol(word_cols[j])]
-                if prv is None:
-                    break
-                bwd = prv
-                j -= 1
-            if j < i:
-                self.coincidence(fwd, bwd)
-                return
-            if j == i:
-                table[fwd][word_cols[i]] = bwd
-                table[bwd][_invcol(word_cols[i])] = fwd
-                return
-            self.define(fwd, word_cols[i])
+            if i <= j:
+                while j >= i:
+                    col = word_cols[j] ^ 1
+                    prv = table[bwd][col]
+                    if prv is None:
+                        break
+                    eb += labels[bwd][col]
+                    bwd = prv
+                    j -= 1
+                col = word_cols[i]
+                if j > i:
+                    self.define(fwd, col)
+                    continue
+                if j == i:  # a deduction: rep(fwd) x = h^(eb-ef) rep(bwd)
+                    table[fwd][col], labels[fwd][col] = bwd, eb - ef
+                    table[bwd][col ^ 1], labels[bwd][col ^ 1] = fwd, ef - eb
+                    return
+            # the scan closed: rep(fwd) = h^(eb-ef) rep(bwd)
+            if fwd != bwd:
+                self.coincidence(fwd, bwd, eb - ef)
+            elif ef != eb:
+                self.relation = gcd(self.relation, eb - ef)
+            return
 
 
-def todd_coxeter(pres, subgroup=(), max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
-    """Enumerate the cosets of the given subgroup; order when subgroup is empty.
+def todd_coxeter(pres, h: int | None = None, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
+    """Enumerate the cosets of <h>, generator h (1-based); of the trivial subgroup when h is None.
 
     pres is any object with `generators` and `relators` attributes in the
-    Presentation shape.  Raises Capped when max_cosets cosets have been
-    defined without closing the table.
+    Presentation shape.  The group order is order * subgroup_order.  Raises
+    Capped when max_cosets cosets have been defined without closing the
+    table.
     """
     n_gens = len(pres.generators)
     relators = [_columns(w) for w in pres.relators if w]
     for w in pres.relators:
         if any(not 1 <= abs(g) <= n_gens for g in w):
             raise ValueError("relator references an undeclared generator")
-    sub_words = [_columns(w) for w in subgroup if w]
-    enum = _Enumerator(n_gens, max_cosets)
-    for w in sub_words:
-        enum.scan_and_fill(0, w)
+    if h is not None and not 1 <= h <= n_gens:
+        raise ValueError("subgroup generator is not declared")
+    enum = _Enumerator(n_gens, max_cosets, h)
+    scan, p = enum.scan_and_fill, enum.p
     a = 0
     while a < len(enum.table):
-        if enum.p[a] != a:
+        if p[a] != a:
             a += 1
             continue
         for rel in relators:
-            enum.scan_and_fill(a, rel)
-            if enum.p[a] != a:
+            scan(a, rel)
+            if p[a] != a:
                 break
-        if enum.p[a] == a:
+        if p[a] == a:
             for col in range(enum.ncols):
                 if enum.table[a][col] is None:
                     enum.define(a, col)
         a += 1
-    return _compress_standardize(enum, n_gens)
+    table = _compress_standardize(enum, n_gens)
+    if h is not None:
+        table.subgroup_order = enum.relation
+    return table
 
 
 def _compress_standardize(enum, n_gens):
@@ -176,9 +218,9 @@ def _compress_standardize(enum, n_gens):
     # resolve every entry through the union-find first
     resolved = {}
     for c in live:
-        resolved[c] = [enum.rep(v) for v in enum.table[c]]
+        resolved[c] = [enum.rep(v)[0] for v in enum.table[c]]
     # breadth-first renumbering from the subgroup coset for a canonical table
-    start = enum.rep(0)
+    start = enum.rep(0)[0]
     number = {start: 0}
     order_list = [start]
     idx = 0
@@ -197,13 +239,6 @@ def _compress_standardize(enum, n_gens):
     table = [[number[v] for v in resolved[c]] for c in order_list]
     # rows are never freed, so the enumerator's table length counts every coset defined
     return CosetTable(n_gens, table, len(table), len(enum.table))
-
-
-def trace(t: CosetTable, start: int, word) -> int:
-    c = start
-    for col in _columns(word):
-        c = t.table[c][col]
-    return c
 
 
 def word_equal(t: CosetTable, w1, w2) -> bool:

@@ -323,9 +323,9 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
     that generator is substituted away everywhere, unless the total
     relator length would rise above the bound.  Relators longer than 4
     letters are set aside and rewritten once at the end.  Returns the
-    reduced presentation (surviving generators keep their names) and the
-    substitutions (g, w), g = w over the input's generators, in the order
-    they were made.
+    reduced presentation (surviving generators keep their names and keys)
+    and the substitutions (g, w), g = w over the input's generators, in the
+    order they were made.
     """
     active: dict[int, tuple] = {}  # id -> (word, tag, canonical form); at most 4 letters
     where: dict[int, set[int]] = defaultdict(set)  # generator -> ids of active relators
@@ -439,7 +439,8 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
     new_index = {g: k for k, g in enumerate(keep, start=1)}
     relators = [tuple(new_index[x] if x > 0 else -new_index[-x] for x in w) for w, _ in final.values()]
     names = [p.generators[g - 1] for g in keep]
-    return Presentation(names, relators, [tag for _, tag in final.values()]), log
+    keys = None if p.gen_keys is None else [p.gen_keys[g - 1] for g in keep]
+    return Presentation(names, relators, [tag for _, tag in final.values()], gen_keys=keys), log
 
 
 # -- the wreath-product presentation ------------------------------------------

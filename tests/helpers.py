@@ -16,7 +16,7 @@ from gact import (
     wreath_inv,
     wreath_mul,
 )
-from gact.fpgroup import DEFAULT_MAX_COSETS
+from gact.fpgroup import DEFAULT_MAX_COSETS, _columns
 from gact.presentation import free_reduce
 
 # (n, group, r, expected order) of the desk-scale main-theorem checks
@@ -478,6 +478,14 @@ def order_report(text, max_cosets=DEFAULT_MAX_COSETS):
     except Capped:
         return f"capped max={max_cosets}"
     return f"order={table.order}"
+
+
+def trace(t, start, word):
+    """The coset that word leads to from coset start in the table t."""
+    c = start
+    for col in _columns(word):
+        c = t.table[c][col]
+    return c
 
 
 def erase_generators(p, erased):

@@ -432,8 +432,9 @@ GOLDEN = {
         (0, "8a54db24b8b9e263c3c45d31a9e7b1ef5ef8d972b854fad66fad4e2e5a418cad", EMPTY, None),
     "verify --group Z2 --n 4 --r 2 --max-relators 10":
         (3, EMPTY, "9862a54ec7b288b7a58a4018c58cfbc1635ac26edf3b8025a547f7257594e424", None),
-    "verify --group Z2 --n 4 --r 2 --max-cosets 5":
-        (3, EMPTY, "acb9812ce90470cbe26770df73e4b882fb6a1324b22d7f24dc961301d0cb5eec", None),
+    # cap 4: over <h> the run defines 5 cosets (index 4, |<h>| = 2) and decides at cap 5
+    "verify --group Z2 --n 4 --r 2 --max-cosets 4":
+        (3, EMPTY, "2824a9790829942a9807c172396283eadc1a601cd574388356ca0b693f5322f0", None),
     "verify --group Z2 --n 4 --r 2 --max-entries 3 --json":
         (3, EMPTY, "e8c51f01aad4c2b6b8fef26bc52ef4ab5d992d9af3f6a8936036a55f4a06a3c2", None),
     "GACT_MAX_ENTRIES=3 verify --group Z2 --n 4 --r 2":

@@ -1,5 +1,9 @@
+import inspect
 import itertools
 import random
+import sys
+import types
+from functools import lru_cache
 
 import pytest
 
@@ -8,10 +12,20 @@ from gact import (
     IncompleteTable,
     Presentation,
     abelianization,
+    build_quotient_presentation,
+    build_sandwich,
+    cli,
+    connectivity,
+    fpgroup,
+    make_group,
+    simplify_presentation,
     todd_coxeter,
     word_equal,
 )
-from gact.fpgroup import trace
+from gact.endo import subgroup_order
+from gact.presentation import eliminate_generators
+
+from helpers import MAIN_CASES, trace
 
 
 def pres(gens, relators):
@@ -52,8 +66,9 @@ def test_other_known_orders():
 
 def test_subgroup_index():
     p = pres("st", [(1, 1), (2, 2), (1, 2) * 3])
-    t = todd_coxeter(p, subgroup=[(1,)])
+    t = todd_coxeter(p, h=1)
     assert t.order == 3  # index of the order-2 subgroup in the order-6 group
+    assert t.subgroup_order == 2
 
 
 def test_free_group_caps():
@@ -146,3 +161,108 @@ def test_metacyclic_with_conjugation_relator():
 
 def test_long_single_relator():
     assert todd_coxeter(pres("a", [(1,) * 500])).order == 500
+
+
+# -- enumeration over a cyclic subgroup <h> ------------------------------------
+
+# the desk main cases, the benchmark's verify-enum instances, S3 4 2 and Z4 6 4
+CYCLIC_CASES = sorted({(spec, n, r) for n, spec, r, _ in MAIN_CASES} | {
+    ("Z2", 6, 4), ("trivial", 8, 6), ("Z4", 5, 3), ("Z3", 5, 3), ("Z3", 5, 5), ("S3", 4, 2), ("Z4", 6, 4),
+})
+
+
+@lru_cache(maxsize=None)
+def reduced(spec, n, r):
+    """The Tietze-reduced presentation `cli.enumerate_order` enumerates, and its h.
+
+    h is the generator whose value has the largest order in W, the lowest
+    index on ties; None when no generator survives.
+    """
+    g = make_group(spec)
+    m = build_sandwich(g, n, r)
+    q, _ = eliminate_generators(simplify_presentation(build_quotient_presentation(m), m, connectivity(m)))
+    orders = [subgroup_order(g, [v], r, 10**9) for v in q.gen_keys]
+    return q, (orders.index(max(orders)) + 1 if orders else None)
+
+
+@pytest.mark.parametrize("spec, n, r", CYCLIC_CASES)
+def test_cyclic_enumeration_matches_the_trivial_subgroup(spec, n, r):
+    q, h = reduced(spec, n, r)
+    order = todd_coxeter(q).order
+    assert cli.enumerate_order(build_sandwich(make_group(spec), n, r), cli.DEFAULT_CAPS)[0] == order
+    # at desk scale every surviving generator may be h, not only the chosen one
+    for gen in range(1, len(q.generators) + 1) if order <= 400 else [h]:
+        t = todd_coxeter(q, gen)
+        assert t.order * t.subgroup_order == order, (spec, n, r, gen)
+
+
+def test_cyclic_enumeration_pinned(monkeypatch):
+    # (index, |<h>|, cosets defined) of the enumeration verify runs, recorded when it moved to <h>
+    pinned = {
+        ("Z2", 6, 4): (64, 6, 274), ("trivial", 8, 6): (120, 6, 528), ("Z4", 5, 3): (48, 8, 219),
+        ("Z3", 5, 3): (27, 6, 140), ("S3", 4, 2): (24, 3, 43),
+    }
+    seen = []
+
+    def spy(*args, **kwargs):
+        t = todd_coxeter(*args, **kwargs)
+        seen.append((t.order, t.subgroup_order, t.defined))
+        return t
+
+    monkeypatch.setattr(cli, "todd_coxeter", spy)
+    for (spec, n, r), want in pinned.items():
+        seen.clear()
+        order, _ = cli.enumerate_order(build_sandwich(make_group(spec), n, r), cli.DEFAULT_CAPS)
+        assert seen == [want] and order == want[0] * want[1], (spec, n, r)
+
+
+def mutant(monkeypatch, old, new):
+    """gact.fpgroup with the one occurrence of old in its source replaced by new."""
+    source = inspect.getsource(fpgroup)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("gact.fpgroup_mutant")
+    module.__package__ = "gact"
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclasses look the module up
+    exec(compile(source.replace(old, new), module.__name__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("old, new", [
+    # a coincidence replays each entry of a dead coset with its label negated
+    ("lab = labels[dead][col] + ev - eu", "lab = -labels[dead][col] + ev - eu"),
+    # a scan that closes at its own coset drops its exponent
+    ("self.relation = gcd(self.relation, eb - ef)", "pass"),
+], ids=["negated-replay-label", "dropped-scan-exponent"])
+def test_label_mutations_are_caught(monkeypatch, old, new):
+    broken = mutant(monkeypatch, old, new)
+    outcomes = set()
+    for spec, n, r in CYCLIC_CASES:
+        q, h = reduced(spec, n, r)
+        if h is None:
+            continue
+        t = broken.todd_coxeter(q, h)
+        right = todd_coxeter(q, h)
+        assert (t.order, t.defined) == (right.order, right.defined)  # labels never steer the enumeration
+        if t.subgroup_order == 0:
+            outcomes.add("fallback")
+        else:
+            outcomes.add("same" if t.subgroup_order == right.subgroup_order else "differs")
+    assert outcomes - {"same"}, outcomes
+
+
+def test_no_relation_on_h_falls_back_under_the_same_cap(monkeypatch):
+    t = todd_coxeter(pres("a", []), h=1)
+    assert (t.order, t.subgroup_order) == (1, 0)
+    m = build_sandwich(make_group("Z2"), 4, 2)
+    free = Presentation(["a"], [], [], gen_keys=[m.values[0]])
+    calls = []
+
+    def spy(q, h=None, max_cosets=None):
+        calls.append((h, max_cosets))
+        return todd_coxeter(q, h, max_cosets)
+
+    monkeypatch.setattr(cli, "eliminate_generators", lambda p: (free, []))
+    monkeypatch.setattr(cli, "todd_coxeter", spy)
+    with pytest.raises(Capped, match="capped at 50 cosets"):
+        cli.enumerate_order(m, dict(cli.DEFAULT_CAPS, max_cosets=50))
+    assert calls == [(1, 50), (None, 50)]

@@ -180,6 +180,14 @@ def test_caps_still_fire_on_the_route():
         assert (code, out.getvalue()) == (3, "") and says in err.getvalue(), flag
 
 
+def test_closure_is_capped_like_the_cosets():
+    # the (6, 4) slice fits in 274 cosets over <h>, but the closure would hold |W| = 384 elements
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["verify", "--group", "Z2", "--n", "7", "--r", "4", "--max-cosets", "300"])
+    assert (code, out.getvalue()) == (3, "") and "capped at 300 cosets" in err.getvalue()
+
+
 def test_default_stdout_unchanged_by_the_route(capsys):
     assert cli.main(["verify", "--group", "Z2", "--n", "6", "--r", "3"]) == 0
     assert capsys.readouterr().out == "order=48 expected=48 OK\n"
