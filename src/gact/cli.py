@@ -58,18 +58,18 @@ DEFAULT_CAPS = {
 
 
 def _cap(args, name: str) -> int:
-    """The flag's value, else the GACT_<NAME> variable's, else the default."""
-    value = getattr(args, name)
-    if value is not None:
-        return value
-    var = "GACT_" + name.upper()
-    env = os.environ.get(var)
-    if env is not None:
+    """The flag's value, else the GACT_<NAME> variable's, else the default; none may be negative."""
+    value, var = getattr(args, name), "GACT_" + name.upper()
+    source = f"--{name.replace('_', '-')} {value}"
+    if value is None and var in os.environ:
+        source = f"{var}={os.environ[var]!r}"
         try:
-            return int(env)
+            value = int(os.environ[var])
         except ValueError:
-            raise ParseError(f"{var}={env!r} is not an integer") from None
-    return DEFAULT_CAPS[name]
+            raise ParseError(f"{source} is not an integer") from None
+    if value is not None and value < 0:
+        raise ParseError(f"{source} is negative")
+    return DEFAULT_CAPS[name] if value is None else value
 
 
 def _check_ranks(args) -> str | None:

@@ -455,56 +455,40 @@ def lavers_presentation(g: Group, r: int, max_relators: int = DEFAULT_MAX_RELATO
     """
     if r < 1:
         raise BadRank("rank must be at least 1")
-    names = [f"t{i}" for i in range(1, r)]
-    gen_of = {}
-    for i in range(1, r):
-        gen_of[("t", i)] = i
-    nid = len(names)
-    for a in range(1, g.order):
-        for j in range(1, r + 1):
-            nid += 1
-            names.append(f"i{a}_{j}")
-            gen_of[("i", a, j)] = nid
+    names = [f"t{i}" for i in range(1, r)] + [
+        f"i{a}_{j}" for a in range(1, g.order) for j in range(1, r + 1)]
 
-    def t(i):
-        return gen_of[("t", i)]
-
-    def ins(a, j):
-        # identity insertions are the empty word
-        return () if a == 0 else (gen_of[("i", a, j)],)
-
-    def ins_inv(a, j):
-        return () if a == 0 else (-gen_of[("i", a, j)],)
+    def ins(a, j, sign=1):
+        # t_i is generator i; identity insertions are the empty word
+        return (sign * (r - 1 + (a - 1) * r + j),) if a else ()
 
     sink = _RelatorSink(max_relators)
     for i in range(1, r):
-        sink.add((t(i), t(i)), "W1")
+        sink.add((i, i), "W1")
     for i in range(1, r):
         for j in range(i + 2, r):
-            sink.add((t(i), t(j), -t(i), -t(j)), "W2")
+            sink.add((i, j, -i, -j), "W2")
     for i in range(1, r - 1):
-        sink.add((t(i), t(i + 1), t(i), -t(i + 1), -t(i), -t(i + 1)), "W3")
+        sink.add((i, i + 1, i, -i - 1, -i, -i - 1), "W3")
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
             for a in range(1, g.order):
                 for b in range(1, g.order):
-                    sink.add(
-                        ins(a, i) + ins(b, j) + ins_inv(a, i) + ins_inv(b, j), "W4"
-                    )
+                    sink.add(ins(a, i) + ins(b, j) + ins(a, i, -1) + ins(b, j, -1), "W4")
     for i in range(1, r + 1):
         for a in range(1, g.order):
             for b in range(1, g.order):
                 ab = g.table[a][b]
-                sink.add(ins(a, i) + ins(b, i) + ins_inv(ab, i), "W5")
+                sink.add(ins(a, i) + ins(b, i) + ins(ab, i, -1), "W5")
     for j in range(1, r):
         for i in range(1, r + 1):
             if i == j or i == j + 1:
                 continue
             for a in range(1, g.order):
-                sink.add(ins(a, i) + (t(j),) + ins_inv(a, i) + (-t(j),), "W6")
+                sink.add(ins(a, i) + (j,) + ins(a, i, -1) + (-j,), "W6")
     for i in range(1, r):
         for a in range(1, g.order):
-            sink.add(ins(a, i) + (t(i),) + ins_inv(a, i + 1) + (-t(i),), "W7")
+            sink.add(ins(a, i) + (i,) + ins(a, i + 1, -1) + (-i,), "W7")
     return Presentation(names, sink.words, sink.tags)
 
 

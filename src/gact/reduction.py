@@ -1,9 +1,11 @@
 """Connectivity of matrix positions and the consistency machinery.
 
-Positions of the sandwich matrix are (row, column) index pairs.  Two
-positions holding the same nonzero value are linked when they share a row
-or a column; the transitive closure makes connected positions carry the
-same generator in the presented group.  Values whose positions fall apart
+Positions of the sandwich matrix are (row, column) index pairs, numbered by
+their place in the lexicographic `nonzero_positions()` order.  Two positions
+holding the same nonzero value are linked when they share a row or a column;
+the transitive closure, one parent list in which a root holds -1 and is its
+component's least position, makes connected positions carry the same
+generator in the presented group.  Values whose positions fall apart
 into several components are handled by splitting off a simple form and
 certifying each component against the split by an explicit singular
 quadruple found in the matrix.
@@ -11,8 +13,9 @@ quadruple found in the matrix.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 from .endo import (
     Endo,
@@ -32,36 +35,43 @@ Position = tuple[int, int]
 class PositionGraph:
     """Union-find over the nonzero positions with equal-value links.
 
-    The representative of a component is its lexicographically least
-    (row, column) pair.
+    A position is numbered by its index in m.nonzero_positions(), which is
+    lexicographic, and only the parent list is stored: a root holds -1.  The
+    smaller number wins each union, so a root is its component's least position.
     """
 
     def __init__(self, m: SandwichMatrix):
         self.matrix = m
-        self.positions: list[Position] = list(m.nonzero_positions())
-        self._parent = list(range(len(self.positions)))
+        self._parent = [-1] * sum(len(col) - col.count(-1) for col in m.id_columns)
 
     def _find(self, i: int) -> int:
         parent = self._parent
         root = i
-        while parent[root] != root:
+        while parent[root] >= 0:
             root = parent[root]
-        while parent[i] != root:
+        while i != root:
             parent[i], i = root, parent[i]
         return root
 
     def _union(self, i: int, j: int):
         ri, rj = self._find(i), self._find(j)
-        if ri == rj:
-            return
-        if ri > rj:
-            ri, rj = rj, ri
-        self._parent[rj] = ri  # smaller index wins, so roots stay lexicographic minima
+        if ri != rj:
+            if ri > rj:
+                ri, rj = rj, ri
+            self._parent[rj] = ri
+
+    def roots(self) -> list[Position]:
+        """The component roots, ascending; the numbering must cover the nonzero positions exactly."""
+        return [pos for pos, p in zip(self.matrix.nonzero_positions(), self._parent, strict=True) if p < 0]
 
     def components(self) -> dict[Position, list[Position]]:
+        """Each root's members, ascending, in one pass: a root comes before its members."""
         out: dict[Position, list[Position]] = {}
-        for i, pos in enumerate(self.positions):
-            out.setdefault(self.positions[self._find(i)], []).append(pos)
+        members: dict[int, list[Position]] = {}
+        for idx, pos in enumerate(self.matrix.nonzero_positions()):
+            if (root := self._find(idx)) == idx:
+                out[pos] = members[idx] = []
+            members[root].append(pos)
         return out
 
 
@@ -76,7 +86,7 @@ def connectivity(m: SandwichMatrix) -> PositionGraph:
     first_in_col: list[dict[int, int]] = [{} for _ in ids]
     first_in_row: dict[int, int] = {}
     row = -1
-    for idx, (i, l_idx) in enumerate(pg.positions):
+    for idx, (i, l_idx) in enumerate(m.nonzero_positions()):
         if i != row:
             row, first_in_row = i, {}
         v = ids[l_idx][i]
@@ -87,11 +97,10 @@ def connectivity(m: SandwichMatrix) -> PositionGraph:
 
 def value_component_counts(pg: PositionGraph) -> dict[WreathElem, tuple[int, int]]:
     """Per value, in the matrix's value order: (number of positions, number of components)."""
-    counts = dict.fromkeys(pg.matrix.values, (0, 0))
-    for root, members in pg.components().items():
-        npos, ncomp = counts[v := pg.matrix.value_at(*root)]
-        counts[v] = (npos + len(members), ncomp + 1)
-    return counts
+    ids = pg.matrix.id_columns
+    npos = Counter(chain.from_iterable(ids))
+    ncomp = Counter(ids[l_idx][i] for i, l_idx in pg.roots())
+    return {v: (npos[x], ncomp[x]) for x, v in enumerate(pg.matrix.values)}
 
 
 # -- the three walking steps ---------------------------------------------------
@@ -353,9 +362,8 @@ def simplify_presentation(
 
     # component roots per value; merging a value collapses its list to one root
     roots_by_value: dict[WreathElem, list[Position]] = defaultdict(list)
-    for root in sorted(pg.components()):
-        v = m.value_at(*root)
-        if v != identity:
+    for root in pg.roots():
+        if (v := m.value_at(*root)) != identity:
             roots_by_value[v].append(root)
 
     def certify_single(value: WreathElem):

@@ -474,6 +474,16 @@ GOLDEN = {
         (0, EMPTY, EMPTY, "fe13099ce5f7d078a28f252c0f2e8712d06f5f4ff4ac48ce690f31cf73a9acfa"),
     "sandwich --group Z2 --n 4 --r 2 --output missing/out.txt":
         (2, EMPTY, "83efe36c1d6581a5bc366b62cd7701c0ede2c33fbda3b3947b983e3c328c3aa8", None),
+    # the Lavers builder's text, recorded before it numbered generators by arithmetic
+    "presentation --kind lavers --group S3 --n 4 --r 4":
+        (0, "7d7e5d205e7d77f48cee902d92e8f93ab231948dafa25aaf1a80869cbef8ca23", EMPTY, None),
+    "presentation --kind lavers --group Z3 --n 3 --r 3":
+        (0, "ebe05487152ae688eee4ff3381ebb4bff36d54da1c0ed6e23e0413b86f09a595", EMPTY, None),
+    # a negative cap, from a flag or a variable, is a usage error that names it
+    "verify --group Z2 --n 4 --r 2 --max-cosets -1":
+        (2, EMPTY, "aca78631237bdb7ce1f2963540b321e565d7b56287b86f0563deb5cfb7069b45", None),
+    "GACT_MAX_RELATORS=-5 verify --group Z2 --n 4 --r 2":
+        (2, EMPTY, "5375dcc3f3dc93e8128d134ae14b6bb34d694f92f35916c0c1eb975add9204fa", None),
 }
 
 

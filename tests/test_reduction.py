@@ -1,5 +1,5 @@
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -325,6 +325,7 @@ def test_simplify_surfaces_missing_witness():
 
     m = build_sandwich(Z2, 4, 2)
     unclosed = PositionGraph(m)
+    assert unclosed.roots() == list(m.nonzero_positions())
     with pytest.raises(WitnessNotFound):
         simplify_presentation(build_quotient_presentation(m), m, unclosed)
     # the position-keyed presentation is refused outright
@@ -387,12 +388,18 @@ def test_same_row_and_column_positions_are_linked():
 
 def test_connectivity_matches_bfs_closure():
     # the components are exactly the closure of same-row and same-column
-    # equal-value links, found here by breadth-first search
+    # equal-value links, found here by breadth-first search; the roots and
+    # the per-value counts are read off the same closure
     from gact import make_group
 
-    for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("Z3", 5, 3), ("trivial", 6, 3)):
+    cases = (("Z2", 4, 2), ("S3", 4, 2), ("Z3", 5, 3), ("trivial", 6, 3), ("Z2", 6, 3), ("trivial", 8, 5))
+    for spec, n, r in cases:
         m = build_sandwich(make_group(spec), n, r)
         value = {pos: m.entries[pos[1]][pos[0]] for pos in m.nonzero_positions()}
+        lines = defaultdict(list)  # ("row", i) and ("col", l) -> positions on that line
+        for pos in value:
+            lines["row", pos[0]].append(pos)
+            lines["col", pos[1]].append(pos)
         expected = {}
         seen = set()
         for start in value:
@@ -403,12 +410,19 @@ def test_connectivity_matches_bfs_closure():
             while queue:
                 a = queue.pop()
                 comp.append(a)
-                for b, v in value.items():
-                    if b not in seen and v == value[a] and (b[0] == a[0] or b[1] == a[1]):
+                for b in lines["row", a[0]] + lines["col", a[1]]:
+                    if b not in seen and value[b] == value[a]:
                         seen.add(b)
                         queue.append(b)
             expected[min(comp)] = sorted(comp)
-        assert connectivity(m).components() == expected, (spec, n, r)
+        counts = dict.fromkeys(m.values, (0, 0))
+        for root, comp in expected.items():
+            npos, ncomp = counts[value[root]]
+            counts[value[root]] = (npos + len(comp), ncomp + 1)
+        pg = connectivity(m)
+        assert pg.components() == expected, (spec, n, r)
+        assert pg.roots() == sorted(expected), (spec, n, r)
+        assert value_component_counts(pg) == counts, (spec, n, r)
 
 
 def test_step_u_prime_replaces_a_shared_minimum():
