@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from math import comb
 
 from .endo import (
@@ -69,26 +68,23 @@ def enumerate_idempotents(
     return out
 
 
-@dataclass(frozen=True)
-class ESquare:
+class ESquare(namedtuple("ESquare", "e f g h")):
     """Four idempotents (e, f, g, h) with e R f L g R h L e."""
 
-    e: Endo
-    f: Endo
-    g: Endo
-    h: Endo
+    __slots__ = ()
 
-    def __post_init__(self):
-        for x in (self.e, self.f, self.g, self.h):
+    def __new__(cls, e: Endo, f: Endo, g: Endo, h: Endo):
+        for x in (e, f, g, h):
             if not is_idempotent(x):
                 raise ValueError("all four corners must be idempotent")
         if not (
-            green_test(self.e, self.f, "R")
-            and green_test(self.f, self.g, "L")
-            and green_test(self.g, self.h, "R")
-            and green_test(self.h, self.e, "L")
+            green_test(e, f, "R")
+            and green_test(f, g, "L")
+            and green_test(g, h, "R")
+            and green_test(h, e, "L")
         ):
             raise ValueError("corners must satisfy e R f L g R h L e")
+        return tuple.__new__(cls, (e, f, g, h))
 
 
 def is_rectangular_band(sq: ESquare) -> bool:

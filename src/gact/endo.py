@@ -8,30 +8,28 @@ generators are 1-based in every stored value and text form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NotInH, ParseError, RankMismatch
 from .groups import Group
 
 
-@dataclass(frozen=True)
-class Endo:
-    group: Group
-    n: int
-    targets: tuple[int, ...]  # targets[j-1] = where generator j goes, in [1, n]
-    weights: tuple[int, ...]  # weights[j-1] = group element index
+class Endo(namedtuple("Endo", "group n targets weights")):
+    """Generator j goes to weights[j-1] (a group element index) times generator targets[j-1] in [1, n]."""
 
-    def __post_init__(self):
-        if len(self.targets) != self.n or len(self.weights) != self.n:
+    __slots__ = ()
+
+    def __new__(cls, group: Group, n: int, targets: tuple[int, ...], weights: tuple[int, ...]):
+        if len(targets) != n or len(weights) != n:
             raise ValueError("targets and weights must both have length n")
-        if any(not 1 <= t <= self.n for t in self.targets):
+        if any(not 1 <= t <= n for t in targets):
             raise ValueError("targets must lie in [1, n]")
-        if any(not 0 <= w < self.group.order for w in self.weights):
+        if any(not 0 <= w < group.order for w in weights):
             raise ValueError("weights must be group element indices")
+        return tuple.__new__(cls, (group, n, targets, weights))
 
 
-@dataclass(frozen=True)
-class KernelData:
+class KernelData(namedtuple("KernelData", "blocks mins normweights")):
     """Kernel of an endomorphism as a congruence invariant.
 
     blocks partition [1, n] by the target map, ordered by block minimum;
@@ -40,24 +38,20 @@ class KernelData:
     endomorphisms have equal kernels exactly when these fields coincide.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
-    mins: tuple[int, ...]
-    normweights: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WreathElem:
-    """Invertible map of rank r: a permutation of [1, r] plus weights."""
+class WreathElem(namedtuple("WreathElem", "r perm weights")):
+    """Invertible map of rank r: a permutation of [1, r] (perm[j-1] is the image of j) plus weights."""
 
-    r: int
-    perm: tuple[int, ...]  # perm[j-1] = image of j
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.perm) != self.r or len(self.weights) != self.r:
+    def __new__(cls, r: int, perm: tuple[int, ...], weights: tuple[int, ...]):
+        if len(perm) != r or len(weights) != r:
             raise ValueError("perm and weights must both have length r")
-        if sorted(self.perm) != list(range(1, self.r + 1)):
+        if sorted(perm) != list(range(1, r + 1)):
             raise ValueError("perm must be a permutation of [1, r]")
+        return tuple.__new__(cls, (r, perm, weights))
 
 
 def identity_endo(g: Group, n: int) -> Endo:
@@ -129,20 +123,24 @@ def wreath_identity(r: int) -> WreathElem:
 
 def wreath_mul(g: Group, a: WreathElem, b: WreathElem) -> WreathElem:
     """a followed by b, matching endomorphism composition."""
-    if a.r != b.r:
+    r, a_perm, a_weights = a  # unpacked once: a field read costs more than a local
+    r_b, b_perm, b_weights = b
+    if r != r_b:
         raise RankMismatch("wreath product needs equal ranks")
     mul = g.table
-    perm = tuple(b.perm[t - 1] for t in a.perm)
-    weights = tuple(mul[w][b.weights[t - 1]] for w, t in zip(a.weights, a.perm))
-    return WreathElem(a.r, perm, weights)
+    perm = tuple(b_perm[t - 1] for t in a_perm)
+    weights = tuple(mul[w][b_weights[t - 1]] for w, t in zip(a_weights, a_perm))
+    return WreathElem(r, perm, weights)
 
 
 def wreath_inv(g: Group, a: WreathElem) -> WreathElem:
-    inv_perm = [0] * a.r
-    for j, t in enumerate(a.perm, start=1):
+    r, perm, a_weights = a
+    inv_perm = [0] * r
+    for j, t in enumerate(perm, start=1):
         inv_perm[t - 1] = j
-    weights = tuple(g.inverse[a.weights[inv_perm[j] - 1]] for j in range(a.r))
-    return WreathElem(a.r, tuple(inv_perm), weights)
+    inverse = g.inverse
+    weights = tuple(inverse[a_weights[inv_perm[j] - 1]] for j in range(r))
+    return WreathElem(r, tuple(inv_perm), weights)
 
 
 def subgroup_order(g: Group, gens, r: int, limit: int) -> int:

@@ -22,8 +22,7 @@ Without h every label stays 0 and the table is the plain one.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from math import gcd
 
 from .errors import Capped, IncompleteTable
@@ -31,7 +30,6 @@ from .errors import Capped, IncompleteTable
 DEFAULT_MAX_COSETS = 1_000_000
 
 
-@dataclass
 class CosetTable:
     """A complete, standardized coset table.
 
@@ -42,11 +40,12 @@ class CosetTable:
     1 over the trivial subgroup.
     """
 
-    n_gens: int
-    table: list[list[int]]
-    order: int
-    defined: int
-    subgroup_order: int = 1
+    def __init__(self, n_gens: int, table: list[list[int]], order: int, defined: int, subgroup_order: int = 1):
+        self.n_gens = n_gens
+        self.table = table
+        self.order = order
+        self.defined = defined
+        self.subgroup_order = subgroup_order
 
 
 def _columns(word):
@@ -266,10 +265,8 @@ def word_equal(t: CosetTable, w1, w2) -> bool:
 
 # -- abelianization -----------------------------------------------------------
 
-@dataclass
-class Abelianization:
-    torsion: tuple[int, ...] = ()
-    free_rank: int = 0
+class Abelianization(namedtuple("Abelianization", "torsion free_rank", defaults=((), 0))):
+    __slots__ = ()
 
 
 def abelianization(pres) -> Abelianization:

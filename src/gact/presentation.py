@@ -8,25 +8,25 @@ inputs give byte-identical presentations.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict, namedtuple
 from heapq import heappop, heappush
 from itertools import chain, count, islice
 
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ResourceLimit
 from .groups import Group
-from .rees import KernelIndex, SandwichMatrix, column_pairs, kernel_index_of, lambda_list
+from .rees import SandwichMatrix, column_pairs, kernel_index_of, lambda_list
 
 DEFAULT_MAX_RELATORS = 5_000_000
 
 
-@dataclass
 class Presentation:
-    generators: list[str]
-    relators: list[tuple[int, ...]]
-    tags: list[str]
-    gen_keys: list | None = None  # builder-specific key per generator
+    def __init__(self, generators: list[str], relators: list[tuple[int, ...]], tags: list[str],
+                 gen_keys: list | None = None):
+        self.generators = generators
+        self.relators = relators
+        self.tags = tags
+        self.gen_keys = gen_keys  # builder-specific key per generator
 
     def tag_count(self, tag: str) -> int:
         return sum(1 for t in self.tags if t == tag)
@@ -66,23 +66,17 @@ class _RelatorSink:
 
 # -- Schreier system ----------------------------------------------------------
 
-@dataclass
-class SchreierSystem:
+class SchreierSystem(namedtuple("SchreierSystem", "n r lambdas parent letter attach words")):
     """Prefix-closed words of idempotents translating between image columns.
 
     The root column (1..r) carries the empty word.  Every other column is
     reached from its parent (decrement the last decrementable slot) by one
     idempotent letter whose image is the column itself; attach records that
-    letter's kernel row.
+    letter's kernel row.  parent, letter, attach and words are dicts keyed
+    by column.
     """
 
-    n: int
-    r: int
-    lambdas: list[tuple[int, ...]]
-    parent: dict[tuple[int, ...], tuple[int, ...]]
-    letter: dict[tuple[int, ...], Endo]
-    attach: dict[tuple[int, ...], KernelIndex]
-    words: dict[tuple[int, ...], tuple[Endo, ...]]
+    __slots__ = ()
 
 
 def _schreier_letter(g: Group, n: int, lam: tuple[int, ...]) -> Endo:

@@ -14,7 +14,6 @@ quadruple found in the matrix.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import chain
 
 from .endo import (
@@ -327,15 +326,16 @@ def find_singular_witness(
                 return (i_idx, k_idx, l_idx, mu)
 
 
-@dataclass
 class MergeWitness:
     """Record of one certified component merge."""
 
-    value: WreathElem
-    component: Position
-    simple_factor: WreathElem
-    remainder: WreathElem
-    square: tuple[int, int, int, int]  # rows (t, j), columns (lambda, mu)
+    def __init__(self, value: WreathElem, component: Position, simple_factor: WreathElem, remainder: WreathElem,
+                 square: tuple[int, int, int, int]):
+        self.value = value
+        self.component = component
+        self.simple_factor = simple_factor
+        self.remainder = remainder
+        self.square = square  # rows (t, j), columns (lambda, mu)
 
 
 def simplify_presentation(

@@ -14,8 +14,7 @@ row's partition.  The matrix is stored once, as a grid of value ids.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property
 from math import comb
 from operator import add, itemgetter
@@ -58,16 +57,14 @@ def set_partitions(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class KernelIndex:
+class KernelIndex(namedtuple("KernelIndex", "partition weightvec")):
     """A row index: block partition plus weights at non-minimal positions.
 
     weightvec lists group elements for the positions of [1, n] outside the
     block minima, in increasing position order.
     """
 
-    partition: tuple[tuple[int, ...], ...]
-    weightvec: tuple[int, ...]
+    __slots__ = ()
 
     def mins(self) -> tuple[int, ...]:
         return tuple(b[0] for b in self.partition)
