@@ -4,7 +4,8 @@
 whose argparse specs `FLAGS` holds once; `main` resolves only the caps the
 subcommand takes, and `_emit` writes the lines every handler returns.
 Exit codes: 0 success (and verified), 1 verification mismatch, 2 usage or
-input errors, 3 a resource cap was hit (the message names the cap).
+input errors, 3 a resource cap was hit (the message names the cap) or memory
+ran out.
 Text exports stream line by line.  A regular `--output` file is replaced only
 once complete, so a capped run leaves it untouched; stdout may get a prefix.
 """
@@ -414,6 +415,10 @@ def main(argv=None) -> int:
     except (GactError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # reported below, once the traceback has released the run's tables
+    print("error: out of memory; lower --max-cosets or --max-entries", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

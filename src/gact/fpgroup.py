@@ -321,24 +321,18 @@ def _smith_diagonal(rows, n):
         mat[t], mat[pi] = mat[pi], mat[t]
         for row in mat:
             row[t], row[pj] = row[pj], row[t]
-        dirty = False
         for i in range(t + 1, m):
             if mat[i][t] != 0:
                 q = mat[i][t] // mat[t][t]
                 for j in range(t, n):
                     mat[i][j] -= q * mat[t][j]
-                if mat[i][t] != 0:
-                    dirty = True
         for j in range(t + 1, n):
             if mat[t][j] != 0:
                 q = mat[t][j] // mat[t][t]
                 for i in range(t, m):
                     mat[i][j] -= q * mat[i][t]
-                if mat[t][j] != 0:
-                    dirty = True
-        if dirty or any(mat[i][t] for i in range(t + 1, m)) or any(
-            mat[t][j] for j in range(t + 1, n)
-        ):
+        # row operations leave row t alone and column operations column t
+        if any(mat[i][t] for i in range(t + 1, m)) or any(mat[t][j] for j in range(t + 1, n)):
             continue  # smaller remainders appeared; re-pivot the same block
         diag.append(abs(mat[t][t]))
         t += 1

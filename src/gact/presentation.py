@@ -286,10 +286,6 @@ def _cyclic_reduce(word) -> tuple[int, ...]:
     return word[i:j]
 
 
-def _cyclic_pairs(word):
-    return zip(word, word[1:] + word[:1])
-
-
 def _canonical(word) -> tuple[int, ...]:
     """Least rotation of the word or of its inverse."""
     inv = _inverse(word)
@@ -314,17 +310,16 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
     first, ties broken by canonical form (the least rotation of the word or
     its inverse).  A relator of length at most 3 is solved for the first
     letter of its canonical form whose generator occurs in it once, and
-    that generator is substituted away everywhere, unless the total
-    relator length would rise above the bound.  Relators longer than 4
-    letters are set aside and rewritten once at the end.  Returns the
-    reduced presentation (surviving generators keep their names and keys)
-    and the substitutions (g, w), g = w over the input's generators, in the
-    order they were made.
+    that generator is substituted away everywhere.  The one bound test is
+    the exact growth: the substitution is made unless the rewritten
+    relators, the set-aside ones included, would take the total relator
+    length above the bound.  Relators longer than 4 letters are set aside
+    and rewritten once at the end.  Returns the reduced presentation
+    (surviving generators keep their names and keys) and the substitutions
+    (g, w), g = w over the input's generators, in the order they were made.
     """
     active: dict[int, tuple] = {}  # id -> (word, tag, canonical form); at most 4 letters
     where: dict[int, set[int]] = defaultdict(set)  # generator -> ids of active relators
-    occ: Counter = Counter()  # letters per generator, active relators
-    pairs: Counter = Counter()  # cyclically adjacent letter pairs, active relators
     aside: list[tuple[tuple[int, ...], str]] = []
     aside_occ: Counter = Counter()  # letters per generator, set-aside relators as rewritten
     seen: set[tuple[int, ...]] = set()
@@ -347,8 +342,6 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
         active[rid] = (word, tag, canon)
         for x in word:
             where[abs(x)].add(rid)
-            occ[abs(x)] += 1
-        pairs.update(_cyclic_pairs(word))
         if len(word) <= 3:
             heappush(heap, (len(word), canon, rid))
         return len(word)
@@ -358,8 +351,6 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
         seen.discard(canon)
         for x in word:
             where[abs(x)].discard(rid)
-            occ[abs(x)] -= 1
-        pairs.subtract(_cyclic_pairs(word))
         return entry
 
     # a generator a one-letter relator kills is erased before the bound is taken
@@ -381,15 +372,6 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
         g, rest = abs(x), canon[at + 1:] + canon[:at]
         w = _inverse(rest) if x > 0 else rest
         w_inv = _inverse(w)
-        letters = (len(w) - 1) * (occ[g] - 1 + aside_occ[g])
-        if total - length + letters > bound:
-            # the letters alone do not fit, so w has two: rewrite only when
-            # the neighbours of g that cancel against w could make it fit
-            a, b = w
-            hits = {(-a, g), (g, -b), (b, -g), (-g, a)}
-            cancel = sum(pairs[h] for h in hits) - sum(h in hits for h in _cyclic_pairs(canon))
-            if total - length + letters - 2 * cancel > bound:
-                continue
         others = sorted(where[g] - {rid})
         rewritten = [_substitute(active[o][0], g, w, w_inv) for o in others]
         growth = sum(len(new) - len(active[o][0]) for o, new in zip(others, rewritten))
@@ -407,10 +389,6 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
 
     # a substitution's word names only generators eliminated after it, so
     # resolving backwards through the log needs each word once
-    needed = {abs(x) for word, _ in aside for x in word}
-    for g, w in log:
-        if g in needed:
-            needed.update(abs(y) for y in w)
     resolved: dict[int, tuple[int, ...]] = {}
 
     def expand(word) -> list[int]:
@@ -421,8 +399,7 @@ def eliminate_generators(p: Presentation) -> tuple[Presentation, list]:
         return out
 
     for g, w in reversed(log):
-        if g in needed:
-            resolved[g] = free_reduce(expand(w))
+        resolved[g] = free_reduce(expand(w))
     final = {canon: (word, tag) for word, tag, canon in active.values()}
     for word, tag in aside:
         word = _cyclic_reduce(expand(word))

@@ -378,6 +378,35 @@ def test_output_error_names_the_given_path(capsys, tmp_path):
     assert f"No such file or directory: '{target}'\n" in err and ".tmp" not in err
 
 
+OUT_OF_MEMORY = "error: out of memory; lower --max-cosets or --max-entries\n"
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    # memory running out is a resource limit, not a mismatch: one line, no traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "todd_coxeter", exhausted)
+    assert run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "2") == (3, "", OUT_OF_MEMORY)
+
+
+def test_out_of_memory_export_leaves_no_file(capsys, monkeypatch, tmp_path):
+    # memory runs out after the first relators were streamed to the temporary file
+    real = cli.gr_relators
+
+    def exhausted(*args):
+        relators = real(*args)
+        yield next(relators)
+        yield next(relators)
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "gr_relators", exhausted)
+    path = tmp_path / "P"
+    argv = ["presentation", "--kind", "gr", "--group", "Z2", "--n", "4", "--r", "2", "--output", str(path)]
+    assert run(capsys, *argv) == (3, "", OUT_OF_MEMORY)
+    assert os.listdir(tmp_path) == []
+
+
 # exit code and sha256 of stdout, stderr and ./out.txt (None: no file) per
 # invocation, recorded before the command-table rewrite of the front end
 EMPTY = hashlib.sha256(b"").hexdigest()

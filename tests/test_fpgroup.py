@@ -3,6 +3,7 @@ import itertools
 import random
 import types
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -160,6 +161,45 @@ def test_metacyclic_with_conjugation_relator():
 
 def test_long_single_relator():
     assert todd_coxeter(pres("a", [(1,) * 500])).order == 500
+
+
+def _det(mat):
+    # Leibniz expansion; the minors here are at most 4 x 4
+    k, total = len(mat), 0
+    for perm in itertools.permutations(range(k)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
+def test_abelianization_matches_determinantal_divisors():
+    # oracle: the k-th determinantal divisor d_k is the gcd of the k x k
+    # minors, and the invariant factors are d_k / d_(k-1) up to the rank
+    rng = random.Random(302)
+    for trial in range(300):
+        m, n = rng.randint(0, 4), rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        if m and trial % 3 == 0:
+            rows[rng.randrange(m)] = [0] * n
+        if trial % 4 == 0:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        divisors = [1]
+        for k in range(1, min(m, n) + 1):
+            d = 0
+            for ri in itertools.combinations(range(m), k):
+                for ci in itertools.combinations(range(n), k):
+                    d = gcd(d, _det([[rows[i][j] for j in ci] for i in ri]))
+            if d == 0:
+                break
+            divisors.append(d)
+        factors = [b // a for a, b in zip(divisors, divisors[1:])]
+        relators = [[j + 1 if e > 0 else -j - 1 for j, e in enumerate(row) for _ in range(abs(e))] for row in rows]
+        ab = abelianization(pres("abcd"[:n], relators))
+        assert (ab.torsion, ab.free_rank) == (tuple(f for f in factors if f > 1), n - len(factors)), rows
 
 
 # -- enumeration over a cyclic subgroup <h> ------------------------------------

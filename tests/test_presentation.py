@@ -583,6 +583,44 @@ def test_elimination_output_pinned():
         assert (len(e.generators), len(e.relators), total_length(e)) == want, (spec, n, r)
 
 
+def test_elimination_log_pinned():
+    # sha256 of repr((generators, relators, tags, log)) per instance, recorded
+    # while the pass still forecast cancellations from a count of letter pairs
+    # and resolved only the substitutions the set-aside relators needed: the
+    # CYCLIC_CASES of test_fpgroup, those of test_cosets_defined_pinned, and
+    # three n = r+2 instances whose enumeration takes seconds
+    pinned = {
+    ("S3", 4, 2): "a4461199640cf4108b370c28acfa7a389fce291392869c45ab448d0da3545158",
+    ("S3", 5, 3): "b8c9896fb12be050294747acc78555c921189bf5905568640b6d96bd1eff0260",
+    ("Z2", 4, 1): "2fbff304ae4aec4b06a657e06db9a194566d62de7c673b17262e125ab0d984ab",
+    ("Z2", 4, 2): "e56ceffd3ded21077e7cae4eef897bad78e8e75a96cc4ac305ce6ffa3ef59321",
+    ("Z2", 5, 2): "2f984a2dcb2bc999689617334789871b4ad7449933ec116b6bc9998f199dc9df",
+    ("Z2", 5, 3): "b9bc5c0a7f2f776a7d3f250f58198e140a456007ce5b56498722648f52ffb92f",
+    ("Z2", 6, 3): "106eabcc50e86185f0b05dd2804e09ae7e387a3452311c2101eb64560a6d2642",
+    ("Z2", 6, 4): "0df6d8d53843a424aea62d527aebfbe594fb59e12dae6e62ed34761dc7c04482",
+    ("Z3", 5, 2): "c9bd164427a0dd9d903c2148f21c378fc6fc1c2751595a34bfb2db52622d93a9",
+    ("Z3", 5, 3): "eeb539cdb97dd70572ba549459fec82a2674cdca3a7512d9c3950c042d95a98b",
+    ("Z3", 5, 5): "fca83126492e891516de617976cc96bb625e442570f35c569c999863ce67d3e4",
+    ("Z4", 5, 2): "e422a09b0a410fa2b49460e9ebe65a603cd137e00d592a3f383f18b1ec23c0e7",
+    ("Z4", 5, 3): "c0544f469dd60e2970510499cd9c8891aeb889c1d32c510e172ed8dac7ff029e",
+    ("Z4", 6, 4): "98cd8927fdc87e50c512f03fa8b028fdc5abfd8f2b0182e428b091dea9091c7f",
+    ("trivial", 4, 1): "fca83126492e891516de617976cc96bb625e442570f35c569c999863ce67d3e4",
+    ("trivial", 4, 2): "4f6d26fe3534e6be7a3a2f169a18930b6a907af1a839da8655fbf7f42d7e83eb",
+    ("trivial", 5, 2): "4f6d26fe3534e6be7a3a2f169a18930b6a907af1a839da8655fbf7f42d7e83eb",
+    ("trivial", 5, 3): "848a9986af24720d0cd1ecdfd0a994d5591ec29cc817cfbb8702190ebfe6b063",
+    ("trivial", 6, 4): "f901a20413ac4124a28e62a762c8f26d13bc29ccc863d4fe6e753f42c2aacf4d",
+    ("trivial", 8, 5): "001c55f0827c60d6c4944218e3585319e7e7195895087494e14ab42a885ea2ae",
+    ("trivial", 8, 6): "34a46761de52388cea06f41764504eeeb5296afa6cfdf628b4a5eba619711904",
+    ("Z2", 8, 6): "5d90772a221d60b01110e3e2b5616d62a59787db7bb9c0edc6dab7a17ea397c4",
+    ("S3", 6, 4): "3b242cb06d405dcaba68c7397f94b321e5cecfeda18809bb24820e5da108c293",
+    ("Z3", 7, 5): "f9255f6551a304629d91a8b155cd3abbf3c2c87ff34383daab1eb3147f66b217",
+    }
+    for (spec, n, r), digest in pinned.items():
+        e, log = eliminate_generators(value_presentation(spec, n, r))
+        text = repr((e.generators, e.relators, e.tags, log))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (spec, n, r)
+
+
 def test_cosets_defined_pinned():
     # cosets the enumeration defines on the verify path, coset 0 included
     pinned = {
