@@ -6,8 +6,9 @@ subcommand takes, and `_emit` writes the lines every handler returns.
 Exit codes: 0 success (and verified), 1 verification mismatch, 2 usage or
 input errors, 3 a resource cap was hit (the message names the cap) or memory
 ran out.
-Text exports stream line by line.  A regular `--output` file is replaced only
-once complete, so a capped run leaves it untouched; stdout may get a prefix.
+Text exports stream line by line, the gr text one row of relators at a time.
+A regular `--output` file is replaced only once complete, so a capped run leaves
+it untouched; stdout may get a prefix, exactly the relators under the cap.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .presentation import (
     gr_grids,
     gr_relators,
     lavers_presentation,
-    position_gen_name,
+    position_names,
     presentation_lines,
     quotient_relators,
     schreier_build,
@@ -274,11 +275,12 @@ def _presentation(args, g, caps):
         elif args.json:
             p = build_gr_presentation(m, schreier_build(g, args.n, args.r), caps["max_relators"])
         else:
-            grids = gr_grids(m, lambda _, i, l: (name := position_gen_name(m, i, l), name + "'"))
-            names = [grids[0][i][l] for i, cols in enumerate(grids[3]) for l in cols]
-            relators = gr_relators(m, schreier_build(g, args.n, args.r), caps["max_relators"], grids)
-            rels = ("rel " + " ".join(letters) + "\n" for letters, _ in relators)
-            return chain(presentation_lines(names, ()), rels), 0
+            name = position_names(m)
+            grids = gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
+            names = [grids[0][i][l] for i, cols in enumerate(grids[2]) for l in cols]
+            batches = gr_relators(m, schreier_build(g, args.n, args.r), caps["max_relators"], grids)
+            rows = ("".join([f"rel {' '.join(w)}\n" for w in words]) for _, words in batches)
+            return chain(presentation_lines(names, ()), rows), 0
     if args.json:
         relators = [list(w) for w in p.relators]
         return _json({"generators": p.generators, "relators": relators, "tags": p.tags}), 0
@@ -403,9 +405,10 @@ def main(argv=None) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return 2
     handler, _, flags = COMMANDS[args.command]
+    taken = [name for name in flags.split() if name in DEFAULT_CAPS]
     try:
         g = make_group(args.group)
-        caps = {name: _cap(args, name) for name in flags.split() if name in DEFAULT_CAPS}
+        caps = {name: _cap(args, name) for name in taken}
         lines, code = handler(args, g, caps)
         _emit(args, lines)
         return code
@@ -417,7 +420,9 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         pass  # reported below, once the traceback has released the run's tables
-    print("error: out of memory; lower --max-cosets or --max-entries", file=sys.stderr)
+    # the cap on the subcommand's largest table, its last, then the matrix's, its first
+    advice = " or ".join("--" + cap.replace("_", "-") for cap in dict.fromkeys(taken[-1:] + taken[:1]))
+    print("error: out of memory" + (f"; lower {advice}" if advice else ""), file=sys.stderr)
     return 3
 
 

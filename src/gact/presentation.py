@@ -7,15 +7,14 @@ inputs give byte-identical presentations.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter, defaultdict, namedtuple
 from heapq import heappop, heappush
-from itertools import chain, count, islice
+from itertools import chain, combinations, count
 
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ResourceLimit
 from .groups import Group
-from .rees import SandwichMatrix, column_pairs, kernel_index_of, lambda_list
+from .rees import KeyClasses, SandwichMatrix, column_pairs, kernel_index_of, lambda_list
 
 DEFAULT_MAX_RELATORS = 5_000_000
 
@@ -119,85 +118,85 @@ def schreier_build(g: Group, n: int, r: int) -> SchreierSystem:
 
 # -- the position-indexed presentation ----------------------------------------
 
-def position_gen_name(m: SandwichMatrix, i_idx: int, l_idx: int) -> str:
-    lam = ".".join(str(u) for u in m.lambdas[l_idx])
-    return f"f_{i_idx}_{lam}"
+def position_names(m: SandwichMatrix):
+    """Position (i, l)'s generator name f_<i>_<λ dotted>, as a function of i and l; λ texts are made once."""
+    lams = [".".join(map(str, lam)) for lam in m.lambdas]
+    return lambda i_idx, l_idx: f"f_{i_idx}_{lams[l_idx]}"
 
 
 def gr_grids(m: SandwichMatrix, spell=None):
-    """(plus, minus, rows_of, cols_of) from one pass over `m.nonzero_positions()`.
+    """(plus, minus, cols_of) from one pass over `m.nonzero_positions()`.
 
     plus[i][l], minus[i][l] = spell(g, i, l), by default (g, -g), spell the g-th
-    position's generator and its inverse; rows_of and cols_of list ascending
-    the nonzero rows of each column and columns of each row.
+    position's generator and its inverse; cols_of lists each row's nonzero
+    columns, ascending.
     """
     nrows, ncols = len(m.kernels), len(m.lambdas)
     plus = [[None] * ncols for _ in range(nrows)]
     minus = [[None] * ncols for _ in range(nrows)]
-    rows_of: list[list[int]] = [[] for _ in range(ncols)]
     cols_of: list[list[int]] = [[] for _ in range(nrows)]
     for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
         plus[i][l_idx], minus[i][l_idx] = spell(gen, i, l_idx) if spell else (gen, -gen)
-        rows_of[l_idx].append(i)
         cols_of[i].append(l_idx)
-    return plus, minus, rows_of, cols_of
+    return plus, minus, cols_of
 
 
 def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS, grids=None):
-    """Yield the position presentation's relators as (word, tag), keeping none.
+    """Yield the position presentation's relators in batches (tag, words), keeping none.
 
     Generator g is the g-th of `m.nonzero_positions()`; words spell it from the
     letter grids of `grids`, by default `gr_grids(m)`: g and -g.  R1 follows
-    the Schreier tree edges, R2 kills each row's district generator, and R3
-    chains, per row pair i < k, the shared columns whose quotients agree;
-    order i, k, column.  Each word is freely reduced and new; the one past
-    max_relators raises ResourceLimit.
+    the Schreier tree edges, R2 kills each row's district generator, one batch
+    each; R3 gives one batch per row i, chaining, for each row k > i, the
+    columns whose column-pair keys agree; order k, column.  Each word is
+    freely reduced and new; the batch that passes max_relators is cut there,
+    and ResourceLimit follows it.
     """
-    relators = _gr_words(m, s, *(grids or gr_grids(m)))
-    yield from islice(relators, max(max_relators, 0))
-    if next(relators, None) is not None:
-        raise ResourceLimit("relators", max_relators)
+    left = max(max_relators, 0)
+    for tag, words in _gr_words(m, s, *(grids or gr_grids(m))):
+        if len(words) > left:
+            yield tag, words[:left]
+            raise ResourceLimit("relators", max_relators)
+        left -= len(words)
+        yield tag, words
 
 
-def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, rows_of, cols_of):
+def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, cols_of):
     """`gr_relators` uncapped, spelt from the letter grids."""
     if (m.n, m.r) != (s.n, s.r):
         raise ValueError("matrix and Schreier system disagree on (n, r)")
     # R1 along tree edges, only when the parent-side position is nonzero
-    for lam in s.lambdas[1:]:
-        i_idx, par_idx = m.kernel_pos[s.attach[lam]], m.lambda_pos[s.parent[lam]]
-        if m.id_columns[par_idx][i_idx] >= 0:
-            yield (plus[i_idx][par_idx], minus[i_idx][m.lambda_pos[lam]]), "R1"
+    pos = m.lambda_pos
+    edges = [(m.kernel_pos[s.attach[lam]], pos[s.parent[lam]], pos[lam]) for lam in s.lambdas[1:]]
+    yield "R1", [(plus[i][par], minus[i][l_idx]) for i, par, l_idx in edges if m.id_columns[par][i] >= 0]
     # R2 at each row's district column
-    for i_idx, district in enumerate(m.districts):
-        yield (plus[i_idx][m.lambda_pos[district]],), "R2"
-    # R3 chains per row pair and left quotient inv(a) * b of the rows' entries
-    # a, b in a column, in one pass per row i: its columns l ascending, in each
-    # the rows k > i; a repeated key (k, quotient) chains l to the key's last
-    # column, and the row's finds are sorted into the order k, column
-    g, values, columns = m.group, m.values, m.id_columns
-    quotients: dict[WreathElem, int] = {}
-    qtab = []
-    for a in values:
-        inv_a = wreath_inv(g, a)
-        qtab.append([quotients.setdefault(wreath_mul(g, inv_a, b), len(quotients)) for b in values])
-    nq = len(quotients)
+    yield "R2", [(plus[i][pos[district]],) for i, district in enumerate(m.districts)]
+    # R3: rows i < k chain columns l < m when their column-pair keys y * inv(x)
+    # agree.  Each row joins one group per column pair (l, m) of its own and key
+    # class, listing k * ncols + m for its rows k.  Once the rows before it have
+    # left, row i heads its groups; each row k after it in a group of (l, m)
+    # takes the largest such l as prev, the column before m on their chain
+    columns, classes, ncols = m.id_columns, KeyClasses(m), len(m.lambdas)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    joined = []  # per row, its group per column pair (l, m), l ascending
     for i, cols in enumerate(cols_of):
-        last: dict[int, int] = {}  # k * nq + quotient id -> last column
-        finds = []
-        for l_idx in cols:
-            rows, col = rows_of[l_idx], columns[l_idx]
-            qrow = qtab[col[i]]
-            for k in rows[bisect_right(rows, i):]:
-                key = k * nq + qrow[col[k]]
-                prev = last.get(key)
-                if prev is not None:
-                    finds.append((k, l_idx, prev))
-                last[key] = l_idx
-        finds.sort()
+        row = []
+        cells = [(l_idx, columns[l_idx][i], i * ncols + l_idx) for l_idx in cols]
+        for (l_idx, x, _), (m_idx, y, km) in combinations(cells, 2):
+            group = groups.setdefault((l_idx, m_idx, classes[x * classes.base + y + 1]), [])
+            row.append(group)
+            group.append(km)
+        joined.append(row)
+    for i, row in enumerate(joined):
+        for group in row:
+            del group[0]  # row i leaves its groups; below, a larger l overwrites
+        prev = {km: l_idx for (l_idx, _), group in zip(combinations(cols_of[i], 2), row) for km in group}
         plus_i, minus_i = plus[i], minus[i]  # the four letters name four distinct positions
-        for k, l_idx, prev in finds:
-            yield (minus_i[prev], plus_i[l_idx], minus[k][l_idx], plus[k][prev]), "R3"
+        words = []
+        for km in sorted(prev):
+            (k, m_idx), l_idx = divmod(km, ncols), prev[km]
+            words.append((minus_i[l_idx], plus_i[m_idx], minus[k][m_idx], plus[k][l_idx]))
+        yield "R3", words
 
 
 def build_gr_presentation(
@@ -205,9 +204,12 @@ def build_gr_presentation(
 ) -> Presentation:
     """`gr_relators` collected, one generator per nonzero position, keyed by it."""
     grids = gr_grids(m)
-    npos = [(i, l_idx) for i, cols in enumerate(grids[3]) for l_idx in cols]
-    words, tags = map(list, zip(*gr_relators(m, s, max_relators, grids)))
-    return Presentation([position_gen_name(m, i, l) for i, l in npos], words, tags, gen_keys=npos)
+    npos = [(i, l_idx) for i, cols in enumerate(grids[2]) for l_idx in cols]
+    batches = list(gr_relators(m, s, max_relators, grids))
+    words = [w for _, batch in batches for w in batch]
+    tags = [tag for tag, batch in batches for _ in batch]
+    name = position_names(m)
+    return Presentation([name(i, l) for i, l in npos], words, tags, gen_keys=npos)
 
 
 # -- the value-indexed presentation -------------------------------------------

@@ -251,22 +251,37 @@ def extended_rows(s: SandwichMatrix, m: SandwichMatrix) -> list[int]:
     return rows
 
 
+class KeyClasses(dict):
+    """Value-id pair code x * K + y + 1, K = len(values) + 1, to the class of its key y * inv(x).
+
+    Rows holding x, y in two columns close a singular square exactly when their
+    keys agree.  A code's key is taken on its first lookup; classes are numbered
+    in order of first sight.
+    """
+
+    def __init__(self, m: SandwichMatrix):
+        super().__init__()
+        self.base, self.m, self.keys = len(m.values) + 1, m, {}
+        self.inverses = [wreath_inv(m.group, v) for v in m.values]
+
+    def __missing__(self, code: int) -> int:
+        x, y = divmod(code - 1, self.base)
+        key = wreath_mul(self.m.group, self.m.values[y], self.inverses[x])
+        c = self[code] = self.keys.setdefault(key, len(self.keys))
+        return c
+
+
 def column_pairs(m: SandwichMatrix):
     """Per column pair l < m, in order, the value pairs of the rows nonzero in both.
 
     Each pair of columns gives one list of (x, y, rows, x0, y0), one entry per
     distinct value-id pair (x, y) in columns l and m, in order of first row:
     rows counts the rows holding it, and (x0, y0) is the first pair of its key
-    class.  Two rows close a singular square exactly when their keys
-    y * inv(x) agree.  Column l's nonzero rows are listed once; a row's pair is
-    counted as the code x * K + y + 1, K = len(values) + 1, so a zero y gives
-    a multiple of K and is skipped.
+    class (`KeyClasses`).  Column l's nonzero rows are listed once; a row's
+    pair is counted as its `KeyClasses` code, and a zero y is skipped.
     """
-    g, values, columns = m.group, m.values, m.id_columns
-    base = len(values) + 1
-    inverses = [wreath_inv(g, v) for v in values]
-    keys: dict[WreathElem, int] = {}  # key y * inv(x) -> class id
-    classes: dict[int, int] = {}  # code -> class id
+    columns, classes = m.id_columns, KeyClasses(m)
+    base = classes.base
     for l_idx, col_l in enumerate(columns):
         rows = list(itertools.compress(range(len(col_l)), map((0).__le__, col_l)))  # nonzero, ascending
         codes_l = [x * base + 1 for x in map(col_l.__getitem__, rows)]
@@ -276,9 +291,7 @@ def column_pairs(m: SandwichMatrix):
             for code, count in Counter(map(add, codes_l, map(col_m.__getitem__, rows))).items():
                 if code % base:  # else column m is zero there
                     x, y = divmod(code - 1, base)
-                    if (c := classes.get(code)) is None:
-                        c = classes[code] = keys.setdefault(wreath_mul(g, values[y], inverses[x]), len(keys))
-                    x0, y0 = first.setdefault(c, (x, y))
+                    x0, y0 = first.setdefault(classes[code], (x, y))
                     pairs.append((x, y, count, x0, y0))
             yield pairs
 

@@ -17,6 +17,7 @@ from gact.cli import main
 from gact.presentation import (
     build_gr_presentation,
     build_quotient_presentation,
+    gr_relators,
     lavers_presentation,
     presentation_to_text,
     schreier_build,
@@ -309,16 +310,20 @@ def test_text_exports_equal_the_collected_text(capsys, tmp_path):
 
 
 def test_capped_gr_export_leaves_output_untouched(capsys, tmp_path):
-    # one cap fires in R1/R2, the other after the first R3 relator
+    # one cap fires in R1/R2, the others at every relator from the first R3
+    # one through the end of the first two R3 rows, each row one batch
     g = make_group("Z2")
-    p = build_gr_presentation(build_sandwich(g, 4, 2), schreier_build(g, 4, 2))
+    m, s = build_sandwich(g, 4, 2), schreier_build(g, 4, 2)
+    p = build_gr_presentation(m, s)
     mid_r3 = p.tag_count("R1") + p.tag_count("R2") + 1
-    assert 10 < mid_r3 < len(p.relators)
+    r3_rows = [len(words) for tag, words in gr_relators(m, s) if tag == "R3"]
+    two_rows = mid_r3 - 1 + r3_rows[0] + r3_rows[1]
+    assert 10 < mid_r3 and min(r3_rows[:2]) > 1 and two_rows < len(p.relators)
     full = presentation_to_text(p)
     path = tmp_path / "P"
     argv = ["presentation", "--kind", "gr", "--group", "Z2", "--n", "4", "--r", "2"]
     for before in (None, b"kept\n"):
-        for cap in (10, mid_r3):
+        for cap in (10, *range(mid_r3, two_rows + 1)):
             if before is None:
                 path.unlink(missing_ok=True)
             else:
@@ -379,6 +384,7 @@ def test_output_error_names_the_given_path(capsys, tmp_path):
 
 
 OUT_OF_MEMORY = "error: out of memory; lower --max-cosets or --max-entries\n"
+OUT_OF_MEMORY_EXPORT = "error: out of memory; lower --max-relators or --max-entries\n"
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):
@@ -403,8 +409,21 @@ def test_out_of_memory_export_leaves_no_file(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "gr_relators", exhausted)
     path = tmp_path / "P"
     argv = ["presentation", "--kind", "gr", "--group", "Z2", "--n", "4", "--r", "2", "--output", str(path)]
-    assert run(capsys, *argv) == (3, "", OUT_OF_MEMORY)
+    assert run(capsys, *argv) == (3, "", OUT_OF_MEMORY_EXPORT)
     assert os.listdir(tmp_path) == []
+
+
+def test_out_of_memory_names_only_the_subcommand_caps(capsys, monkeypatch):
+    # each line advises flags the subcommand takes, or none when it takes none
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    for name in ("build_sandwich", "rising_point"):
+        monkeypatch.setattr(cli, name, exhausted)
+    sandwich = ["sandwich", "--group", "Z2", "--n", "4", "--r", "2"]
+    assert run(capsys, *sandwich) == (3, "", "error: out of memory; lower --max-entries\n")
+    rising = ["rising-point", "--group", "Z2", "--r", "2", "--alpha", "1:0;2:0"]
+    assert run(capsys, *rising) == (3, "", "error: out of memory\n")
 
 
 # exit code and sha256 of stdout, stderr and ./out.txt (None: no file) per

@@ -33,7 +33,7 @@ from gact.presentation import (
     free_reduce,
     gr_grids,
     gr_relators,
-    position_gen_name,
+    position_names,
 )
 
 from helpers import (
@@ -199,7 +199,7 @@ def test_gr_relator_cap():
 
 
 def test_gr_r3_matches_dense_row_pair_walk():
-    # the incidence-list walk emits the dense walk's R3 relators in its
+    # the column-pair-key walk emits the dense walk's R3 relators in its
     # order, and the relator cap fires exactly past the last relator
     cases = [(make_group(spec), n, r) for n, spec, r, _ in MAIN_CASES]
     cases += [(make_group("S3"), 4, 2), (Z3, 5, 3), (T, 6, 3)]  # Z2 5 3 is in MAIN_CASES
@@ -223,7 +223,10 @@ def test_gr_stream_equals_collector():
         m = build_sandwich(g, n, r)
         s = schreier_build(g, n, r)
         p = build_gr_presentation(m, s)
-        stream = list(gr_relators(m, s))
+        batches = list(gr_relators(m, s))
+        # R1, R2, then one R3 batch per row
+        assert [t for t, _ in batches] == ["R1", "R2"] + ["R3"] * len(m.kernels)
+        stream = [(w, t) for t, words in batches for w in words]
         assert [w for w, _ in stream] == p.relators and [t for _, t in stream] == p.tags
         sink = _RelatorSink(len(stream))
         for word, tag in stream:
@@ -232,19 +235,28 @@ def test_gr_stream_equals_collector():
 
 
 def test_gr_r3_matches_row_pair_chain_oracle():
-    # the one-pass-per-row R3 kernel emits the per-row-pair chain's relators
-    # in its order, and the name grids spell the int stream letter for letter
+    # the column-pair-key R3 kernel emits the per-row-pair chain's relators
+    # in its order, row i's in the i-th R3 batch, and the name grids spell
+    # the int stream letter for letter; trivial 7 3 and Z2 6 2 have large
+    # key classes, S3 4 2 a non-abelian group, where y * inv(x) and
+    # inv(x) * y differ
     cases = [(make_group(spec), n, r) for n, spec, r, _ in MAIN_CASES]
-    cases += [(make_group("S3"), 4, 2), (Z3, 5, 3), (make_group("Z4"), 5, 2), (T, 6, 3)]
+    cases += [(make_group("S3"), 4, 2), (Z3, 5, 3), (make_group("Z4"), 5, 2), (T, 6, 3),
+              (T, 7, 3), (Z2, 6, 2)]
     for g, n, r in cases:
         m = build_sandwich(g, n, r)
         s = schreier_build(g, n, r)
-        stream = list(gr_relators(m, s))
-        assert [w for w, tag in stream if tag == "R3"] == gr_r3_oracle(m), (g.order, n, r)
-        names = [position_gen_name(m, i, l) for i, l in m.nonzero_positions()]
-        spelt = [tuple(names[x - 1] if x > 0 else names[-x - 1] + "'" for x in w) for w, _ in stream]
-        grids = gr_grids(m, lambda _, i, l: (name := position_gen_name(m, i, l), name + "'"))
-        assert list(gr_relators(m, s, grids=grids)) == list(zip(spelt, (t for _, t in stream)))
+        batches = list(gr_relators(m, s))
+        r3 = [(i, w) for i, (_, words) in enumerate(batches[2:]) for w in words]
+        assert [w for _, w in r3] == gr_r3_oracle(m), (g.order, n, r)
+        keys = [None] + list(m.nonzero_positions())
+        assert all(keys[-w[0]][0] == i for i, w in r3), (g.order, n, r)
+        names = [f"f_{i}_{'.'.join(map(str, m.lambdas[l]))}" for i, l in m.nonzero_positions()]
+        spell = [(tag, [tuple(names[x - 1] if x > 0 else names[-x - 1] + "'" for x in w) for w in words])
+                 for tag, words in batches]
+        name = position_names(m)
+        grids = gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
+        assert list(gr_relators(m, s, grids=grids)) == spell
 
 
 def test_gr_export_pinned():
