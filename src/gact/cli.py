@@ -14,43 +14,33 @@ it untouched; stdout may get a prefix, exactly the relators under the cap.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 from itertools import chain, takewhile
 from math import factorial
 
-from .biorder import square_condition, squares_report
 from .endo import parse_wreath, subgroup_order, wreath_identity, wreath_inv, wreath_to_text
-from .errors import Capped, GactError, ParseError, ResourceLimit
-from .fpgroup import DEFAULT_MAX_COSETS, abelianization, todd_coxeter
+from .errors import DEFAULT_MAX_COSETS, DEFAULT_MAX_RELATORS, Capped, GactError, ParseError, ResourceLimit
 from .groups import Group, make_group
-from .presentation import (
-    DEFAULT_MAX_RELATORS,
-    Presentation,
-    _RelatorSink,
-    build_gr_presentation,
-    build_quotient_presentation,
-    close_generators,
-    eliminate_generators,
-    evaluate_word,
-    gr_grids,
-    gr_relators,
-    lavers_presentation,
-    position_names,
-    presentation_lines,
-    quotient_relators,
-    schreier_build,
-    value_gen_name,
-)
-from .reduction import (
-    connectivity,
-    decompose,
-    rising_point,
-    simplify_presentation,
-    value_component_counts,
-)
 from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, column_pairs, extended_rows, matrix_lines
+
+
+def _lazy(name: str):
+    """gact.<name>, executed on its first attribute read; the module itself if already imported."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[full]
+
+
+# the stage modules, which not every subcommand calls: each executes on its first attribute read
+biorder, fpgroup, presentation, reduction = map(_lazy, ("biorder", "fpgroup", "presentation", "reduction"))
 
 DEFAULT_CAPS = {
     "max_entries": DEFAULT_MAX_ENTRIES,
@@ -123,8 +113,8 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
     if r == n - 1:
         # the rank-free claim is about the position presentation itself:
         # it has no R3 relators, and its abelianization gives the free rank
-        p = build_gr_presentation(m, schreier_build(g, n, r), caps["max_relators"])
-        ab = abelianization(p)
+        p = presentation.build_gr_presentation(m, presentation.schreier_build(g, n, r), caps["max_relators"])
+        ab = fpgroup.abelianization(p)
         report.update(
             mode="rank-free",
             r3_relators=p.tag_count("R3"),
@@ -163,17 +153,17 @@ def enumerate_order(m, caps: dict) -> tuple[int, list]:
     h is found, or no generator survives, Todd-Coxeter over the trivial
     subgroup decides, under the same caps.
     """
-    p = build_quotient_presentation(m, caps["max_relators"])
-    pg = connectivity(m)
+    p = presentation.build_quotient_presentation(m, caps["max_relators"])
+    pg = reduction.connectivity(m)
     log: list = []
-    q, _ = eliminate_generators(simplify_presentation(p, m, pg, log))
+    q, _ = presentation.eliminate_generators(reduction.simplify_presentation(p, m, pg, log))
     if q.generators:
         g, r = m.group, m.r
         orders = [subgroup_order(g, [v], r, g.order ** r * factorial(r)) for v in q.gen_keys]
-        table = todd_coxeter(q, orders.index(max(orders)) + 1, caps["max_cosets"])
+        table = fpgroup.todd_coxeter(q, orders.index(max(orders)) + 1, caps["max_cosets"])
         if table.subgroup_order:
             return table.order * table.subgroup_order, log
-    return todd_coxeter(q, max_cosets=caps["max_cosets"]).order, log
+    return fpgroup.todd_coxeter(q, max_cosets=caps["max_cosets"]).order, log
 
 
 def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None:
@@ -192,10 +182,11 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
     """
     r = m.r
     log: list = []
-    pg = connectivity(m)
+    pg = reduction.connectivity(m)
     # the merge relators alone, over value ids + 1 like the walked relators
-    names = [value_gen_name(v) for v in m.values]
-    merges = simplify_presentation(Presentation(names, [], [], gen_keys=m.values), m, pg, log).relators
+    names = [presentation.value_gen_name(v) for v in m.values]
+    blank = presentation.Presentation(names, [], [], gen_keys=m.values)
+    merges = reduction.simplify_presentation(blank, m, pg, log).relators
     s = build_sandwich(g, r + 2, r, caps["max_entries"])
     order, slice_log = enumerate_order(s, caps)
     if order != g.order ** r * factorial(r):
@@ -206,13 +197,13 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
     if any(to_n[x] != m.id_columns[l][i] for col, l in zip(s.id_columns, cols) for x, i in zip(col, rows)):
         return None
     squares = (w.square for w in slice_log)
-    if not all(square_condition(m, rows[i], rows[k], cols[l], cols[mu]) for i, k, l, mu in squares):
+    if not all(biorder.square_condition(m, rows[i], rows[k], cols[l], cols[mu]) for i, k, l, mu in squares):
         return None
     inverses = [wreath_inv(g, v) for v in m.values]
     one = wreath_identity(r)
 
     def maps_to_one(w):
-        return evaluate_word(g, inverses, r, w) == one
+        return presentation.evaluate_word(g, inverses, r, w) == one
 
     if not all(map(maps_to_one, [(m.value_id[one] + 1,), *merges])):  # P2 and the merges
         return None
@@ -222,15 +213,15 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
             route["pairs_walked"] += 1
             yield pairs
 
-    sink = _RelatorSink(caps["max_relators"])  # the walked P1 relators, each new one once
-    new = (sink.words[-1] for w in quotient_relators(walked()) if sink.add(w, "P1"))
+    sink = presentation._RelatorSink(caps["max_relators"])  # the walked P1 relators, each new one once
+    new = (sink.words[-1] for w in presentation.quotient_relators(walked()) if sink.add(w, "P1"))
 
     def fed():  # the merges, then the walked relators up to one that does not map to 1, so the closure stalls
         for w in chain(merges, takewhile(maps_to_one, new)):
             route["closure_relators"] += 1
             yield w
 
-    if not close_generators({m.value_id[v] + 1 for v in s.values}, len(m.values), fed()):
+    if not presentation.close_generators({m.value_id[v] + 1 for v in s.values}, len(m.values), fed()):
         return None
     # the closing holds up to |W| elements, so it is capped like the cosets
     if order > caps["max_cosets"]:
@@ -267,24 +258,25 @@ def _sandwich(args, g, caps):
 
 def _presentation(args, g, caps):
     if args.kind == "lavers":
-        p = lavers_presentation(g, args.r, caps["max_relators"])
+        p = presentation.lavers_presentation(g, args.r, caps["max_relators"])
     else:
         m = build_sandwich(g, args.n, args.r, caps["max_entries"])
         if args.kind == "quotient":
-            p = build_quotient_presentation(m, caps["max_relators"])
+            p = presentation.build_quotient_presentation(m, caps["max_relators"])
         elif args.json:
-            p = build_gr_presentation(m, schreier_build(g, args.n, args.r), caps["max_relators"])
+            s = presentation.schreier_build(g, args.n, args.r)
+            p = presentation.build_gr_presentation(m, s, caps["max_relators"])
         else:
-            name = position_names(m)
-            grids = gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
+            name = presentation.position_names(m)
+            grids = presentation.gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
             names = [grids[0][i][l] for i, cols in enumerate(grids[2]) for l in cols]
-            batches = gr_relators(m, schreier_build(g, args.n, args.r), caps["max_relators"], grids)
+            s = presentation.schreier_build(g, args.n, args.r)
+            batches = presentation.gr_relators(m, s, caps["max_relators"], grids)
             rows = ("".join([f"rel {' '.join(w)}\n" for w in words]) for _, words in batches)
-            return chain(presentation_lines(names, ()), rows), 0
-    if args.json:
-        relators = [list(w) for w in p.relators]
-        return _json({"generators": p.generators, "relators": relators, "tags": p.tags}), 0
-    return presentation_lines(p.generators, p.relators), 0
+            return chain(presentation.presentation_lines(names, ()), rows), 0
+    if args.json:  # json writes the tuple words as arrays
+        return _json({"generators": p.generators, "relators": p.relators, "tags": p.tags}), 0
+    return presentation.presentation_lines(p.generators, p.relators), 0
 
 
 def _verify(args, g, caps):
@@ -305,12 +297,12 @@ def _verify(args, g, caps):
 
 
 def _rising_point(args, g, caps):
-    value = rising_point(parse_wreath(g, args.r, args.alpha))
+    value = reduction.rising_point(parse_wreath(g, args.r, args.alpha))
     return _json({"rising_point": value}) if args.json else [f"{value}\n"], 0
 
 
 def _decompose(args, g, caps):
-    beta, gamma = (wreath_to_text(x) for x in decompose(g, parse_wreath(g, args.r, args.alpha)))
+    beta, gamma = (wreath_to_text(x) for x in reduction.decompose(g, parse_wreath(g, args.r, args.alpha)))
     if args.json:
         return _json({"beta": beta, "gamma": gamma}), 0
     return [f"beta={beta} gamma={gamma}\n"], 0
@@ -318,14 +310,15 @@ def _decompose(args, g, caps):
 
 def _connectivity(args, g, caps):
     m = build_sandwich(g, args.n, args.r, caps["max_entries"])
-    rows = [(wreath_to_text(v), *c) for v, c in value_component_counts(connectivity(m)).items()]
+    counts = reduction.value_component_counts(reduction.connectivity(m))
+    rows = [(wreath_to_text(v), *c) for v, c in counts.items()]
     if args.json:
         return _json([{"value": v, "positions": p, "components": c} for v, p, c in rows]), 0
     return [f"value={v} positions={p} components={c}\n" for v, p, c in rows], 0
 
 
 def _squares(args, g, caps):
-    report = squares_report(g, args.n, caps["max_entries"])
+    report = biorder.squares_report(g, args.n, caps["max_entries"])
     if args.json:
         return _json(report), 0
     return [

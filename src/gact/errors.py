@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the default caps its errors report."""
+
+DEFAULT_MAX_RELATORS = 5_000_000  # relators a presentation may emit (ResourceLimit)
+DEFAULT_MAX_COSETS = 1_000_000  # cosets an enumeration may define (Capped)
 
 
 class GactError(Exception):

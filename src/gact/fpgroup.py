@@ -25,9 +25,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from math import gcd
 
-from .errors import Capped, IncompleteTable
-
-DEFAULT_MAX_COSETS = 1_000_000
+from .errors import DEFAULT_MAX_COSETS, Capped, IncompleteTable
 
 
 class CosetTable:

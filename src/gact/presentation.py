@@ -12,11 +12,9 @@ from heapq import heappop, heappush
 from itertools import chain, combinations, count
 
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
-from .errors import BadRank, ResourceLimit
+from .errors import DEFAULT_MAX_RELATORS, BadRank, ResourceLimit
 from .groups import Group
 from .rees import KeyClasses, SandwichMatrix, column_pairs, kernel_index_of, lambda_list
-
-DEFAULT_MAX_RELATORS = 5_000_000
 
 
 class Presentation:

@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from gact import biorder, cli, make_group
+from gact import biorder, cli, fpgroup, make_group, presentation, reduction
 from gact.cli import main
 from gact.presentation import (
     build_gr_presentation,
@@ -103,8 +103,8 @@ def test_verify_below_rank_free_skips_position_presentation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("position presentation built")
 
-    monkeypatch.setattr(cli, "build_gr_presentation", refuse)
-    monkeypatch.setattr(cli, "schreier_build", refuse)
+    monkeypatch.setattr(presentation, "build_gr_presentation", refuse)
+    monkeypatch.setattr(presentation, "schreier_build", refuse)
     for spec, n, r in (("Z2", 4, 2), ("trivial", 5, 3), ("Z2", 4, 4)):
         assert cli.run_verify(cli.make_group(spec), n, r, cli.DEFAULT_CAPS)["ok"]
 
@@ -392,13 +392,13 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "todd_coxeter", exhausted)
+    monkeypatch.setattr(fpgroup, "todd_coxeter", exhausted)
     assert run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "2") == (3, "", OUT_OF_MEMORY)
 
 
 def test_out_of_memory_export_leaves_no_file(capsys, monkeypatch, tmp_path):
     # memory runs out after the first relators were streamed to the temporary file
-    real = cli.gr_relators
+    real = presentation.gr_relators
 
     def exhausted(*args):
         relators = real(*args)
@@ -406,7 +406,7 @@ def test_out_of_memory_export_leaves_no_file(capsys, monkeypatch, tmp_path):
         yield next(relators)
         raise MemoryError
 
-    monkeypatch.setattr(cli, "gr_relators", exhausted)
+    monkeypatch.setattr(presentation, "gr_relators", exhausted)
     path = tmp_path / "P"
     argv = ["presentation", "--kind", "gr", "--group", "Z2", "--n", "4", "--r", "2", "--output", str(path)]
     assert run(capsys, *argv) == (3, "", OUT_OF_MEMORY_EXPORT)
@@ -418,8 +418,8 @@ def test_out_of_memory_names_only_the_subcommand_caps(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    for name in ("build_sandwich", "rising_point"):
-        monkeypatch.setattr(cli, name, exhausted)
+    for module, name in ((cli, "build_sandwich"), (reduction, "rising_point")):
+        monkeypatch.setattr(module, name, exhausted)
     sandwich = ["sandwich", "--group", "Z2", "--n", "4", "--r", "2"]
     assert run(capsys, *sandwich) == (3, "", "error: out of memory; lower --max-entries\n")
     rising = ["rising-point", "--group", "Z2", "--r", "2", "--alpha", "1:0;2:0"]

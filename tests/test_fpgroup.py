@@ -18,6 +18,7 @@ from gact import (
     connectivity,
     fpgroup,
     make_group,
+    presentation,
     simplify_presentation,
     todd_coxeter,
     word_equal,
@@ -248,7 +249,7 @@ def test_cyclic_enumeration_pinned(monkeypatch):
         seen.append((t.order, t.subgroup_order, t.defined))
         return t
 
-    monkeypatch.setattr(cli, "todd_coxeter", spy)
+    monkeypatch.setattr(fpgroup, "todd_coxeter", spy)
     for (spec, n, r), want in pinned.items():
         seen.clear()
         order, _ = cli.enumerate_order(build_sandwich(make_group(spec), n, r), cli.DEFAULT_CAPS)
@@ -299,8 +300,8 @@ def test_no_relation_on_h_falls_back_under_the_same_cap(monkeypatch):
         calls.append((h, max_cosets))
         return todd_coxeter(q, h, max_cosets)
 
-    monkeypatch.setattr(cli, "eliminate_generators", lambda p: (free, []))
-    monkeypatch.setattr(cli, "todd_coxeter", spy)
+    monkeypatch.setattr(presentation, "eliminate_generators", lambda p: (free, []))
+    monkeypatch.setattr(fpgroup, "todd_coxeter", spy)
     with pytest.raises(Capped, match="capped at 50 cosets"):
         cli.enumerate_order(m, dict(cli.DEFAULT_CAPS, max_cosets=50))
     assert calls == [(1, 50), (None, 50)]

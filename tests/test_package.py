@@ -52,11 +52,51 @@ else:
 """
 
 
-def test_namespace_loads_modules_on_first_read():
+# the gact modules a subcommand executes; cli registers the stage modules lazily
+EXECUTED_CHECK = """
+import contextlib, io, sys, types
+import gact.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = gact.cli.main(sys.argv[1:])
+print(code, *sorted(name[5:] for name, m in sys.modules.items() if name.startswith("gact.") and type(m) is types.ModuleType))
+"""
+
+# whichever is imported first, a stage module is one module object
+IMPORT_ORDER_CHECK = """
+import importlib, sys
+imported = {name: importlib.import_module(name) for name in sys.argv[1:]}
+import gact
+assert imported["gact.presentation"] is gact.cli.presentation is gact.presentation is sys.modules["gact.presentation"]
+"""
+
+
+def fresh(code, *args):
+    """Run code in a fresh interpreter with args; its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", NAMESPACE_CHECK], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "order=8 expected=8 OK\n"
+    return done.stdout
+
+
+def test_namespace_loads_modules_on_first_read():
+    assert fresh(NAMESPACE_CHECK) == "order=8 expected=8 OK\n"
+
+
+@pytest.mark.parametrize("argv, executed", [
+    ("squares --group Z2 --n 3", "biorder cli endo errors groups rees"),
+    ("sandwich --group Z2 --n 4 --r 2", "cli endo errors groups rees"),
+    ("presentation --group Z2 --n 4 --r 2", "cli endo errors groups presentation rees"),
+    ("presentation --group Z2 --n 4 --r 2 --json", "cli endo errors groups presentation rees"),
+    ("verify --group Z2 --n 4 --r 3", "cli endo errors fpgroup groups presentation rees"),
+    ("verify --group Z2 --n 6 --r 4", "cli endo errors fpgroup groups presentation reduction rees"),
+])
+def test_a_subcommand_executes_only_the_modules_it_calls(argv, executed):
+    assert fresh(EXECUTED_CHECK, *argv.split()) == f"0 {executed}\n"
+
+
+@pytest.mark.parametrize("order", ["gact.presentation gact.cli", "gact.cli gact.presentation"])
+def test_a_stage_module_is_one_object_in_either_import_order(order):
+    fresh(IMPORT_ORDER_CHECK, *order.split())
 
 
 def test_records_keep_their_reprs():

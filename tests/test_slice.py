@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from gact import build_quotient_presentation, build_sandwich, cli, connectivity, make_group
+from gact import build_quotient_presentation, build_sandwich, cli, connectivity, make_group, reduction
 from gact import simplify_presentation, square_condition, wreath_identity, wreath_inv
 from gact.endo import WreathElem, subgroup_order
 from gact.presentation import close_generators, evaluate_word
@@ -99,7 +99,7 @@ def test_subgroup_order_in_the_wreath_group():
 # -- mutations: each must fall back to enumeration at n, or fail -----------------
 
 def test_wrong_merge_relator_fails_the_lower_bound(monkeypatch):
-    real = cli.simplify_presentation
+    real = reduction.simplify_presentation
     calls = []
 
     def wrong_gamma(p, m, pg, log=None):
@@ -110,7 +110,7 @@ def test_wrong_merge_relator_fails_the_lower_bound(monkeypatch):
         calls.append(m.n)
         return q
 
-    monkeypatch.setattr(cli, "simplify_presentation", wrong_gamma)
+    monkeypatch.setattr(reduction, "simplify_presentation", wrong_gamma)
     report = verify("Z2", 6, 3)
     assert calls == [6, 5, 6]  # the route at n, the slice, the fallback at n
     assert (report["method"], report["computed_order"], report["ok"]) == ("enumerate", 48, True)
@@ -142,7 +142,7 @@ def test_stalled_closure_falls_back(monkeypatch):
 
 
 def test_every_other_failed_check_falls_back(monkeypatch):
-    real_enumerate, real_relators = cli.enumerate_order, cli.quotient_relators
+    real_enumerate, real_pairs = cli.enumerate_order, cli.column_pairs
 
     def wrong_slice_order(m, caps):
         order, log = real_enumerate(m, caps)
@@ -157,14 +157,21 @@ def test_every_other_failed_check_falls_back(monkeypatch):
             log[0].square = (i, k, l, mu)
         return order, log
 
-    def bad_walked_relator(pairs):
-        words = real_relators(pairs)
-        first = next(words)
-        yield first[:-1] + (first[-1] % 4 + 1,)  # x + 1 -> a value other than x: the word maps to 1 only at x
-        yield from words
+    def bad_walked_relator(m):  # the first walked word's x + 1 -> a value other than x: it maps to 1 only at x
+        walk = real_pairs(m)
+        for pairs in walk:
+            k = next((k for k, (x, _, _, x0, _) in enumerate(pairs) if x != x0), None)
+            if k is not None:  # the first pair that gives a word
+                x, y, rows, x0, y0 = pairs[k]
+                assert (x + 1) % 4 != x0  # the word is still given
+                pairs[k] = ((x + 1) % 4, y, rows, x0, y0)
+                yield pairs
+                break
+            yield pairs
+        yield from walk
 
     for name, patch in (("enumerate_order", wrong_slice_order), ("enumerate_order", nonsingular_slice_square),
-                        ("quotient_relators", bad_walked_relator), ("subgroup_order", lambda *args: 1)):
+                        ("column_pairs", bad_walked_relator), ("subgroup_order", lambda *args: 1)):
         with monkeypatch.context() as mp:
             mp.setattr(cli, name, patch)
             report = verify("Z2", 6, 3)
