@@ -14,7 +14,7 @@ from importlib import import_module
 
 _PUBLIC = {  # defining module -> the public names it gives the package
     "biorder": "ESquare enumerate_idempotents esquare_at idempotent_at is_rectangular_band "
-    "singular_witness square_condition",
+    "singular_witness",
     "endo": "Endo KernelData WreathElem compose from_wreath green_test identity_endo image is_idempotent "
     "kernel parse_endo parse_wreath rank to_wreath wreath_identity wreath_inv wreath_mul",
     "errors": "BadRank Capped GactError IncompleteTable IndexOutOfRange NotDecomposable NotInH ParseError "
@@ -27,7 +27,7 @@ _PUBLIC = {  # defining module -> the public names it gives the package
     "reduction": "MergeWitness PositionGraph connectivity decompose find_singular_witness is_simple_form "
     "rising_point simple_form_elem simplify_presentation step_d step_u step_u_prime value_component_counts",
     "rees": "KernelIndex SandwichMatrix build_sandwich kernel_list lambda_list matrix_to_text q_of "
-    "set_partitions theta",
+    "set_partitions square_condition theta",
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

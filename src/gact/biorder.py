@@ -14,7 +14,6 @@ from .endo import (
     green_test,
     is_idempotent,
     wreath_inv,
-    wreath_mul,
 )
 from .errors import ResourceLimit, ZeroEntry
 from .groups import Group
@@ -126,15 +125,6 @@ def singular_witness(
     return None
 
 
-def square_condition(m: SandwichMatrix, i_idx: int, k_idx: int, l_idx: int, m_idx: int) -> bool:
-    """Entry test for a singular square on rows i, k and columns l, m."""
-    g = m.group
-    p_li, p_lk, p_mi, p_mk = (m.value_at(i, l) for l in (l_idx, m_idx) for i in (i_idx, k_idx))
-    if p_li is None or p_lk is None or p_mi is None or p_mk is None:
-        raise ZeroEntry("all four entries must be nonzero")
-    return wreath_mul(g, wreath_inv(g, p_li), p_lk) == wreath_mul(g, wreath_inv(g, p_mi), p_mk)
-
-
 def rees_element(m: SandwichMatrix, i_idx: int, w: WreathElem, l_idx: int) -> Endo:
     """The endomorphism with kernel row i, image column l and coordinate w."""
     th = m.thetas[i_idx]
@@ -166,7 +156,7 @@ def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> 
     Each nonzero cell of the built grid holds one idempotent.  Per column
     pair of `column_pairs`, every two rows nonzero in both columns close a
     square, and a singular one when their pairs share a key class
-    (square_condition is the entry-level oracle for this).  The entries cap
+    (`rees.square_condition` is the entry-level oracle for this).  The entries cap
     is checked for every rank, ascending, before any rank is built.
     """
     for r in range(1, n + 1):

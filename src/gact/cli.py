@@ -24,7 +24,7 @@ from math import factorial
 from .endo import parse_wreath, subgroup_order, wreath_identity, wreath_inv, wreath_to_text
 from .errors import DEFAULT_MAX_COSETS, DEFAULT_MAX_RELATORS, Capped, GactError, ParseError, ResourceLimit
 from .groups import Group, make_group
-from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, column_pairs, extended_rows, matrix_lines
+from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, column_pairs, extended_rows, matrix_lines, square_condition
 
 
 def _lazy(name: str):
@@ -197,7 +197,7 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
     if any(to_n[x] != m.id_columns[l][i] for col, l in zip(s.id_columns, cols) for x, i in zip(col, rows)):
         return None
     squares = (w.square for w in slice_log)
-    if not all(biorder.square_condition(m, rows[i], rows[k], cols[l], cols[mu]) for i, k, l, mu in squares):
+    if not all(square_condition(m, rows[i], rows[k], cols[l], cols[mu]) for i, k, l, mu in squares):
         return None
     inverses = [wreath_inv(g, v) for v in m.values]
     one = wreath_identity(r)
@@ -235,6 +235,21 @@ def _json(obj) -> list[str]:
     return [json.dumps(obj) + "\n"]
 
 
+def _gr_json(names: list[str], batches):
+    """The `_json` text of the gr presentation's generators, relators and tags, one batch at a time."""
+    yield '{"generators": ' + json.dumps(names) + ', "relators": ['
+    counts, sep = [], ""
+    for tag, words in batches:
+        if words:
+            yield sep + json.dumps(words)[1:-1]  # the tuple words as arrays
+            counts.append((json.dumps(tag), len(words)))
+            sep = ", "
+    yield '], "tags": ['
+    for k, (tag, count) in enumerate(counts):
+        yield (", " if k else "") + ", ".join([tag] * count)
+    yield "]}\n"
+
+
 def _sandwich(args, g, caps):
     m = build_sandwich(g, args.n, args.r, caps["max_entries"])
     if not args.json:
@@ -263,15 +278,18 @@ def _presentation(args, g, caps):
         m = build_sandwich(g, args.n, args.r, caps["max_entries"])
         if args.kind == "quotient":
             p = presentation.build_quotient_presentation(m, caps["max_relators"])
-        elif args.json:
-            s = presentation.schreier_build(g, args.n, args.r)
-            p = presentation.build_gr_presentation(m, s, caps["max_relators"])
         else:
             name = presentation.position_names(m)
-            grids = presentation.gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
-            names = [grids[0][i][l] for i, cols in enumerate(grids[2]) for l in cols]
+            if args.json:  # json spells generators by number
+                grids = presentation.gr_grids(m)
+                names = [name(i, l) for i, cols in enumerate(grids[2]) for l in cols]
+            else:
+                grids = presentation.gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
+                names = [grids[0][i][l] for i, cols in enumerate(grids[2]) for l in cols]
             s = presentation.schreier_build(g, args.n, args.r)
             batches = presentation.gr_relators(m, s, caps["max_relators"], grids)
+            if args.json:
+                return _gr_json(names, batches), 0
             rows = ("".join([f"rel {' '.join(w)}\n" for w in words]) for _, words in batches)
             return chain(presentation.presentation_lines(names, ()), rows), 0
     if args.json:  # json writes the tuple words as arrays

@@ -127,16 +127,14 @@ def gr_grids(m: SandwichMatrix, spell=None):
 
     plus[i][l], minus[i][l] = spell(g, i, l), by default (g, -g), spell the g-th
     position's generator and its inverse; cols_of lists each row's nonzero
-    columns, ascending.
+    columns, ascending: its partition's `part_columns`, shared by its rows.
     """
     nrows, ncols = len(m.kernels), len(m.lambdas)
     plus = [[None] * ncols for _ in range(nrows)]
     minus = [[None] * ncols for _ in range(nrows)]
-    cols_of: list[list[int]] = [[] for _ in range(nrows)]
     for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
         plus[i][l_idx], minus[i][l_idx] = spell(gen, i, l_idx) if spell else (gen, -gen)
-        cols_of[i].append(l_idx)
-    return plus, minus, cols_of
+    return plus, minus, [cols for cols in m.part_columns for _ in range(m.block)]
 
 
 def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS, grids=None):

@@ -35,13 +35,14 @@ class PositionGraph:
     """Union-find over the nonzero positions with equal-value links.
 
     A position is numbered by its index in m.nonzero_positions(), which is
-    lexicographic, and only the parent list is stored: a root holds -1.  The
-    smaller number wins each union, so a root is its component's least position.
+    lexicographic, and only the parent list is stored: a root holds -1.
+    `connectivity` links the larger of two roots under the smaller, so a root
+    is its component's least position.
     """
 
     def __init__(self, m: SandwichMatrix):
         self.matrix = m
-        self._parent = [-1] * sum(len(col) - col.count(-1) for col in m.id_columns)
+        self._parent = [-1] * (m.block * sum(map(len, m.part_columns)))
 
     def _find(self, i: int) -> int:
         parent = self._parent
@@ -51,13 +52,6 @@ class PositionGraph:
         while i != root:
             parent[i], i = root, parent[i]
         return root
-
-    def _union(self, i: int, j: int):
-        ri, rj = self._find(i), self._find(j)
-        if ri != rj:
-            if ri > rj:
-                ri, rj = rj, ri
-            self._parent[rj] = ri
 
     def roots(self) -> list[Position]:
         """The component roots, ascending; the numbering must cover the nonzero positions exactly."""
@@ -75,22 +69,32 @@ class PositionGraph:
 
 
 def connectivity(m: SandwichMatrix) -> PositionGraph:
-    """Close the same-row and same-column equal-value links in one row-major pass.
+    """Close the same-row and same-column equal-value links, one partition's rows at a time.
 
-    Each position is linked to the first position of its value in its row
-    (a map reset at every row) and in its column, both keyed on value ids.
+    Positions are numbered row-major over each partition's columns.  Each
+    position is linked to the first position of its value in its row (a map
+    reset at every row) and in its column, both keyed on value ids, when that
+    first position is an earlier one.
     """
     pg = PositionGraph(m)
-    ids = m.id_columns
+    find, parent, ids = pg._find, pg._parent, m.id_columns
     first_in_col: list[dict[int, int]] = [{} for _ in ids]
-    first_in_row: dict[int, int] = {}
-    row = -1
-    for idx, (i, l_idx) in enumerate(m.nonzero_positions()):
-        if i != row:
-            row, first_in_row = i, {}
-        v = ids[l_idx][i]
-        pg._union(first_in_row.setdefault(v, idx), idx)
-        pg._union(first_in_col[l_idx].setdefault(v, idx), idx)
+    idx = 0
+    for start, cols in zip(range(0, len(m.kernels), m.block), m.part_columns):
+        links = [(ids[l_idx], first_in_col[l_idx]) for l_idx in cols]
+        for i in range(start, start + m.block):
+            first_in_row: dict[int, int] = {}
+            for col, first in links:
+                v = col[i]
+                root = idx  # a new position is its own root until it is linked
+                if (j := first_in_row.setdefault(v, idx)) != idx:
+                    root = parent[idx] = find(j)
+                if (j := first.setdefault(v, idx)) != idx and (rj := find(j)) != root:
+                    if rj < root:
+                        parent[root] = rj
+                    else:
+                        parent[rj] = root
+                idx += 1
     return pg
 
 
@@ -312,18 +316,18 @@ def find_singular_witness(
     g = m.group
     if wreath_mul(g, wreath_inv(g, phi), psi) != wreath_mul(g, wreath_inv(g, phi2), sigma):
         raise ValueError("quadruple fails the square condition")
-    ids, i_idx = m.id_columns, -1
+    ids = m.id_columns
     x, x2, y, z = (m.value_id.get(v, -2) for v in (phi, phi2, psi, sigma))  # -2 matches no cell
-    if ids[l_idx][k_idx] != y:
+    if ids[l_idx][k_idx] != y or (i_idx := m.first_row(l_idx, x)) < 0:
         return None
-    while True:  # the rows holding phi, ascending
+    while True:  # the rows holding phi, ascending: the first from the column's index
+        for mu, column in enumerate(ids):
+            if column[i_idx] == x2 and column[k_idx] == z:
+                return (i_idx, k_idx, l_idx, mu)
         try:
             i_idx = ids[l_idx].index(x, i_idx + 1)
         except ValueError:
             return None
-        for mu, column in enumerate(ids):
-            if column[i_idx] == x2 and column[k_idx] == z:
-                return (i_idx, k_idx, l_idx, mu)
 
 
 class MergeWitness:

@@ -20,7 +20,7 @@ from math import comb
 from operator import add, itemgetter
 
 from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
-from .errors import BadRank, ResourceLimit
+from .errors import BadRank, ResourceLimit, ZeroEntry
 from .groups import Group
 
 DEFAULT_MAX_ENTRIES = 10_000_000
@@ -144,8 +144,10 @@ class SandwichMatrix:
     The matrix is id_columns[column][row], a value id or -1 at the adjoined
     zero; values lists the distinct entries sorted by text, and a value's id
     is its index there.  A row is nonzero exactly at the columns that pick one
-    point per block of its partition, so only those cells are built; thetas and
-    kernel_pos are made when read.
+    point per block of its partition, so only those cells are built.  Each
+    partition's rows, block of them, are consecutive; part_columns lists
+    each partition's nonzero columns, ascending.  thetas, kernel_pos and
+    each column's first-row index are made when read.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -162,20 +164,24 @@ class SandwichMatrix:
         # with a 0 that block minima read: at each transversal one getter gives
         # every row's weights; (perm, weights) keys are numbered in order of first sight
         padded = [wv + (0,) for wv in itertools.product(range(g.order), repeat=n - r)]
-        block, lambda_pos = len(padded), self.lambda_pos
+        self.block = block = len(padded)
+        lambda_pos = self.lambda_pos
         self.districts = [ki.mins() for ki in self.kernels[::block] for _ in padded]
         seen: dict[tuple, int] = {}
         self.id_columns = ids = [[-1] * len(self.kernels) for _ in self.lambdas]
+        self.part_columns = []
         for start in range(0, len(self.kernels), block):
             part = self.kernels[start].partition
             slot = [n - r] * (n + 1)  # a point's index among the non-minima, else the pad
             for idx, point in enumerate(sorted(p for b in part for p in b[1:])):
                 slot[point] = idx
+            cols = []
             for choice in itertools.product(*part):  # a transversal, one point per block
                 lam, perm = zip(*sorted(zip(choice, itertools.count(1))))  # perm: each point's block
                 get = itemgetter(*map(slot.__getitem__, lam))
-                ids[lambda_pos[lam]][start:start + block] = [
-                    seen.setdefault((perm, w), len(seen)) for w in map(get, padded)]
+                cols.append(l_idx := lambda_pos[lam])
+                ids[l_idx][start:start + block] = [seen.setdefault((perm, w), len(seen)) for w in map(get, padded)]
+            self.part_columns.append(sorted(cols))
         # at r = 1 the getter returns a bare weight, not a 1-tuple
         first_seen = [WreathElem(r, perm, w if r > 1 else (w,)) for perm, w in seen]
         self.values = sorted(first_seen, key=wreath_to_text)
@@ -192,6 +198,7 @@ class SandwichMatrix:
             if max(column) < 0:
                 raise AssertionError(f"image column {self.lambdas[l_idx]} is entirely zero")
         # every kernel row is nonzero at its own district column, checked above
+        self._first_rows: list[dict[int, int] | None] = [None] * len(ids)
 
     @cached_property
     def thetas(self) -> list[Endo]:
@@ -213,18 +220,34 @@ class SandwichMatrix:
         values = self.values + [None]  # -1 indexes the None
         return [[values[x] for x in column] for column in self.id_columns]
 
+    def first_row(self, l_idx: int, x: int) -> int:
+        """The first row holding value id x in column l, -1 if none.
+
+        A column's index (value id to first row) is built on its first use and kept.
+        """
+        if (index := self._first_rows[l_idx]) is None:
+            col = self.id_columns[l_idx]
+            index = self._first_rows[l_idx] = dict(zip(reversed(col), range(len(col) - 1, -1, -1)))
+        return index.get(x, -1)
+
     def nonzero_positions(self):
         """Positions as (row index, column index) pairs in lexicographic order."""
-        block = self.group.order ** (self.n - self.r)
-        for start in range(0, len(self.kernels), block):
-            picks = itertools.product(*self.kernels[start].partition)
-            cols = sorted(map(self.lambda_pos.__getitem__, map(tuple, map(sorted, picks))))
-            yield from itertools.product(range(start, start + block), cols)
+        for start, cols in zip(range(0, len(self.kernels), self.block), self.part_columns):
+            yield from itertools.product(range(start, start + self.block), cols)
 
     def positions_of(self, v: WreathElem) -> list[tuple[int, int]]:
         """The positions (row index, column index) holding v, in lexicographic order."""
         x, ids = self.value_id.get(v, -2), self.id_columns  # -2 matches no cell
         return [(i, l_idx) for i in range(len(self.kernels)) for l_idx, col in enumerate(ids) if col[i] == x]
+
+
+def square_condition(m: SandwichMatrix, i_idx: int, k_idx: int, l_idx: int, m_idx: int) -> bool:
+    """Entry test for a singular square on rows i, k and columns l, m."""
+    g = m.group
+    p_li, p_lk, p_mi, p_mk = (m.value_at(i, l) for l in (l_idx, m_idx) for i in (i_idx, k_idx))
+    if p_li is None or p_lk is None or p_mi is None or p_mk is None:
+        raise ZeroEntry("all four entries must be nonzero")
+    return wreath_mul(g, wreath_inv(g, p_li), p_lk) == wreath_mul(g, wreath_inv(g, p_mi), p_mk)
 
 
 def build_sandwich(g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> SandwichMatrix:

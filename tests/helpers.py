@@ -313,6 +313,26 @@ def scan_singular_witness(m, phi, phi2, psi, sigma, k_idx, l_idx):
     return None
 
 
+def unindexed_singular_witness(m, phi, phi2, psi, sigma, k_idx, l_idx):
+    """`find_singular_witness` without the column's first-row index.
+
+    Every row holding phi in column l comes from a scan of the column from
+    row 0, then columns mu ascending; returns (i, k, l, mu) or None.
+    """
+    ids, i_idx = m.id_columns, -1
+    x, x2, y, z = (m.value_id.get(v, -2) for v in (phi, phi2, psi, sigma))
+    if ids[l_idx][k_idx] != y:
+        return None
+    while True:
+        try:
+            i_idx = ids[l_idx].index(x, i_idx + 1)
+        except ValueError:
+            return None
+        for mu, column in enumerate(ids):
+            if column[i_idx] == x2 and column[k_idx] == z:
+                return (i_idx, k_idx, l_idx, mu)
+
+
 # -- dense oracles for the transversal build and the nonzero-row walks ---------
 
 # (group, n, r) at desk scale: every group, with r = 1, r = n - 1 and r = n

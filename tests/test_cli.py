@@ -260,6 +260,24 @@ def test_presentation_cli_json(capsys):
         }
 
 
+def test_gr_json_is_written_from_the_batches(capsys, tmp_path, monkeypatch):
+    # the streamed gr --json has the bytes of json.dumps of the collected
+    # presentation, at r = n - 1 (no R3) and r = n too; capped, a file target
+    # is left untouched and stdout holds a prefix of the whole text
+    monkeypatch.chdir(tmp_path)
+    for spec, n, r in (("Z2", 4, 2), ("trivial", 5, 3), ("Z3", 4, 3), ("S3", 3, 3)):
+        g = make_group(spec)
+        p = build_gr_presentation(build_sandwich(g, n, r), schreier_build(g, n, r))
+        whole = json.dumps({"generators": p.generators, "relators": p.relators, "tags": p.tags}) + "\n"
+        argv = ["presentation", "--group", spec, "--n", str(n), "--r", str(r), "--json"]
+        assert run(capsys, *argv) == (0, whole, "")
+        for cap in (0, len(p.relators) // 2):
+            code, out, err = run(capsys, *argv, "--max-relators", str(cap), "--output", "P")
+            assert (code, out, os.listdir()) == (3, "", []) and f"cap {cap}" in err
+            code, out, _ = run(capsys, *argv, "--max-relators", str(cap))
+            assert code == 3 and whole.startswith(out) and '"relators": [' in out
+
+
 def test_group_table_file_spec(capsys, tmp_path):
     path = tmp_path / "z2.txt"
     path.write_text("# two elements\norder 2\n0 1\n1 0\n")

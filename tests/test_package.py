@@ -89,6 +89,7 @@ def test_namespace_loads_modules_on_first_read():
     ("presentation --group Z2 --n 4 --r 2 --json", "cli endo errors groups presentation rees"),
     ("verify --group Z2 --n 4 --r 3", "cli endo errors fpgroup groups presentation rees"),
     ("verify --group Z2 --n 6 --r 4", "cli endo errors fpgroup groups presentation reduction rees"),
+    ("verify --group Z2 --n 6 --r 3", "cli endo errors fpgroup groups presentation reduction rees"),
 ])
 def test_a_subcommand_executes_only_the_modules_it_calls(argv, executed):
     assert fresh(EXECUTED_CHECK, *argv.split()) == f"0 {executed}\n"

@@ -34,7 +34,13 @@ from gact import (
 )
 from gact.reduction import _free_set
 
-from helpers import def81_rising_point, scan_singular_witness, value_positions, wreath_elements
+from helpers import (
+    def81_rising_point,
+    scan_singular_witness,
+    unindexed_singular_witness,
+    value_positions,
+    wreath_elements,
+)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -499,6 +505,66 @@ def test_witness_search_matches_entry_scan():
                     sigma = wreath_mul(g, phi2, wreath_mul(g, wreath_inv(g, phi), w.value))
                     quad = (m, phi, phi2, w.value, sigma, *w.component)
                     assert find_singular_witness(*quad) == scan_singular_witness(*quad)
+
+
+# sha256 of repr([w.square for w in log]) and the number of merges, recorded
+# while the rows holding phi were found by scanning column l from row 0
+PINNED_WITNESS_SQUARES = {
+    ("S3", 4, 2): (50, "d47e80d1856a1df8210d8928c95f2bce6dc19998fd026f57d3c33a1fc5080f13"),
+    ("Z3", 5, 3): (40, "3d71605638efe06bbce1e818ca753b74556caa9318fcc413e0a362b355335b92"),
+    ("Z2", 6, 3): (24, "bc0b0f4d4661f718f5b369c65c5b09552bf52bc6b9295bc45457f21e0f488c8b"),
+    ("S3", 5, 3): (220, "f5a8d77148e87e85977db0f112644c24568977d4d111946bf37568e245243afa"),
+    ("trivial", 8, 5): (23, "4beb9b017a20081b3ead0fc65c7ed5871e92a4980ed46e724ee03a97f2494556"),
+}
+
+
+@pytest.mark.parametrize("spec, n, r", sorted(PINNED_WITNESS_SQUARES))
+def test_witness_squares_pinned(spec, n, r):
+    import hashlib
+
+    from gact import make_group
+
+    m = build_sandwich(make_group(spec), n, r)
+    log = []
+    simplify_presentation(build_quotient_presentation(m), m, connectivity(m), log)
+    digest = hashlib.sha256(repr([w.square for w in log]).encode()).hexdigest()
+    assert (len(log), digest) == PINNED_WITNESS_SQUARES[spec, n, r]
+
+
+def test_indexed_witness_search_matches_unindexed_scan():
+    # at every position of every merged value, for every value phi and phi2 in
+    # {identity, simple factor}: phi absent from column l, phi whose first row
+    # closes no square but a later one does, and phi whose rows close none
+    from gact import make_group
+
+    for spec, n, r in (("S3", 4, 2), ("Z2", 5, 3)):
+        g = make_group(spec)
+        m = build_sandwich(g, n, r)
+        log = []
+        simplify_presentation(build_quotient_presentation(m), m, connectivity(m), log)
+        e = wreath_identity(r)
+        seen = Counter()
+        for w in {w.value: w for w in log}.values():
+            for k_idx, l_idx in value_positions(m)[w.value]:
+                column = m.id_columns[l_idx]
+                for phi in m.values:
+                    for phi2 in (e, w.simple_factor):
+                        sigma = wreath_mul(g, phi2, wreath_mul(g, wreath_inv(g, phi), w.value))
+                        quad = (m, phi, phi2, w.value, sigma, k_idx, l_idx)
+                        found = find_singular_witness(*quad)
+                        assert found == unindexed_singular_witness(*quad), (spec, quad[1:])
+                        x = m.value_id[phi]
+                        first = m.first_row(l_idx, x)
+                        assert first == (column.index(x) if x in column else -1)
+                        if first < 0:
+                            seen["absent"] += 1
+                        elif found is None:
+                            seen["none closes"] += 1
+                        elif found[0] > first:
+                            seen["first row fails"] += 1
+                        else:
+                            seen["first row closes"] += 1
+        assert len(seen) == 4 and min(seen.values()) > 0, (spec, seen)
 
 
 def test_simplify_output_pinned():

@@ -413,3 +413,17 @@ def test_nonzero_positions_match_dense_scan():
     for spec, n, r in WALK_CASES:
         m = build_sandwich(make_group(spec), n, r)
         assert list(m.nonzero_positions()) == dense_nonzero_positions(m), (spec, n, r)
+
+
+def test_part_columns_and_first_rows_match_dense_scans():
+    # each row's nonzero columns are its partition's part_columns, and a
+    # column's first-row index agrees with a scan from row 0, -1 when absent
+    for spec, n, r in WALK_CASES:
+        m = build_sandwich(make_group(spec), n, r)
+        assert len(m.part_columns) * m.block == len(m.kernels), (spec, n, r)
+        for i in range(len(m.kernels)):
+            dense = [l_idx for l_idx, col in enumerate(m.id_columns) if col[i] >= 0]
+            assert m.part_columns[i // m.block] == dense, (spec, n, r, i)
+        for l_idx, col in enumerate(m.id_columns):
+            for x in range(-1, len(m.values) + 1):
+                assert m.first_row(l_idx, x) == (col.index(x) if x in col else -1), (spec, n, r, l_idx, x)

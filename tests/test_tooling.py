@@ -41,3 +41,21 @@ def test_tracer_wraps_the_lazily_registered_stages(tmp_path, command, n, r, kind
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["exit"] == 0, result["stderr"]
     assert spans <= {s["name"] for s in result["spans"]}
+
+
+def test_ladder_runs_each_instance_in_a_fresh_wrapper(monkeypatch):
+    # the slice-tier ladder: per tree and repeat, one wrapper and one verify
+    # child (its own peak RSS), plus one in-process stage child; a run past
+    # the timeout is recorded, not raised
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    import ladder
+
+    [row] = ladder.ladder({"change": str(SRC)}, [("Z2", 6, 3)], repeats=2)
+    entry = row["change"]
+    assert row["instance"] == "verify Z2 6 3" and entry["status"] == ["ok"] and entry["timeouts"] == 0
+    assert entry["stdout"] == ["order=48 expected=48 OK"]
+    assert len(entry["wall_s"]["runs"]) == len(entry["simplify_s"]["runs"]) == 2
+    assert 0 < entry["maxrss_mb"]["median"] < 200 and entry["merges"] == 24
+    [late] = ladder.ladder({"change": str(SRC)}, [("Z2", 6, 3)], repeats=1, timeout=0.001)
+    assert late["change"]["status"] == ["timeout"] and late["change"]["timeouts"] == 1
+    assert "wall_s" not in late["change"] and "simplify_s" not in late["change"]

@@ -1,0 +1,157 @@
+"""The bench ladder's slice tier: wall time, peak RSS and stage times per source tree.
+
+    python tools/ladder.py --tree parent=<checkout>/src --tree change=src --out BENCH_24.json
+
+Each `--tree NAME=PATH` names a `src` directory holding the `gact` package.
+For every instance, tree and repeat the script starts one fresh wrapper
+process (this script with `--run`), and the wrapper starts
+`python -m gact.cli verify ...` as its only child, under a timeout.  The
+wrapper reads the child's wall clock and its peak RSS, from RUSAGE_CHILDREN,
+which then holds that child alone.  A run past the timeout is killed and
+recorded as `"status": "timeout"`.  Stage times come from a second fresh
+child per repeat (`--stages`): it builds the matrix at n in-process and
+times `connectivity` and `simplify_presentation` on it, as `cli.slice_order`
+calls them.  Repeats alternate the trees, so drift falls on both alike;
+each series reports its median and its spread, (max - min) / median.
+Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+
+# (group, n, r): the slice route, from desk scale to the frontier
+SLICE_TIER = [("S3", 6, 3), ("Z2", 8, 4), ("Z2", 8, 3), ("Z3", 8, 4), ("Z4", 7, 3), ("S3", 7, 4)]
+TIMEOUT_S = 150
+REPEATS = 3
+
+
+def _env(src: str) -> dict:
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def run_once(src: str, group: str, n: int, r: int, timeout: float) -> dict:
+    """Inside a fresh wrapper: one verify child, its wall clock, peak RSS and stdout."""
+    argv = [sys.executable, "-m", "gact.cli", "verify", "--group", group, "--n", str(n), "--r", str(r)]
+    start = time.perf_counter()
+    with subprocess.Popen(argv, env=_env(src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+        try:
+            out, err = child.communicate(timeout=timeout)
+            status = "ok" if child.returncode == 0 else f"exit {child.returncode}"
+        except subprocess.TimeoutExpired:
+            child.kill()
+            out, err = child.communicate()
+            status = "timeout"
+    wall = time.perf_counter() - start
+    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+    return {"status": status, "wall_s": round(wall, 3), "maxrss_mb": round(rss, 1),
+            "stdout": out.strip(), "stderr": err.strip()[-200:]}
+
+
+def stage_times(group: str, n: int, r: int) -> dict:
+    """Inside a fresh child whose path holds the tree: connectivity and simplification at n."""
+    from gact import build_sandwich, connectivity, make_group, simplify_presentation
+    from gact.presentation import Presentation, value_gen_name
+
+    m = build_sandwich(make_group(group), n, r)
+    start = time.perf_counter()
+    pg = connectivity(m)
+    mid = time.perf_counter()
+    blank = Presentation([value_gen_name(v) for v in m.values], [], [], gen_keys=m.values)
+    log: list = []
+    simplify_presentation(blank, m, pg, log)
+    end = time.perf_counter()
+    return {"connectivity_s": round(mid - start, 4), "simplify_s": round(end - mid, 4), "merges": len(log)}
+
+
+def _child(args: list[str], env: dict | None = None, timeout: float | None = None) -> dict:
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), *args], env=env,
+                          capture_output=True, text=True, timeout=timeout, check=True)
+    return json.loads(done.stdout)
+
+
+def _series(values: list[float]) -> dict:
+    median = statistics.median(values)
+    return {"runs": values, "median": round(median, 4),
+            "spread": round((max(values) - min(values)) / median, 3) if median else 0.0}
+
+
+def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: float = TIMEOUT_S) -> list[dict]:
+    """One row per instance: each tree's statuses, stdouts, timeouts and series."""
+    rows = []
+    for group, n, r in instances:
+        label = f"verify {group} {n} {r}"
+        runs = {name: [] for name in trees}
+        staged = {name: [] for name in trees}
+        for _ in range(repeats):
+            for name, src in trees.items():
+                runs[name].append(_child(["--run", src, group, str(n), str(r), str(timeout)]))
+                if runs[name][-1]["status"] == "ok":
+                    staged[name].append(_child(["--stages", group, str(n), str(r)], _env(src), 2 * timeout))
+                print(label, name, runs[name][-1]["status"], runs[name][-1]["wall_s"], file=sys.stderr)
+        row: dict = {"instance": label, "tier": "slice"}
+        for name, done in runs.items():
+            ok = [d for d in done if d["status"] == "ok"]
+            entry: dict = {"status": sorted({d["status"] for d in done}), "stdout": sorted({d["stdout"] for d in done}),
+                           "timeouts": sum(d["status"] == "timeout" for d in done)}
+            if ok:
+                entry["wall_s"] = _series([d["wall_s"] for d in ok])
+                entry["maxrss_mb"] = _series([d["maxrss_mb"] for d in ok])
+            if staged[name]:
+                entry["connectivity_s"] = _series([s["connectivity_s"] for s in staged[name]])
+                entry["simplify_s"] = _series([s["simplify_s"] for s in staged[name]])
+                entry["merges"] = staged[name][0]["merges"]
+            row[name] = entry
+        rows.append(row)
+    return rows
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tree", action="append", default=[], metavar="NAME=PATH",
+                    help="a src directory holding gact, by name; repeatable")
+    ap.add_argument("--out", help="write the ladder JSON here (default: stdout)")
+    ap.add_argument("--run", nargs=5, metavar=("SRC", "GROUP", "N", "R", "TIMEOUT"), help=argparse.SUPPRESS)
+    ap.add_argument("--stages", nargs=3, metavar=("GROUP", "N", "R"), help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.run:
+        src, group, n, r, timeout = args.run
+        print(json.dumps(run_once(src, group, int(n), int(r), float(timeout))))
+        return 0
+    if args.stages:
+        group, n, r = args.stages
+        print(json.dumps(stage_times(group, int(n), int(r))))
+        return 0
+    if not all("=" in spec for spec in args.tree) or not args.tree:
+        ap.error("give each source tree as --tree NAME=PATH")
+    trees = dict(spec.split("=", 1) for spec in args.tree)
+    report = {
+        "method": (f"slice tier; per instance, tree and repeat one fresh wrapper process runs one "
+                   f"`gact.cli verify` child under a {TIMEOUT_S} s timeout and reads its wall clock "
+                   f"and its peak RSS (RUSAGE_CHILDREN); stage times are in-process, one fresh child "
+                   f"per repeat; {REPEATS} repeats, trees alternating; spread = (max - min) / median"),
+        "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
+        "timeout_s": TIMEOUT_S,
+        "repeats": REPEATS,
+        "trees": list(trees),
+        "instances": ladder(trees, SLICE_TIER),
+    }
+    text = json.dumps(report, indent=1) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
