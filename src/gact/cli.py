@@ -21,7 +21,7 @@ import sys
 from itertools import chain, takewhile
 from math import factorial
 
-from .endo import parse_wreath, subgroup_order, wreath_identity, wreath_inv, wreath_to_text
+from .endo import parse_wreath, wreath_identity, wreath_inv, wreath_order, wreath_to_text
 from .errors import DEFAULT_MAX_COSETS, DEFAULT_MAX_RELATORS, Capped, GactError, ParseError, ResourceLimit
 from .groups import Group, make_group
 from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, column_pairs, extended_rows, matrix_lines, square_condition
@@ -158,8 +158,7 @@ def enumerate_order(m, caps: dict) -> tuple[int, list]:
     log: list = []
     q, _ = presentation.eliminate_generators(reduction.simplify_presentation(p, m, pg, log))
     if q.generators:
-        g, r = m.group, m.r
-        orders = [subgroup_order(g, [v], r, g.order ** r * factorial(r)) for v in q.gen_keys]
+        orders = [wreath_order(m.group, v) for v in q.gen_keys]
         table = fpgroup.todd_coxeter(q, orders.index(max(orders)) + 1, caps["max_cosets"])
         if table.subgroup_order:
             return table.order * table.subgroup_order, log
@@ -177,8 +176,9 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
     merge relators and then the P1 relators of `column_pairs(m)`, read no
     further than needed.  So the presentation at n is a quotient of the
     slice's.  Lower bound: every relator emitted at n (P2, merges, walked
-    P1) maps to 1 under f[v] -> inv(v), and the images generate W.  The
-    route's counters go into route.
+    P1) maps to 1 under f[v] -> inv(v), and the images generate W, since
+    every standard generator of W is a value at n.  The route's counters go
+    into route.
     """
     r = m.r
     log: list = []
@@ -223,10 +223,11 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
 
     if not presentation.close_generators({m.value_id[v] + 1 for v in s.values}, len(m.values), fed()):
         return None
-    # the closing holds up to |W| elements, so it is capped like the cosets
-    if order > caps["max_cosets"]:
-        raise Capped(caps["max_cosets"])
-    if subgroup_order(g, inverses, r, order) != order:
+    # the adjacent transpositions and the weight insertions generate W and are
+    # closed under inverses, so if each is a value v, each is an image inv(v)
+    standard = [reduction.simple_form_elem(r, k, 1, 0) for k in range(1, r)]
+    standard += [reduction.simple_form_elem(r, k, 0, a) for k in range(1, r + 1) for a in range(1, g.order)]
+    if not all(x in m.value_id for x in standard):
         return None
     return order, log
 

@@ -143,32 +143,14 @@ def wreath_inv(g: Group, a: WreathElem) -> WreathElem:
     return WreathElem(r, tuple(inv_perm), weights)
 
 
-def subgroup_order(g: Group, gens, r: int, limit: int) -> int:
-    """The order of the subgroup of G wr S_r that gens generate, or limit if that is less.
-
-    The reached set holds the identity and is closed under right products by
-    the generators used so far; a generator outside it is used and the set
-    closed again, which at least doubles it, so few generators are used.  The
-    closing stops as soon as limit elements are held.
-    """
-    reached = {wreath_identity(r)}
-    used: list[WreathElem] = []
-    for x in gens:
-        if x in reached:
-            continue
-        used.append(x)
-        frontier = list(reached)
-        while frontier:
-            grown = []
-            for a in frontier:
-                for y in used:
-                    if (b := wreath_mul(g, a, y)) not in reached:
-                        reached.add(b)
-                        if len(reached) >= limit:
-                            return limit
-                        grown.append(b)
-            frontier = grown
-    return len(reached)
+def wreath_order(g: Group, v: WreathElem) -> int:
+    """The least k >= 1 with v^k the identity."""
+    one = wreath_identity(v.r)
+    k, power = 1, v
+    while power != one:
+        power = wreath_mul(g, power, v)
+        k += 1
+    return k
 
 
 def to_wreath(alpha: Endo, r: int) -> WreathElem:

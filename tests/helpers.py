@@ -137,6 +137,34 @@ def wreath_elements(g, r):
     return out
 
 
+def subgroup_order(g, gens, r, limit):
+    """The order of the subgroup of G wr S_r that gens generate, or limit if that is less.
+
+    The reached set holds the identity and is closed under right products by
+    the generators used so far; a generator outside it is used and the set
+    closed again, which at least doubles it.  The closing stops as soon as
+    limit elements are held.
+    """
+    reached = {wreath_identity(r)}
+    used = []
+    for x in gens:
+        if x in reached:
+            continue
+        used.append(x)
+        frontier = list(reached)
+        while frontier:
+            grown = []
+            for a in frontier:
+                for y in used:
+                    if (b := wreath_mul(g, a, y)) not in reached:
+                        reached.add(b)
+                        if len(reached) >= limit:
+                            return limit
+                        grown.append(b)
+            frontier = grown
+    return len(reached)
+
+
 def def81_rising_point(phi):
     """Rising point straight from the quantified definition.
 

@@ -23,7 +23,7 @@ from gact import (
     todd_coxeter,
     word_equal,
 )
-from gact.endo import subgroup_order
+from gact.endo import wreath_order
 from gact.presentation import eliminate_generators
 
 from helpers import MAIN_CASES, trace
@@ -221,7 +221,7 @@ def reduced(spec, n, r):
     g = make_group(spec)
     m = build_sandwich(g, n, r)
     q, _ = eliminate_generators(simplify_presentation(build_quotient_presentation(m), m, connectivity(m)))
-    orders = [subgroup_order(g, [v], r, 10**9) for v in q.gen_keys]
+    orders = [wreath_order(g, v) for v in q.gen_keys]
     return q, (orders.index(max(orders)) + 1 if orders else None)
 
 

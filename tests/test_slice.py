@@ -7,12 +7,12 @@ from math import factorial
 import pytest
 
 from gact import build_quotient_presentation, build_sandwich, cli, connectivity, make_group, reduction
-from gact import simplify_presentation, square_condition, wreath_identity, wreath_inv
-from gact.endo import WreathElem, subgroup_order
+from gact import group_from_text, simple_form_elem, simplify_presentation, square_condition, wreath_identity, wreath_inv
+from gact.endo import WreathElem, wreath_order
 from gact.presentation import close_generators, evaluate_word
 from gact.rees import KernelIndex, extended_rows
 
-from helpers import MAIN_CASES
+from helpers import MAIN_CASES, subgroup_order
 
 # every desk main case above n = r+2, trivial 7 5 (at n = r+2, where
 # enumerate_order alone decides), and five more instances, trivial 8 5 the
@@ -96,6 +96,41 @@ def test_subgroup_order_in_the_wreath_group():
     assert subgroup_order(g, [], 2, 8) == 1
 
 
+KLEIN = "order 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
+
+
+def standard_generators(g, r):
+    """W's adjacent transpositions and weight insertions, as `cli.slice_order` looks them up."""
+    return [simple_form_elem(r, k, 1, 0) for k in range(1, r)] + [
+        simple_form_elem(r, k, 0, a) for k in range(1, r + 1) for a in range(1, g.order)]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("spec", ["trivial", "Z2", "Z3", "S3", "klein"])
+def test_standard_generators_generate_the_wreath_group(spec, r):
+    g = group_from_text(KLEIN) if spec == "klein" else make_group(spec)
+    gens = standard_generators(g, r)
+    assert {wreath_inv(g, x) for x in gens} == set(gens)  # closed under inverses
+    size = g.order ** r * factorial(r)
+    assert subgroup_order(g, gens, r, size + 1) == size
+
+
+@pytest.mark.parametrize("spec, r", sorted({(spec, r) for _, spec, r, _ in MAIN_CASES}))
+def test_standard_generators_are_values(spec, r):
+    g = make_group(spec)
+    for n in (r + 1, r + 2, r + 3):
+        m = build_sandwich(g, n, r)
+        assert all(x in m.value_id for x in standard_generators(g, r)), (spec, n, r)
+
+
+@pytest.mark.parametrize("spec, n, r", [("S3", 4, 2), ("Z3", 5, 3), ("Z2", 5, 1)])
+def test_wreath_order_is_the_cyclic_subgroup_order(spec, n, r):
+    g = make_group(spec)
+    bound = g.order ** r * factorial(r)
+    for v in build_sandwich(g, n, r).values:
+        assert wreath_order(g, v) == subgroup_order(g, [v], r, bound + 1), v
+
+
 # -- mutations: each must fall back to enumeration at n, or fail -----------------
 
 def test_wrong_merge_relator_fails_the_lower_bound(monkeypatch):
@@ -142,7 +177,7 @@ def test_stalled_closure_falls_back(monkeypatch):
 
 
 def test_every_other_failed_check_falls_back(monkeypatch):
-    real_enumerate, real_pairs = cli.enumerate_order, cli.column_pairs
+    real_enumerate, real_pairs, real_build = cli.enumerate_order, cli.column_pairs, cli.build_sandwich
 
     def wrong_slice_order(m, caps):
         order, log = real_enumerate(m, caps)
@@ -170,8 +205,18 @@ def test_every_other_failed_check_falls_back(monkeypatch):
             yield pairs
         yield from walk
 
+    class Hiding(dict):  # the value ids at n, with one weight insertion missing from the membership test
+        def __contains__(self, v):
+            return v != simple_form_elem(3, 3, 0, 1) and super().__contains__(v)
+
+    def missing_generator(g, n, r, max_entries):
+        m = real_build(g, n, r, max_entries)
+        if n == 6:
+            m.value_id = Hiding(m.value_id)
+        return m
+
     for name, patch in (("enumerate_order", wrong_slice_order), ("enumerate_order", nonsingular_slice_square),
-                        ("column_pairs", bad_walked_relator), ("subgroup_order", lambda *args: 1)):
+                        ("column_pairs", bad_walked_relator), ("build_sandwich", missing_generator)):
         with monkeypatch.context() as mp:
             mp.setattr(cli, name, patch)
             report = verify("Z2", 6, 3)
@@ -187,12 +232,15 @@ def test_caps_still_fire_on_the_route():
         assert (code, out.getvalue()) == (3, "") and says in err.getvalue(), flag
 
 
-def test_closure_is_capped_like_the_cosets():
-    # the (6, 4) slice fits in 274 cosets over <h>, but the closure would hold |W| = 384 elements
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.main(["verify", "--group", "Z2", "--n", "7", "--r", "4", "--max-cosets", "300"])
-    assert (code, out.getvalue()) == (3, "") and "capped at 300 cosets" in err.getvalue()
+def test_the_coset_cap_bounds_the_slice_enumeration_alone():
+    # the (6, 4) slice fits in 274 cosets over <h>; nothing else on the route holds |W| = 384 elements
+    for cap, want in (("300", (0, "order=384 expected=384 OK\n")), ("274", (0, "order=384 expected=384 OK\n")),
+                      ("273", (3, ""))):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["verify", "--group", "Z2", "--n", "7", "--r", "4", "--max-cosets", cap])
+        assert (code, out.getvalue()) == want, cap
+        assert ("capped at 273 cosets" in err.getvalue()) == (cap == "273"), cap
 
 
 def test_default_stdout_unchanged_by_the_route(capsys):
