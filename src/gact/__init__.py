@@ -18,14 +18,14 @@ _PUBLIC = {  # defining module -> the public names it gives the package
     "endo": "Endo KernelData WreathElem compose from_wreath green_test identity_endo image is_idempotent "
     "kernel parse_endo parse_wreath rank to_wreath wreath_identity wreath_inv wreath_mul",
     "errors": "BadRank Capped GactError IncompleteTable IndexOutOfRange NotDecomposable NotInH ParseError "
-    "RankMismatch ResourceLimit StepNotApplicable TableNotGroup WitnessNotFound ZeroEntry",
+    "RankMismatch ResourceLimit TableNotGroup WitnessNotFound ZeroEntry",
     "fpgroup": "Abelianization CosetTable abelianization todd_coxeter word_equal",
     "groups": "Group cyclic_group ginv gmul group_from_table_file group_from_text make_group "
     "symmetric_group trivial_group",
     "presentation": "Presentation SchreierSystem build_gr_presentation build_quotient_presentation "
     "eliminate_generators lavers_presentation presentation_to_text schreier_build",
     "reduction": "MergeWitness PositionGraph connectivity decompose find_singular_witness is_simple_form "
-    "rising_point simple_form_elem simplify_presentation step_d step_u step_u_prime value_component_counts",
+    "rising_point simple_form_elem simplify_presentation value_component_counts",
     "rees": "KernelIndex SandwichMatrix build_sandwich kernel_list lambda_list matrix_to_text q_of "
     "set_partitions square_condition theta",
 }

@@ -41,10 +41,6 @@ class ResourceLimit(GactError):
         self.limit = limit
 
 
-class StepNotApplicable(GactError):
-    """The positional preconditions of a matrix-walking step fail."""
-
-
 class NotDecomposable(GactError):
     """The element's rising point is too low to split off a simple form."""
 

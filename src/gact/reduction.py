@@ -16,17 +16,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from itertools import chain
 
-from .endo import (
-    Endo,
-    WreathElem,
-    wreath_identity,
-    wreath_inv,
-    wreath_mul,
-    wreath_to_text,
-)
-from .errors import NotDecomposable, StepNotApplicable, WitnessNotFound
+from .endo import WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
+from .errors import NotDecomposable, WitnessNotFound
 from .presentation import Presentation
-from .rees import SandwichMatrix, kernel_index_of
+from .rees import SandwichMatrix
 
 Position = tuple[int, int]
 
@@ -104,97 +97,6 @@ def value_component_counts(pg: PositionGraph) -> dict[WreathElem, tuple[int, int
     npos = Counter(chain.from_iterable(ids))
     ncomp = Counter(ids[l_idx][i] for i, l_idx in pg.roots())
     return {v: (npos[x], ncomp[x]) for x, v in enumerate(pg.matrix.values)}
-
-
-# -- the three walking steps ---------------------------------------------------
-
-def _free_set(m: SandwichMatrix, pos: Position) -> set[int]:
-    i_idx, l_idx = pos
-    used = set(m.districts[i_idx]) | set(m.lambdas[l_idx])
-    return set(range(1, m.n + 1)) - used
-
-
-def _moved_row(m: SandwichMatrix, i_idx: int, t: int, target: int, weight: int) -> int:
-    """Row index of the transversal obtained by redefining position t."""
-    th = m.thetas[i_idx]
-    targets = list(th.targets)
-    weights = list(th.weights)
-    targets[t - 1] = target
-    weights[t - 1] = weight
-    moved = Endo(m.group, m.n, tuple(targets), tuple(weights))
-    k_idx = m.kernel_pos[kernel_index_of(moved)]
-    if m.thetas[k_idx] != moved:
-        raise AssertionError("redefined map is not the transversal of its row")
-    return k_idx
-
-
-def _check_same_value(m: SandwichMatrix, old: Position, new: Position):
-    if m.id_columns[old[1]][old[0]] != m.id_columns[new[1]][new[0]]:
-        raise AssertionError("step changed the matrix value")
-
-
-def step_d(m: SandwichMatrix, pos: Position, t: int) -> Position:
-    """Pull the block minimum above t down onto t; same column, same value."""
-    i_idx, l_idx = pos
-    if t not in _free_set(m, pos):
-        raise StepNotApplicable(f"{t} is not free at this position")
-    d = m.districts[i_idx]
-    slot = None
-    for j in range(len(d) - 1):
-        if d[j] < t < d[j + 1]:
-            slot = j + 1  # 0-based index of the minimum being replaced
-            break
-    if slot is None:
-        raise StepNotApplicable(f"{t} is not between two block minima")
-    k_idx = _moved_row(m, i_idx, t, slot + 1, 0)
-    new = (k_idx, l_idx)
-    _check_same_value(m, pos, new)
-    return new
-
-
-def step_u(m: SandwichMatrix, pos: Position, t: int) -> Position:
-    """Copy the column entry below t onto t and raise that column slot to t."""
-    i_idx, l_idx = pos
-    if t not in _free_set(m, pos):
-        raise StepNotApplicable(f"{t} is not free at this position")
-    lam = m.lambdas[l_idx]
-    slot = None
-    for j in range(len(lam) - 1, -1, -1):
-        if lam[j] < t:
-            slot = j
-            break
-    if slot is None:
-        raise StepNotApplicable(f"{t} is below the whole column {lam}")
-    th = m.thetas[i_idx]
-    u = lam[slot]
-    m_idx = _moved_row(m, i_idx, t, th.targets[u - 1], th.weights[u - 1])
-    mu = lam[:slot] + (t,) + lam[slot + 1:]
-    new = (m_idx, m.lambda_pos[mu])
-    _check_same_value(m, pos, new)
-    return new
-
-
-def step_u_prime(m: SandwichMatrix, pos: Position, t: int) -> Position:
-    """Copy the column entry above t onto t and lower that column slot to t."""
-    i_idx, l_idx = pos
-    lam = m.lambdas[l_idx]
-    slot = None
-    for j, u in enumerate(lam):
-        if t < u:
-            slot = j
-            break
-    if slot is None:
-        raise StepNotApplicable(f"{t} is above the whole column {lam}")
-    free = _free_set(m, pos)
-    if any(s not in free for s in range(t, lam[slot])):
-        raise StepNotApplicable(f"[{t}, {lam[slot]}) is not entirely free")
-    th = m.thetas[i_idx]
-    u = lam[slot]
-    l2_idx = _moved_row(m, i_idx, t, th.targets[u - 1], th.weights[u - 1])
-    mu = lam[:slot] + (t,) + lam[slot + 1:]
-    new = (l2_idx, m.lambda_pos[mu])
-    _check_same_value(m, pos, new)
-    return new
 
 
 # -- simple forms and the rising point -----------------------------------------

@@ -238,7 +238,7 @@ class SandwichMatrix:
     def positions_of(self, v: WreathElem) -> list[tuple[int, int]]:
         """The positions (row index, column index) holding v, in lexicographic order."""
         x, ids = self.value_id.get(v, -2), self.id_columns  # -2 matches no cell
-        return [(i, l_idx) for i in range(len(self.kernels)) for l_idx, col in enumerate(ids) if col[i] == x]
+        return [(i, l_idx) for i, l_idx in self.nonzero_positions() if ids[l_idx][i] == x]
 
 
 def square_condition(m: SandwichMatrix, i_idx: int, k_idx: int, l_idx: int, m_idx: int) -> bool:

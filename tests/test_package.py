@@ -1,5 +1,6 @@
 """The package namespace loads lazily, and the records keep their contract."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -23,6 +24,11 @@ from gact import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# public names that no module, benchmark script or tool reads: the tests'
+# references and conveniences; any other public name needs a caller
+TEST_ONLY = {"esquare_at", "is_rectangular_band", "singular_witness", "is_simple_form", "word_equal", "to_wreath",
+             "gmul", "ginv", "identity_endo", "parse_endo"}
 
 # run in a fresh interpreter, so no module is loaded before `import gact`
 NAMESPACE_CHECK = """
@@ -98,6 +104,33 @@ def test_a_subcommand_executes_only_the_modules_it_calls(argv, executed):
 @pytest.mark.parametrize("order", ["gact.presentation gact.cli", "gact.cli gact.presentation"])
 def test_a_stage_module_is_one_object_in_either_import_order(order):
     fresh(IMPORT_ORDER_CHECK, *order.split())
+
+
+def read_names(path):
+    """The names a module reads, as a name, an attribute or an import, or spells as a whole string."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)  # perfbench's tracer wraps its layers by name
+    return names
+
+
+def test_every_public_name_has_a_caller_or_is_kept_for_the_tests():
+    # a definition is not a read, so a public name only its tests reach fails
+    # here unless it is listed in TEST_ONLY; a listed name that gains a caller
+    # leaves the list
+    import gact
+
+    root = SRC.parent
+    modules = [p for p in (SRC / "gact").glob("*.py") if p.name != "__init__.py"]
+    read = set().union(*map(read_names, [*modules, *(root / "perfbench").glob("*.py"), *(root / "tools").glob("*.py")]))
+    assert set(gact.__all__) - read == TEST_ONLY
 
 
 def test_records_keep_their_reprs():

@@ -504,6 +504,40 @@ def test_rank_top_minus_one_quotient_abelianization():
         assert ab_p.free_rank == ab_q.free_rank == len(q.generators) - 1
 
 
+@pytest.mark.parametrize("spec, n, free_rank", [
+    ("trivial", 4, 3), ("trivial", 5, 6), ("trivial", 8, 21), ("Z2", 4, 9), ("Z2", 5, 16), ("Z2", 6, 25),
+    ("Z3", 4, 15), ("Z3", 5, 26), ("Z4", 4, 21), ("S3", 4, 33),
+])
+def test_rank_n_minus_1_free_rank_by_union_find(spec, n, free_rank):
+    # at r = n-1 the position presentation is R1 edges a*b^-1 and R2 kills
+    # only: no R3, no singular square, so its abelianization is free of the
+    # rank a union-find reads off (classes of the R1 edges no R2 kills)
+    from gact import abelianization
+    from gact.biorder import squares_report
+
+    g, r = make_group(spec), n - 1
+    p = build_gr_presentation(build_sandwich(g, n, r), schreier_build(g, n, r))
+    assert p.tag_count("R3") == 0
+    assert all((tag, len(w)) == ("R1", 2) and w[0] > 0 > w[1] or (tag, len(w)) == ("R2", 1) and w[0] > 0
+               for tag, w in zip(p.tags, p.relators))
+    if n <= 6:
+        assert squares_report(g, n)[r - 1]["singular"] == 0
+    parent = list(range(len(p.generators) + 1))  # letters are 1-based
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
+    for tag, w in zip(p.tags, p.relators):
+        if tag == "R1":
+            parent[find(w[0])] = find(-w[1])
+    classes = {find(a) for a in range(1, len(parent))}
+    killed = {find(w[0]) for tag, w in zip(p.tags, p.relators) if tag == "R2"}
+    ab = abelianization(p)
+    assert (ab.torsion, ab.free_rank) == ((), len(classes - killed)) == ((), free_rank)
+
+
 # -- Tietze elimination ---------------------------------------------------------
 
 def value_presentation(spec, n, r):

@@ -5,7 +5,6 @@ import pytest
 
 from gact import (
     NotDecomposable,
-    StepNotApplicable,
     WitnessNotFound,
     WreathElem,
     build_gr_presentation,
@@ -22,9 +21,6 @@ from gact import (
     schreier_build,
     simple_form_elem,
     simplify_presentation,
-    step_d,
-    step_u,
-    step_u_prime,
     todd_coxeter,
     trivial_group,
     value_component_counts,
@@ -32,7 +28,6 @@ from gact import (
     wreath_inv,
     wreath_mul,
 )
-from gact.reduction import _free_set
 
 from helpers import (
     def81_rising_point,
@@ -77,71 +72,6 @@ def test_connectivity_components_carry_one_value():
         values = {m.value_at(*p) for p in members}
         assert len(values) == 1
         assert root == min(members)
-
-
-# -- the walking steps -------------------------------------------------------------
-
-def kernel_row(m, targets, weights):
-    from gact import Endo
-    from gact.rees import kernel_index_of
-
-    alpha = Endo(m.group, m.n, targets, weights)
-    k = m.kernel_pos[kernel_index_of(alpha)]
-    assert m.thetas[k] == alpha  # the row's own transversal
-    return k
-
-
-def test_step_u_example():
-    m = build_sandwich(Z2, 5, 2)
-    i = kernel_row(m, (1, 2, 1, 2, 1), (0, 0, 1, 1, 0))  # district (1, 2)
-    pos = (i, m.lambda_pos[(3, 4)])
-    new = step_u(m, pos, 5)
-    assert m.lambdas[new[1]] == (3, 5)
-    assert m.entries[new[1]][new[0]] == m.entries[pos[1]][pos[0]]
-    assert m.districts[new[0]] == (1, 2)
-
-
-def test_step_d_example():
-    m = build_sandwich(Z2, 5, 2)
-    i = kernel_row(m, (1, 1, 2, 1, 2), (0, 1, 0, 1, 0))  # district (1, 3)
-    pos = (i, m.lambda_pos[(4, 5)])
-    new = step_d(m, pos, 2)
-    assert m.districts[new[0]] == (1, 2)
-    assert m.lambdas[new[1]] == (4, 5)
-    assert m.entries[new[1]][new[0]] == m.entries[pos[1]][pos[0]]
-
-
-def test_step_u_prime_example():
-    m = build_sandwich(Z2, 5, 2)
-    i = kernel_row(m, (1, 2, 1, 2, 1), (0, 0, 1, 1, 0))  # district (1, 2)
-    pos = (i, m.lambda_pos[(4, 5)])
-    new = step_u_prime(m, pos, 3)
-    assert m.lambdas[new[1]] == (3, 5)
-    assert m.entries[new[1]][new[0]] == m.entries[pos[1]][pos[0]]
-
-
-def test_step_rejects_used_point():
-    m = build_sandwich(Z2, 5, 2)
-    i = kernel_row(m, (1, 2, 1, 2, 1), (0, 0, 1, 1, 0))
-    pos = (i, m.lambda_pos[(3, 4)])
-    for t in (1, 2, 3, 4):
-        with pytest.raises(StepNotApplicable):
-            step_u(m, pos, t)
-        with pytest.raises(StepNotApplicable):
-            step_d(m, pos, t)
-
-
-def test_steps_preserve_value_exhaustively():
-    for g, n, r in ((Z2, 4, 2), (T, 5, 2), (Z2, 5, 2), (T, 5, 3)):
-        m = build_sandwich(g, n, r)
-        for pos in m.nonzero_positions():
-            for t in sorted(_free_set(m, pos)):
-                for step in (step_d, step_u, step_u_prime):
-                    try:
-                        new = step(m, pos, t)
-                    except StepNotApplicable:
-                        continue
-                    assert m.entries[new[1]][new[0]] == m.entries[pos[1]][pos[0]]
 
 
 # -- simple forms and rising point ---------------------------------------------------
@@ -429,18 +359,6 @@ def test_connectivity_matches_bfs_closure():
         assert pg.components() == expected, (spec, n, r)
         assert pg.roots() == sorted(expected), (spec, n, r)
         assert value_component_counts(pg) == counts, (spec, n, r)
-
-
-def test_step_u_prime_replaces_a_shared_minimum():
-    # when the lowered column slot is itself a block minimum, the district
-    # picks up the new point in its place
-    m = build_sandwich(Z2, 5, 2)
-    i = kernel_row(m, (1, 1, 2, 1, 2), (0, 1, 0, 1, 1))  # district (1, 3)
-    pos = (i, m.lambda_pos[(3, 4)])  # first column slot is the minimum 3
-    new = step_u_prime(m, pos, 2)
-    assert m.lambdas[new[1]] == (2, 4)
-    assert m.districts[new[0]] == (1, 2)
-    assert m.entries[new[1]][new[0]] == m.entries[pos[1]][pos[0]]
 
 
 def test_full_pipeline_on_extra_instances():

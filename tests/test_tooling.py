@@ -59,3 +59,31 @@ def test_ladder_runs_each_instance_in_a_fresh_wrapper(monkeypatch):
     [late] = ladder.ladder({"change": str(SRC)}, [("Z2", 6, 3)], repeats=1, timeout=0.001)
     assert late["change"]["status"] == ["timeout"] and late["change"]["timeouts"] == 1
     assert "wall_s" not in late["change"] and "simplify_s" not in late["change"]
+
+
+def test_ladder_gives_each_tree_its_own_bytecode_cache(monkeypatch):
+    # the caller's PYTHONDONTWRITEBYTECODE reaches no child: each tree's
+    # compile step, wrappers (whose verify children inherit their environment)
+    # and stage children share one cache of their own, filled before the first repeat
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    import ladder
+
+    calls = []  # (argv, env) of each child, in order
+    real_run = subprocess.run
+
+    def run(argv, **kw):
+        calls.append((argv, kw["env"]))
+        done = real_run(argv, **kw)
+        if argv[1] == "-c":
+            assert list(Path(kw["env"]["PYTHONPYCACHEPREFIX"]).rglob("rees.*.pyc"))
+        return done
+
+    monkeypatch.setattr(subprocess, "run", run)
+    [row] = ladder.ladder({"a": str(SRC), "b": str(SRC)}, [("Z2", 4, 2)], repeats=1)
+    assert row["a"]["status"] == row["b"]["status"] == ["ok"]
+    assert [argv[1:2] for argv, _ in calls[:2]] == [["-c"], ["-c"]]  # both compiled before any run
+    assert all("PYTHONDONTWRITEBYTECODE" not in env and env["PYTHONPATH"] == str(SRC) for _, env in calls)
+    prefixes = [env["PYTHONPYCACHEPREFIX"] for _, env in calls]
+    assert len(calls) == 6 and prefixes[0] != prefixes[1]
+    assert prefixes[2:] == [prefixes[0]] * 2 + [prefixes[1]] * 2  # a's run and stages, then b's

@@ -13,6 +13,11 @@ child per repeat (`--stages`): it builds the matrix at n in-process and
 times `connectivity` and `simplify_presentation` on it, as `cli.slice_order`
 calls them.  Repeats alternate the trees, so drift falls on both alike;
 each series reports its median and its spread, (max - min) / median.
+Every tree gets its own bytecode cache (PYTHONPYCACHEPREFIX) in one
+temporary directory, with bytecode writing on, and one untimed child
+compiles the tree's modules, and the standard modules they import, into
+it before the first repeat: a tree that ships a `__pycache__` and a fresh
+checkout then both load every module from bytecode.
 Only the standard library is used.
 """
 
@@ -26,23 +31,30 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 # (group, n, r): the slice route, from desk scale to the frontier
 SLICE_TIER = [("S3", 6, 3), ("Z2", 8, 4), ("Z2", 8, 3), ("Z3", 8, 4), ("Z4", 7, 3), ("S3", 7, 4)]
 TIMEOUT_S = 150
 REPEATS = 3
+# imports every module of the tree, which compiles it and the standard modules it imports into the cache
+COMPILE_CODE = ("import importlib, pkgutil, gact\n"
+                "for mod in pkgutil.iter_modules(gact.__path__):\n    importlib.import_module('gact.' + mod.name)\n")
 
 
-def _env(src: str) -> dict:
-    return dict(os.environ, PYTHONPATH=src)
+def _env(src: str, cache: str) -> dict:
+    """The caller's environment with the tree on the path and its own bytecode cache, written to."""
+    env = dict(os.environ, PYTHONPATH=src, PYTHONPYCACHEPREFIX=cache)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
 
 
-def run_once(src: str, group: str, n: int, r: int, timeout: float) -> dict:
-    """Inside a fresh wrapper: one verify child, its wall clock, peak RSS and stdout."""
+def run_once(group: str, n: int, r: int, timeout: float) -> dict:
+    """Inside a fresh wrapper, in a tree's environment: one verify child, its wall clock, peak RSS and stdout."""
     argv = [sys.executable, "-m", "gact.cli", "verify", "--group", group, "--n", str(n), "--r", str(r)]
     start = time.perf_counter()
-    with subprocess.Popen(argv, env=_env(src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
         try:
             out, err = child.communicate(timeout=timeout)
             status = "ok" if child.returncode == 0 else f"exit {child.returncode}"
@@ -72,7 +84,7 @@ def stage_times(group: str, n: int, r: int) -> dict:
     return {"connectivity_s": round(mid - start, 4), "simplify_s": round(end - mid, 4), "merges": len(log)}
 
 
-def _child(args: list[str], env: dict | None = None, timeout: float | None = None) -> dict:
+def _child(args: list[str], env: dict, timeout: float | None = None) -> dict:
     done = subprocess.run([sys.executable, os.path.abspath(__file__), *args], env=env,
                           capture_output=True, text=True, timeout=timeout, check=True)
     return json.loads(done.stdout)
@@ -86,31 +98,36 @@ def _series(values: list[float]) -> dict:
 
 def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: float = TIMEOUT_S) -> list[dict]:
     """One row per instance: each tree's statuses, stdouts, timeouts and series."""
-    rows = []
-    for group, n, r in instances:
-        label = f"verify {group} {n} {r}"
-        runs = {name: [] for name in trees}
-        staged = {name: [] for name in trees}
-        for _ in range(repeats):
-            for name, src in trees.items():
-                runs[name].append(_child(["--run", src, group, str(n), str(r), str(timeout)]))
-                if runs[name][-1]["status"] == "ok":
-                    staged[name].append(_child(["--stages", group, str(n), str(r)], _env(src), 2 * timeout))
-                print(label, name, runs[name][-1]["status"], runs[name][-1]["wall_s"], file=sys.stderr)
-        row: dict = {"instance": label, "tier": "slice"}
-        for name, done in runs.items():
-            ok = [d for d in done if d["status"] == "ok"]
-            entry: dict = {"status": sorted({d["status"] for d in done}), "stdout": sorted({d["stdout"] for d in done}),
-                           "timeouts": sum(d["status"] == "timeout" for d in done)}
-            if ok:
-                entry["wall_s"] = _series([d["wall_s"] for d in ok])
-                entry["maxrss_mb"] = _series([d["maxrss_mb"] for d in ok])
-            if staged[name]:
-                entry["connectivity_s"] = _series([s["connectivity_s"] for s in staged[name]])
-                entry["simplify_s"] = _series([s["simplify_s"] for s in staged[name]])
-                entry["merges"] = staged[name][0]["merges"]
-            row[name] = entry
-        rows.append(row)
+    with tempfile.TemporaryDirectory(prefix="ladder-") as caches:
+        envs = {name: _env(src, os.path.join(caches, str(idx))) for idx, (name, src) in enumerate(trees.items())}
+        for env in envs.values():  # untimed: the first repeat then reads bytecode too
+            subprocess.run([sys.executable, "-c", COMPILE_CODE], env=env, check=True, timeout=TIMEOUT_S)
+        rows = []
+        for group, n, r in instances:
+            label = f"verify {group} {n} {r}"
+            runs = {name: [] for name in trees}
+            staged = {name: [] for name in trees}
+            for _ in range(repeats):
+                for name, env in envs.items():
+                    runs[name].append(_child(["--run", group, str(n), str(r), str(timeout)], env))
+                    if runs[name][-1]["status"] == "ok":
+                        staged[name].append(_child(["--stages", group, str(n), str(r)], env, 2 * timeout))
+                    print(label, name, runs[name][-1]["status"], runs[name][-1]["wall_s"], file=sys.stderr)
+            row: dict = {"instance": label, "tier": "slice"}
+            for name, done in runs.items():
+                ok = [d for d in done if d["status"] == "ok"]
+                entry: dict = {"status": sorted({d["status"] for d in done}),
+                               "stdout": sorted({d["stdout"] for d in done}),
+                               "timeouts": sum(d["status"] == "timeout" for d in done)}
+                if ok:
+                    entry["wall_s"] = _series([d["wall_s"] for d in ok])
+                    entry["maxrss_mb"] = _series([d["maxrss_mb"] for d in ok])
+                if staged[name]:
+                    entry["connectivity_s"] = _series([s["connectivity_s"] for s in staged[name]])
+                    entry["simplify_s"] = _series([s["simplify_s"] for s in staged[name]])
+                    entry["merges"] = staged[name][0]["merges"]
+                row[name] = entry
+            rows.append(row)
     return rows
 
 
@@ -119,12 +136,12 @@ def main(argv=None) -> int:
     ap.add_argument("--tree", action="append", default=[], metavar="NAME=PATH",
                     help="a src directory holding gact, by name; repeatable")
     ap.add_argument("--out", help="write the ladder JSON here (default: stdout)")
-    ap.add_argument("--run", nargs=5, metavar=("SRC", "GROUP", "N", "R", "TIMEOUT"), help=argparse.SUPPRESS)
+    ap.add_argument("--run", nargs=4, metavar=("GROUP", "N", "R", "TIMEOUT"), help=argparse.SUPPRESS)
     ap.add_argument("--stages", nargs=3, metavar=("GROUP", "N", "R"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.run:
-        src, group, n, r, timeout = args.run
-        print(json.dumps(run_once(src, group, int(n), int(r), float(timeout))))
+        group, n, r, timeout = args.run
+        print(json.dumps(run_once(group, int(n), int(r), float(timeout))))
         return 0
     if args.stages:
         group, n, r = args.stages
@@ -136,7 +153,8 @@ def main(argv=None) -> int:
     report = {
         "method": (f"slice tier; per instance, tree and repeat one fresh wrapper process runs one "
                    f"`gact.cli verify` child under a {TIMEOUT_S} s timeout and reads its wall clock "
-                   f"and its peak RSS (RUSAGE_CHILDREN); stage times are in-process, one fresh child "
+                   f"and its peak RSS (RUSAGE_CHILDREN); each tree has its own bytecode cache, "
+                   f"compiled untimed before the first repeat; stage times are in-process, one fresh child "
                    f"per repeat; {REPEATS} repeats, trees alternating; spread = (max - min) / median"),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "timeout_s": TIMEOUT_S,
