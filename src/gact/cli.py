@@ -21,7 +21,7 @@ import sys
 from itertools import chain, takewhile
 from math import factorial
 
-from .endo import parse_wreath, wreath_identity, wreath_inv, wreath_order, wreath_to_text
+from .endo import parse_wreath, wreath_identity, wreath_order, wreath_to_text
 from .errors import DEFAULT_MAX_COSETS, DEFAULT_MAX_RELATORS, Capped, GactError, ParseError, ResourceLimit
 from .groups import Group, make_group
 from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, column_pairs, extended_rows, matrix_lines, square_condition
@@ -199,11 +199,10 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
     squares = (w.square for w in slice_log)
     if not all(square_condition(m, rows[i], rows[k], cols[l], cols[mu]) for i, k, l, mu in squares):
         return None
-    inverses = [wreath_inv(g, v) for v in m.values]
     one = wreath_identity(r)
 
     def maps_to_one(w):
-        return presentation.evaluate_word(g, inverses, r, w) == one
+        return presentation.evaluate_word(g, m.inverses, r, w) == one
 
     if not all(map(maps_to_one, [(m.value_id[one] + 1,), *merges])):  # P2 and the merges
         return None

@@ -11,10 +11,10 @@ from collections import Counter, defaultdict, namedtuple
 from heapq import heappop, heappush
 from itertools import chain, combinations, count
 
-from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
+from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import DEFAULT_MAX_RELATORS, BadRank, ResourceLimit
 from .groups import Group
-from .rees import KeyClasses, SandwichMatrix, column_pairs, kernel_index_of, lambda_list
+from .rees import KeyClasses, SandwichMatrix, column_pairs, lambda_list
 
 
 class Presentation:
@@ -69,7 +69,8 @@ class SchreierSystem(namedtuple("SchreierSystem", "n r lambdas parent letter att
     The root column (1..r) carries the empty word.  Every other column is
     reached from its parent (decrement the last decrementable slot) by one
     idempotent letter whose image is the column itself; attach records that
-    letter's kernel row.  parent, letter, attach and words are dicts keyed
+    letter's kernel partition, whose first row is the letter's row, as its
+    weights are trivial.  parent, letter, attach and words are dicts keyed
     by column.
     """
 
@@ -109,7 +110,7 @@ def schreier_build(g: Group, n: int, r: int) -> SchreierSystem:
         alpha = _schreier_letter(g, n, lam)
         parent[lam] = par
         letter[lam] = alpha
-        attach[lam] = kernel_index_of(alpha)
+        attach[lam] = kernel(alpha).blocks
         words[lam] = words[par] + (alpha,)
     return SchreierSystem(n, r, lambdas, parent, letter, attach, words)
 
@@ -163,7 +164,7 @@ def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, cols_of):
         raise ValueError("matrix and Schreier system disagree on (n, r)")
     # R1 along tree edges, only when the parent-side position is nonzero
     pos = m.lambda_pos
-    edges = [(m.kernel_pos[s.attach[lam]], pos[s.parent[lam]], pos[lam]) for lam in s.lambdas[1:]]
+    edges = [(m.part_start[s.attach[lam]], pos[s.parent[lam]], pos[lam]) for lam in s.lambdas[1:]]
     yield "R1", [(plus[i][par], minus[i][l_idx]) for i, par, l_idx in edges if m.id_columns[par][i] >= 0]
     # R2 at each row's district column
     yield "R2", [(plus[i][pos[district]],) for i, district in enumerate(m.districts)]

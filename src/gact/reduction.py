@@ -73,7 +73,7 @@ def connectivity(m: SandwichMatrix) -> PositionGraph:
     find, parent, ids = pg._find, pg._parent, m.id_columns
     first_in_col: list[dict[int, int]] = [{} for _ in ids]
     idx = 0
-    for start, cols in zip(range(0, len(m.kernels), m.block), m.part_columns):
+    for start, cols in zip(m.part_start.values(), m.part_columns):
         links = [(ids[l_idx], first_in_col[l_idx]) for l_idx in cols]
         for i in range(start, start + m.block):
             first_in_row: dict[int, int] = {}

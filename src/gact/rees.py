@@ -19,7 +19,7 @@ from functools import cached_property
 from math import comb
 from operator import add, itemgetter
 
-from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
+from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ResourceLimit, ZeroEntry
 from .groups import Group
 
@@ -117,16 +117,6 @@ def q_of(g: Group, n: int, r: int, lam: tuple[int, ...]) -> Endo:
     return Endo(g, n, targets, (0,) * n)
 
 
-def kernel_index_of(alpha: Endo) -> KernelIndex:
-    """The row index of any endomorphism: its kernel, weight-normalized."""
-    kd = kernel(alpha)
-    mins = set(kd.mins)
-    weightvec = tuple(
-        kd.normweights[k - 1] for k in range(1, alpha.n + 1) if k not in mins
-    )
-    return KernelIndex(kd.blocks, weightvec)
-
-
 def check_entries_cap(g: Group, n: int, r: int, max_entries: int):
     """Raise ResourceLimit when the (n, r) matrix has more than max_entries cells."""
     # columns times rows in closed form, so the cap fires before any row exists;
@@ -146,8 +136,9 @@ class SandwichMatrix:
     is its index there.  A row is nonzero exactly at the columns that pick one
     point per block of its partition, so only those cells are built.  Each
     partition's rows, block of them, are consecutive; part_columns lists
-    each partition's nonzero columns, ascending.  thetas, kernel_pos and
-    each column's first-row index are made when read.
+    each partition's nonzero columns, ascending, and part_start maps each
+    partition to its first row.  thetas, the values' inverses and each
+    column's first-row index are made when read.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -170,8 +161,10 @@ class SandwichMatrix:
         seen: dict[tuple, int] = {}
         self.id_columns = ids = [[-1] * len(self.kernels) for _ in self.lambdas]
         self.part_columns = []
+        self.part_start = {}
         for start in range(0, len(self.kernels), block):
             part = self.kernels[start].partition
+            self.part_start[part] = start
             slot = [n - r] * (n + 1)  # a point's index among the non-minima, else the pad
             for idx, point in enumerate(sorted(p for b in part for p in b[1:])):
                 slot[point] = idx
@@ -206,9 +199,9 @@ class SandwichMatrix:
         return [theta(self.group, self.n, self.r, ki) for ki in self.kernels]
 
     @cached_property
-    def kernel_pos(self) -> dict[KernelIndex, int]:
-        """Each row index's position in kernels, built on first use."""
-        return {ki: i for i, ki in enumerate(self.kernels)}
+    def inverses(self) -> list[WreathElem]:
+        """Each value's inverse, in value-id order, built on first use."""
+        return [wreath_inv(self.group, v) for v in self.values]
 
     def value_at(self, i_idx: int, l_idx: int) -> WreathElem | None:
         """The entry at (row i, column l), None at a zero."""
@@ -232,7 +225,7 @@ class SandwichMatrix:
 
     def nonzero_positions(self):
         """Positions as (row index, column index) pairs in lexicographic order."""
-        for start, cols in zip(range(0, len(self.kernels), self.block), self.part_columns):
+        for start, cols in zip(self.part_start.values(), self.part_columns):
             yield from itertools.product(range(start, start + self.block), cols)
 
     def positions_of(self, v: WreathElem) -> list[tuple[int, int]]:
@@ -259,18 +252,14 @@ def extended_rows(s: SandwichMatrix, m: SandwichMatrix) -> list[int]:
 
     The points n'+1..n join the block of 1 with weight 0.  They are non-minima
     above every other one, the last digits of the mixed-radix weight index, so
-    the row is the extended partition's index times |G|^(n-r) plus the weight
-    index in s times |G|^(n-n').
+    the row is the extended partition's first row plus the weight index in s
+    times |G|^(n-n').
     """
-    k = m.group.order
-    block, s_block = k ** (m.n - m.r), k ** (s.n - s.r)
-    part_index = {ki.partition: idx for idx, ki in enumerate(m.kernels[::block])}
     tail = tuple(range(s.n + 1, m.n + 1))
     rows = []
-    for ki in s.kernels[::s_block]:
-        first, *rest = ki.partition
-        start = part_index[(first + tail, *rest)] * block
-        rows.extend(range(start, start + block, block // s_block))
+    for first, *rest in s.part_start:
+        start = m.part_start[(first + tail, *rest)]
+        rows.extend(range(start, start + m.block, m.block // s.block))
     return rows
 
 
@@ -285,11 +274,10 @@ class KeyClasses(dict):
     def __init__(self, m: SandwichMatrix):
         super().__init__()
         self.base, self.m, self.keys = len(m.values) + 1, m, {}
-        self.inverses = [wreath_inv(m.group, v) for v in m.values]
 
     def __missing__(self, code: int) -> int:
         x, y = divmod(code - 1, self.base)
-        key = wreath_mul(self.m.group, self.m.values[y], self.inverses[x])
+        key = wreath_mul(self.m.group, self.m.values[y], self.m.inverses[x])
         c = self[code] = self.keys.setdefault(key, len(self.keys))
         return c
 

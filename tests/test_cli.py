@@ -677,33 +677,3 @@ def test_verify_and_text_exports_leave_thetas_unbuilt(capsys, monkeypatch, tmp_p
         before = len(built)
         assert run(capsys, *argv)[0] == 0, argv
         assert len(built) == before + 1 and "thetas" not in vars(built[-1]), argv
-
-
-def test_verify_squares_and_sandwich_export_leave_kernel_pos_unbuilt(capsys, monkeypatch, tmp_path):
-    # the row index -> row dict is read by the gr R1 family alone; below
-    # rank n-1 verify, squares and the sandwich export never make it
-    built = []
-
-    def capture(*args):
-        built.append(build_sandwich(*args))
-        return built[-1]
-
-    for module in (cli, biorder):
-        monkeypatch.setattr(module, "build_sandwich", capture)
-    monkeypatch.chdir(tmp_path)
-    for spec, n, r in (("Z2", 5, 3), ("S3", 4, 2), ("trivial", 6, 3), ("Z3", 4, 1)):
-        report = cli.run_verify(make_group(spec), n, r, cli.DEFAULT_CAPS)
-        assert report["ok"] and "kernel_pos" not in vars(built[-1]), (spec, n, r)
-    common = ["--group", "Z2", "--n", "5"]
-    for argv in (
-        ["squares", *common],
-        ["sandwich", *common, "--r", "3"],
-        ["sandwich", *common, "--r", "3", "--output", "sw.txt"],
-    ):
-        before = len(built)
-        assert run(capsys, *argv)[0] == 0, argv
-        assert len(built) > before, argv
-        assert all("kernel_pos" not in vars(m) for m in built[before:]), argv
-    # the rank n-1 position presentation reads it
-    assert run(capsys, "presentation", *common, "--r", "4")[0] == 0
-    assert "kernel_pos" in vars(built[-1])

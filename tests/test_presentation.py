@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from gact import (
+    KernelIndex,
     ParseError,
     Presentation,
     ResourceLimit,
@@ -13,6 +14,7 @@ from gact import (
     connectivity,
     cyclic_group,
     is_idempotent,
+    kernel,
     lavers_presentation,
     make_group,
     presentation_to_text,
@@ -115,6 +117,22 @@ def test_schreier_attach_edge_identity():
         for lam in s.lambdas[1:]:
             par = s.parent[lam]
             assert compose(q_of(g, n, r, par), s.letter[lam]) == q_of(g, n, r, lam)
+
+
+def test_r1_rows_are_the_schreier_letters_rows():
+    # each letter's full row index (its kernel, weights normalized at the
+    # non-minima) has zero weights, so R1's row, attach's partition's first
+    # row, is the letter's own row
+    for spec, n, r in (("Z2", 4, 3), ("S3", 4, 3), ("Z3", 5, 4), ("trivial", 6, 5),
+                       ("Z2", 5, 2), ("S3", 5, 3), ("Z4", 5, 1)):
+        g = make_group(spec)
+        m, s = build_sandwich(g, n, r), schreier_build(g, n, r)
+        for lam in s.lambdas[1:]:
+            kd = kernel(s.letter[lam])
+            weightvec = tuple(kd.normweights[k - 1] for k in range(1, n + 1) if k not in kd.mins)
+            assert weightvec == (0,) * (n - r), (spec, n, r, lam)
+            assert s.attach[lam] == kd.blocks, (spec, n, r, lam)
+            assert m.kernels.index(KernelIndex(kd.blocks, weightvec)) == m.part_start[s.attach[lam]], (spec, n, r, lam)
 
 
 # -- position-indexed presentation ---------------------------------------------

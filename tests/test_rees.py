@@ -29,7 +29,7 @@ from gact import (
 )
 from gact import rees
 from gact.endo import wreath_to_text
-from gact.rees import column_pairs, kernel_index_of, matrix_to_text
+from gact.rees import column_pairs, matrix_to_text
 
 from helpers import (
     WALK_CASES,
@@ -187,7 +187,7 @@ def test_sandwich_shape_and_entries():
             else:
                 assert m.entries[l_idx][i] is None
     # canonical row at canonical column
-    r1 = m.kernel_pos[kernel_index_of(eps_rank_r(Z2, 4, 2))]
+    r1 = m.part_start[kernel(eps_rank_r(Z2, 4, 2)).blocks]
     assert m.entries[m.lambda_pos[(1, 2)]][r1] == ident
 
 
@@ -235,8 +235,8 @@ def test_sandwich_cap_fires_before_the_stirling_recurrence(monkeypatch):
 
 def test_sandwich_entry_lookup():
     m = build_sandwich(Z2, 4, 2)
-    ki = kernel_index_of(eps_rank_r(Z2, 4, 2))
-    assert m.entries[m.lambda_pos[(1, 2)]][m.kernel_pos[ki]] == wreath_identity(2)
+    row = m.part_start[kernel(eps_rank_r(Z2, 4, 2)).blocks]
+    assert m.entries[m.lambda_pos[(1, 2)]][row] == wreath_identity(2)
 
 
 def district_prefiltered_occurrences(m, phi):
@@ -416,11 +416,18 @@ def test_nonzero_positions_match_dense_scan():
 
 
 def test_part_columns_and_first_rows_match_dense_scans():
-    # each row's nonzero columns are its partition's part_columns, and a
-    # column's first-row index agrees with a scan from row 0, -1 when absent
+    # each row's nonzero columns are its partition's part_columns, part_start
+    # lists each partition once, in kernel order, at the first row of its
+    # block, and a column's first-row index agrees with a scan from row 0,
+    # -1 when absent
     for spec, n, r in WALK_CASES:
         m = build_sandwich(make_group(spec), n, r)
         assert len(m.part_columns) * m.block == len(m.kernels), (spec, n, r)
+        firsts = {}
+        for i, ki in enumerate(m.kernels):
+            firsts.setdefault(ki.partition, i)
+        assert list(m.part_start.items()) == list(firsts.items()), (spec, n, r)
+        assert all(i % m.block == 0 for i in m.part_start.values()), (spec, n, r)
         for i in range(len(m.kernels)):
             dense = [l_idx for l_idx, col in enumerate(m.id_columns) if col[i] >= 0]
             assert m.part_columns[i // m.block] == dense, (spec, n, r, i)

@@ -60,7 +60,8 @@ def test_route_counters_pinned():
 
 
 def test_extended_rows_are_the_rows_with_the_new_points_in_block_one():
-    for spec, n, r in (("Z2", 6, 3), ("S3", 5, 2), ("trivial", 8, 5), ("Z3", 5, 1), ("Z2", 5, 3)):
+    for spec, n, r in (("Z2", 6, 3), ("S3", 5, 2), ("trivial", 8, 5), ("Z3", 5, 1), ("Z2", 5, 3),
+                          ("S3", 6, 2), ("Z2", 7, 2)):
         g = make_group(spec)
         s, m = build_sandwich(g, r + 2, r), build_sandwich(g, n, r)
         rows = extended_rows(s, m)
