@@ -202,7 +202,7 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
     one = wreath_identity(r)
 
     def maps_to_one(w):
-        return presentation.evaluate_word(g, m.inverses, r, w) == one
+        return presentation.evaluate_word(g, m.inverses, m.values, r, w) == one
 
     if not all(map(maps_to_one, [(m.value_id[one] + 1,), *merges])):  # P2 and the merges
         return None
@@ -266,7 +266,7 @@ def _sandwich(args, g, caps):
     ]
     return _json({
         "n": args.n, "r": args.r, "group_order": g.order,
-        "lambdas": len(m.lambdas), "kernels": len(m.kernels),
+        "lambdas": len(m.lambdas), "kernels": len(m.districts),
         "entries": entries,
     }), 0
 

@@ -11,7 +11,7 @@ from collections import Counter, defaultdict, namedtuple
 from heapq import heappop, heappush
 from itertools import chain, combinations, count
 
-from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
+from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_mul, wreath_to_text
 from .errors import DEFAULT_MAX_RELATORS, BadRank, ResourceLimit
 from .groups import Group
 from .rees import KeyClasses, SandwichMatrix, column_pairs, lambda_list
@@ -130,7 +130,7 @@ def gr_grids(m: SandwichMatrix, spell=None):
     position's generator and its inverse; cols_of lists each row's nonzero
     columns, ascending: its partition's `part_columns`, shared by its rows.
     """
-    nrows, ncols = len(m.kernels), len(m.lambdas)
+    nrows, ncols = len(m.districts), len(m.lambdas)
     plus = [[None] * ncols for _ in range(nrows)]
     minus = [[None] * ncols for _ in range(nrows)]
     for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
@@ -462,14 +462,11 @@ def lavers_presentation(g: Group, r: int, max_relators: int = DEFAULT_MAX_RELATO
     return Presentation(names, sink.words, sink.tags)
 
 
-def evaluate_word(g: Group, assignment: list[WreathElem], r: int, word) -> WreathElem:
-    """Evaluate a relator word under a generator assignment."""
+def evaluate_word(g: Group, images: list[WreathElem], inverses: list[WreathElem], r: int, word) -> WreathElem:
+    """Evaluate a relator word: generator k goes to images[k - 1], its inverse to inverses[k - 1]."""
     acc = wreath_identity(r)
     for letter in word:
-        v = assignment[abs(letter) - 1]
-        if letter < 0:
-            v = wreath_inv(g, v)
-        acc = wreath_mul(g, acc, v)
+        acc = wreath_mul(g, acc, images[letter - 1] if letter > 0 else inverses[-letter - 1])
     return acc
 
 

@@ -200,6 +200,11 @@ def decompose(g, phi: WreathElem) -> tuple[WreathElem, WreathElem]:
 
 # -- witness search and presentation simplification -----------------------------
 
+def _check_square(g, phi: WreathElem, phi2: WreathElem, psi: WreathElem, sigma: WreathElem):
+    if wreath_mul(g, wreath_inv(g, phi), psi) != wreath_mul(g, wreath_inv(g, phi2), sigma):
+        raise ValueError("quadruple fails the square condition")
+
+
 def find_singular_witness(
     m: SandwichMatrix,
     phi: WreathElem,
@@ -208,16 +213,17 @@ def find_singular_witness(
     sigma: WreathElem,
     k_idx: int,
     l_idx: int,
+    checked: bool = False,
 ):
     """Search a 2x2 pattern [[phi, psi], [phi2, sigma]] anchored at psi's position.
 
     Returns (i, k, l, mu) with entries phi at (i, l), phi2 at (i, mu),
     psi at (k, l) and sigma at (k, mu), or None; rows i are tried in order.
-    The quadruple must satisfy the square condition up front.
+    The quadruple must satisfy the square condition: it is tested up front
+    unless the caller has tested it (checked).
     """
-    g = m.group
-    if wreath_mul(g, wreath_inv(g, phi), psi) != wreath_mul(g, wreath_inv(g, phi2), sigma):
-        raise ValueError("quadruple fails the square condition")
+    if not checked:
+        _check_square(m.group, phi, phi2, psi, sigma)
     ids = m.id_columns
     x, x2, y, z = (m.value_id.get(v, -2) for v in (phi, phi2, psi, sigma))  # -2 matches no cell
     if ids[l_idx][k_idx] != y or (i_idx := m.first_row(l_idx, x)) < 0:
@@ -295,10 +301,11 @@ def simplify_presentation(
         beta, gamma = decompose(g, value)
         certify_single(beta)  # certified single before use
         certify_single(gamma)
+        _check_square(g, beta, identity, value, gamma)  # one quadruple for all the value's roots
         roots = roots_by_value[value]
         for root in roots:
             j_idx, l_idx = root
-            witness = find_singular_witness(m, beta, identity, value, gamma, j_idx, l_idx)
+            witness = find_singular_witness(m, beta, identity, value, gamma, j_idx, l_idx, checked=True)
             if witness is None:
                 raise WitnessNotFound(
                     f"no certifying square for value {wreath_to_text(value)} "

@@ -134,11 +134,15 @@ class SandwichMatrix:
     The matrix is id_columns[column][row], a value id or -1 at the adjoined
     zero; values lists the distinct entries sorted by text, and a value's id
     is its index there.  A row is nonzero exactly at the columns that pick one
-    point per block of its partition, so only those cells are built.  Each
-    partition's rows, block of them, are consecutive; part_columns lists
-    each partition's nonzero columns, ascending, and part_start maps each
-    partition to its first row.  thetas, the values' inverses and each
-    column's first-row index are made when read.
+    point per block of its partition, and its entry there is fixed by which
+    block each picked point lies in and by its weights at those points; so each
+    such (perm, slots) pattern gives one id row over a partition's block of
+    rows, made once and copied into every partition and column that has it.
+    Each partition's rows, block of them, are consecutive; part_columns lists
+    each partition's nonzero columns, ascending, part_start maps each
+    partition to its first row, and districts gives each row its block minima.
+    kernels, thetas, the values' inverses and each column's first-row index are
+    made when read.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -149,49 +153,60 @@ class SandwichMatrix:
         self.n = n
         self.r = r
         self.lambdas = lambda_list(n, r)
-        self.kernels = kernel_list(g, n, r)
-        self.lambda_pos = {lam: i for i, lam in enumerate(self.lambdas)}
+        self.lambda_pos = lambda_pos = {lam: i for i, lam in enumerate(self.lambdas)}
         # a partition's rows are consecutive and share the weight vectors, padded
-        # with a 0 that block minima read: at each transversal one getter gives
-        # every row's weights; (perm, weights) keys are numbered in order of first sight
+        # with a 0 that block minima read; a transversal's ids over them depend
+        # only on its key: per point, its block and its slot, the point's index
+        # among the non-minima or the pad.  A key's id row is made on first
+        # sight, its (perm, weights) keys numbered in order of first sight
         padded = [wv + (0,) for wv in itertools.product(range(g.order), repeat=n - r)]
         self.block = block = len(padded)
-        lambda_pos = self.lambda_pos
-        self.districts = [ki.mins() for ki in self.kernels[::block] for _ in padded]
         seen: dict[tuple, int] = {}
-        self.id_columns = ids = [[-1] * len(self.kernels) for _ in self.lambdas]
+        rows: dict[tuple, list[int]] = {}
+        placed = []  # (column, first row, id row) per transversal
+        mins = []
         self.part_columns = []
         self.part_start = {}
-        for start in range(0, len(self.kernels), block):
-            part = self.kernels[start].partition
-            self.part_start[part] = start
-            slot = [n - r] * (n + 1)  # a point's index among the non-minima, else the pad
-            for idx, point in enumerate(sorted(p for b in part for p in b[1:])):
-                slot[point] = idx
+        for part in set_partitions(n, r):
+            start = self.part_start[part] = len(mins) * block
+            mins.append(tuple(b[0] for b in part))
+            slot = {p: idx for idx, p in enumerate(sorted(q for b in part for q in b[1:]))}
+            code = {p: (j, slot.get(p, n - r)) for j, b in enumerate(part, start=1) for p in b}
             cols = []
             for choice in itertools.product(*part):  # a transversal, one point per block
-                lam, perm = zip(*sorted(zip(choice, itertools.count(1))))  # perm: each point's block
-                get = itemgetter(*map(slot.__getitem__, lam))
+                lam = tuple(sorted(choice))
+                if (row := rows.get(key := tuple(map(code.__getitem__, lam)))) is None:
+                    perm, slots = zip(*key)
+                    get = itemgetter(*slots)
+                    row = rows[key] = [seen.setdefault((perm, w), len(seen)) for w in map(get, padded)]
                 cols.append(l_idx := lambda_pos[lam])
-                ids[l_idx][start:start + block] = [seen.setdefault((perm, w), len(seen)) for w in map(get, padded)]
+                placed.append((l_idx, start, row))
             self.part_columns.append(sorted(cols))
+        self.districts = [d for d in mins for _ in padded]
         # at r = 1 the getter returns a bare weight, not a 1-tuple
         first_seen = [WreathElem(r, perm, w if r > 1 else (w,)) for perm, w in seen]
         self.values = sorted(first_seen, key=wreath_to_text)
         self.value_id = {v: idx for idx, v in enumerate(self.values)}
-        # renumbered in place to the text order; renumber[-1] is -1, so zeros stay -1
-        renumber = [self.value_id[v] for v in first_seen] + [-1]
-        for column in ids:
-            column[:] = map(renumber.__getitem__, column)
-        identity = self.value_id.get(wreath_identity(r))
-        for i in range(len(self.kernels)):
-            if ids[self.lambda_pos[self.districts[i]]][i] != identity:
+        # each cached row renumbered once to the text order, then copied; zeros stay -1
+        renumber = [self.value_id[v] for v in first_seen]
+        for row in rows.values():
+            row[:] = map(renumber.__getitem__, row)
+        self.id_columns = ids = [[-1] * len(self.districts) for _ in self.lambdas]
+        for l_idx, start, row in placed:
+            ids[l_idx][start:start + block] = row
+        identity = [self.value_id.get(wreath_identity(r))] * block
+        for start, district in zip(self.part_start.values(), mins):
+            if ids[lambda_pos[district]][start:start + block] != identity:
                 raise AssertionError("district column does not give the identity entry")
-        for l_idx, column in enumerate(ids):
-            if max(column) < 0:
-                raise AssertionError(f"image column {self.lambdas[l_idx]} is entirely zero")
+        if zero := set(range(len(self.lambdas))).difference(*self.part_columns):
+            raise AssertionError(f"image column {self.lambdas[min(zero)]} is entirely zero")
         # every kernel row is nonzero at its own district column, checked above
         self._first_rows: list[dict[int, int] | None] = [None] * len(ids)
+
+    @cached_property
+    def kernels(self) -> list[KernelIndex]:
+        """Each row's index, partition and weight vector, built on first use."""
+        return kernel_list(self.group, self.n, self.r)
 
     @cached_property
     def thetas(self) -> list[Endo]:
@@ -311,7 +326,7 @@ def matrix_lines(m: SandwichMatrix):
     """The text form one line at a time: a header, then one record per nonzero entry."""
     yield (
         f"sandwich n={m.n} r={m.r} group-order={m.group.order} "
-        f"lambdas={len(m.lambdas)} kernels={len(m.kernels)}\n"
+        f"lambdas={len(m.lambdas)} kernels={len(m.districts)}\n"
     )
     # column and value texts are made once, the value texts in id order
     lams = [".".join(map(str, lam)) for lam in m.lambdas]

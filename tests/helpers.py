@@ -11,6 +11,7 @@ from gact import (
     Presentation,
     WreathElem,
     compose,
+    group_from_text,
     todd_coxeter,
     wreath_identity,
     wreath_inv,
@@ -195,6 +196,15 @@ def def81_rising_point(phi):
     return candidates[0]
 
 
+def evaluate_word_by_inversion(g, assignment, r, word):
+    """A word's value under a generator assignment, each negative letter inverted on the spot."""
+    acc = wreath_identity(r)
+    for letter in word:
+        v = assignment[abs(letter) - 1]
+        acc = wreath_mul(g, acc, wreath_inv(g, v) if letter < 0 else v)
+    return acc
+
+
 def eps_rank_r(g, n, r):
     """The distinguished rank-r idempotent: fixes x_1..x_r, sends the rest to x_1."""
     targets = tuple(range(1, r + 1)) + (1,) * (n - r)
@@ -362,6 +372,23 @@ def unindexed_singular_witness(m, phi, phi2, psi, sigma, k_idx, l_idx):
 
 
 # -- dense oracles for the transversal build and the nonzero-row walks ---------
+
+KLEIN = "order 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
+
+
+def quaternion_group():
+    """Q8 as a table group: the units +-1, +-i, +-j, +-k under the Hamilton product, 1 first."""
+    units = [tuple(sign * (k == u) for k in range(4)) for u in range(4) for sign in (1, -1)]
+
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+    rows = [" ".join(str(units.index(mul(x, y))) for y in units) for x in units]
+    return group_from_text("order 8\n" + "\n".join(rows) + "\n")
+
 
 # (group, n, r) at desk scale: every group, with r = 1, r = n - 1 and r = n
 WALK_CASES = [(spec, 4, r) for spec in ("trivial", "Z2", "Z3", "Z4", "S3") for r in (1, 2, 3, 4)] + [

@@ -288,15 +288,16 @@ def test_criterion_11_relator_soundness():
     for n, spec, r, _ in MAIN_CASES:
         g, m, p = built(spec, n, r)
         ident = wreath_identity(r)
-        assignment = [wreath_inv(g, m.entries[l][i]) for i, l in p.gen_keys]
+        entries = [m.entries[l][i] for i, l in p.gen_keys]
+        assignment = [wreath_inv(g, v) for v in entries]
         for word in p.relators:
             relators += 1
-            if evaluate_word(g, assignment, r, word) != ident:
+            if evaluate_word(g, assignment, entries, r, word) != ident:
                 bad += 1
         qp = build_quotient_presentation(m)
         q_assignment = [wreath_inv(g, v) for v in qp.gen_keys]
         for word in qp.relators:
             relators += 1
-            if evaluate_word(g, q_assignment, r, word) != ident:
+            if evaluate_word(g, q_assignment, qp.gen_keys, r, word) != ident:
                 bad += 1
     record("11 every emitted relator is sound", bad == 0, f"{relators} relators checked")

@@ -677,3 +677,32 @@ def test_verify_and_text_exports_leave_thetas_unbuilt(capsys, monkeypatch, tmp_p
         before = len(built)
         assert run(capsys, *argv)[0] == 0, argv
         assert len(built) == before + 1 and "thetas" not in vars(built[-1]), argv
+
+
+def test_verify_sandwich_and_gr_exports_leave_kernels_unbuilt(capsys, monkeypatch, tmp_path):
+    # the fill iterates the set partitions itself and the row count is read
+    # off districts: verify on every route and the sandwich and gr exports,
+    # text and JSON, make no row index
+    built = []
+
+    def capture(*args):
+        built.append(build_sandwich(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_sandwich", capture)
+    monkeypatch.chdir(tmp_path)
+    for spec, n, r in (("Z2", 5, 3), ("Z2", 6, 3), ("S3", 4, 3), ("Z3", 4, 1)):
+        report = cli.run_verify(make_group(spec), n, r, cli.DEFAULT_CAPS)
+        assert report["ok"] and all("kernels" not in vars(m) for m in built), (spec, n, r)
+    common = ["--group", "Z2", "--n", "5", "--r", "3"]
+    for argv in (
+        ["sandwich", *common],
+        ["sandwich", *common, "--json"],
+        ["sandwich", *common, "--output", "sw.txt"],
+        ["presentation", *common],
+        ["presentation", *common, "--json"],
+        ["presentation", *common, "--output", "gr.txt"],
+    ):
+        before = len(built)
+        assert run(capsys, *argv)[0] == 0, argv
+        assert len(built) == before + 1 and "kernels" not in vars(built[-1]), argv

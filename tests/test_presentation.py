@@ -160,11 +160,10 @@ def test_gr_relators_sound_under_entry_assignment():
     for g, n, r in ((Z2, 4, 2), (T, 5, 2), (Z3, 4, 2)):
         m = build_sandwich(g, n, r)
         p = build_gr_presentation(m, schreier_build(g, n, r))
-        assignment = [
-            wreath_inv(g, m.entries[l_idx][i]) for i, l_idx in p.gen_keys
-        ]
+        entries = [m.entries[l_idx][i] for i, l_idx in p.gen_keys]
+        assignment = [wreath_inv(g, v) for v in entries]
         for word in p.relators:
-            assert evaluate_word(g, assignment, r, word) == wreath_identity(r)
+            assert evaluate_word(g, assignment, entries, r, word) == wreath_identity(r)
 
 
 def test_gr_r1_edges_have_identity_entries():
@@ -308,7 +307,7 @@ def test_quotient_relators_sound():
         p = build_quotient_presentation(m)
         assignment = [wreath_inv(g, v) for v in p.gen_keys]
         for word in p.relators:
-            assert evaluate_word(g, assignment, r, word) == wreath_identity(r)
+            assert evaluate_word(g, assignment, p.gen_keys, r, word) == wreath_identity(r)
 
 
 def test_quotient_relator_order_pinned():
@@ -411,8 +410,9 @@ def test_lavers_relators_sound():
     for g, r in ((Z2, 3), (Z3, 2), (symmetric := trivial_group(), 4)):
         p = lavers_presentation(g, r)
         assignment = lavers_assignment(r, p)
+        inverses = [wreath_inv(g, v) for v in assignment]
         for word in p.relators:
-            assert evaluate_word(g, assignment, r, word) == wreath_identity(r)
+            assert evaluate_word(g, assignment, inverses, r, word) == wreath_identity(r)
 
 
 # -- text form -------------------------------------------------------------------

@@ -221,6 +221,30 @@ def test_witness_precondition():
         find_singular_witness(m, e, e, e, tw, 0, 0)
 
 
+def test_simplify_checks_each_merged_square_once(monkeypatch):
+    # every root of a merged value is searched with the same quadruple
+    # (remainder, e, value, simple factor): its square condition is tested
+    # once, and a quadruple that fails it raises before any search
+    from gact import make_group, reduction
+
+    m = build_sandwich(make_group("Z2"), 5, 3)
+    e = wreath_identity(3)
+    checks, log = [], []
+    check = reduction._check_square
+    monkeypatch.setattr(reduction, "_check_square", lambda g, *quad: checks.append(quad) or check(g, *quad))
+    simplify_presentation(build_quotient_presentation(m), m, connectivity(m), log)
+    assert len(log) > len(checks) == len({w.value for w in log})
+    assert checks == list(dict.fromkeys((w.remainder, e, w.value, w.simple_factor) for w in log))
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("witness search ran before the square condition was tested")
+
+    monkeypatch.setattr(reduction, "decompose", lambda g, v: (e, e))
+    monkeypatch.setattr(reduction, "find_singular_witness", no_search)
+    with pytest.raises(ValueError, match="square condition"):
+        simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+
+
 # -- simplification ----------------------------------------------------------------------
 
 def simplified(g, n, r, log=None):

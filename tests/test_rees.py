@@ -13,6 +13,7 @@ from gact import (
     compose,
     cyclic_group,
     green_test,
+    group_from_text,
     image,
     kernel,
     kernel_list,
@@ -32,11 +33,13 @@ from gact.endo import wreath_to_text
 from gact.rees import column_pairs, matrix_to_text
 
 from helpers import (
+    KLEIN,
     WALK_CASES,
     dense_column_pairs,
     dense_nonzero_positions,
     dense_sandwich_ids,
     eps_rank_r,
+    quaternion_group,
     recursive_set_partitions,
     stirling,
     value_positions,
@@ -210,9 +213,11 @@ def test_sandwich_caps_and_bad_rank():
 
 def test_sandwich_cap_fires_before_rows_are_built(monkeypatch):
     def no_rows(*args):
-        raise AssertionError("kernel_list called before the entries cap")
+        raise AssertionError("rows made before the entries cap")
 
+    # the fill walks set_partitions; kernel_list is the kernels' lazy build
     monkeypatch.setattr(rees, "kernel_list", no_rows)
+    monkeypatch.setattr(rees, "set_partitions", no_rows)
     with pytest.raises(ResourceLimit):
         build_sandwich(cyclic_group(3), 9, 2, max_entries=10)
     # the closed form is exact: a cap equal to the entry count still builds
@@ -387,12 +392,30 @@ def test_zero_pattern_is_transversality():
 
 
 def test_transversal_build_matches_per_cell_oracle():
-    # the grid is filled from each partition's transversals only; testing
-    # every (partition, column) cell gives the same values and ids
-    for spec, n, r in WALK_CASES:
-        m = build_sandwich(make_group(spec), n, r)
-        assert (m.values, m.id_columns) == dense_sandwich_ids(m), (spec, n, r)
-        assert "thetas" not in vars(m)
+    # the grid is filled from one cached id row per (perm, slots) pattern of
+    # each partition's transversals; testing every (partition, column) cell
+    # gives the same values and ids, also on table groups, at r = 1 and r = n
+    cases = [(make_group(spec), n, r) for spec, n, r in WALK_CASES + [("Z3", 6, 1), ("Z2", 5, 5), ("S3", 5, 3)]]
+    cases += [(group_from_text(KLEIN), 5, 3), (quaternion_group(), 5, 3)]
+    for g, n, r in cases:
+        m = build_sandwich(g, n, r)
+        assert "thetas" not in vars(m) and "kernels" not in vars(m)
+        assert (m.values, m.id_columns) == dense_sandwich_ids(m), (g, n, r)
+
+
+def test_corrupt_fill_trips_the_build_checks(monkeypatch):
+    # a getter that reads each point's weight one slot over puts nonzero
+    # weights in the district column; a fill that skips all partitions but
+    # the first leaves columns entirely zero
+    n, r = 5, 3
+    itemgetter, set_partitions = rees.itemgetter, rees.set_partitions
+    monkeypatch.setattr(rees, "itemgetter", lambda *slots: itemgetter(*[(s + 1) % (n - r + 1) for s in slots]))
+    with pytest.raises(AssertionError, match="district column does not give the identity"):
+        build_sandwich(Z2, n, r)
+    monkeypatch.undo()
+    monkeypatch.setattr(rees, "set_partitions", lambda n, r: set_partitions(n, r)[:1])
+    with pytest.raises(AssertionError, match="image column .* is entirely zero"):
+        build_sandwich(Z2, n, r)
 
 
 def test_column_pairs_match_dense_zip():

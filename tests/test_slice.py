@@ -12,7 +12,7 @@ from gact.endo import WreathElem, wreath_order
 from gact.presentation import close_generators, evaluate_word
 from gact.rees import KernelIndex, extended_rows
 
-from helpers import MAIN_CASES, subgroup_order
+from helpers import KLEIN, MAIN_CASES, evaluate_word_by_inversion, subgroup_order
 
 # every desk main case above n = r+2, trivial 7 5 (at n = r+2, where
 # enumerate_order alone decides), and five more instances, trivial 8 5 the
@@ -47,7 +47,22 @@ def test_every_simplified_relator_maps_to_one(spec, n, r):
     q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
     images = [wreath_inv(g, v) for v in q.gen_keys]
     for word in q.relators:
-        assert evaluate_word(g, images, r, word) == wreath_identity(r), (spec, n, r, word)
+        assert evaluate_word(g, images, q.gen_keys, r, word) == wreath_identity(r), (spec, n, r, word)
+
+
+def test_evaluate_word_reads_the_inverse_table():
+    # on the slice route f[v] goes to m.inverses[x] and its inverse to m.values[x]:
+    # reading both tables gives the value of inverting each negative letter on
+    # the spot, on every simplified relator and on its tail past the first letter
+    for spec, n, r in (("S3", 6, 3), ("Z2", 6, 3)):
+        g = make_group(spec)
+        m = build_sandwich(g, n, r)
+        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+        assert q.gen_keys == m.values
+        for word in q.relators:
+            for w in (word, word[1:]):
+                assert (evaluate_word(g, m.inverses, m.values, r, w)
+                        == evaluate_word_by_inversion(g, m.inverses, r, w)), (spec, n, r, w)
 
 
 def test_route_counters_pinned():
@@ -95,9 +110,6 @@ def test_subgroup_order_in_the_wreath_group():
     assert subgroup_order(g, [swap, twist], 2, 8) == 8
     assert subgroup_order(g, [swap, twist], 2, 5) == 5  # stops at the limit
     assert subgroup_order(g, [], 2, 8) == 1
-
-
-KLEIN = "order 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
 
 
 def standard_generators(g, r):
