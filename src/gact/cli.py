@@ -6,7 +6,8 @@ subcommand takes, and `_emit` writes the lines every handler returns.
 Exit codes: 0 success (and verified), 1 verification mismatch, 2 usage or
 input errors, 3 a resource cap was hit (the message names the cap) or memory
 ran out.
-Text exports stream line by line, the gr text one row of relators at a time.
+Text exports stream one string per matrix row: the sandwich (text or JSON)
+one row of entries at a time, the gr text one batch of relator lines at a time.
 A regular `--output` file is replaced only once complete, so a capped run leaves
 it untouched; stdout may get a prefix, exactly the relators under the cap.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import sys
 from itertools import chain, takewhile
@@ -24,7 +24,8 @@ from math import factorial
 from .endo import parse_wreath, wreath_identity, wreath_order, wreath_to_text
 from .errors import DEFAULT_MAX_COSETS, DEFAULT_MAX_RELATORS, Capped, GactError, ParseError, ResourceLimit
 from .groups import Group, make_group
-from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, column_pairs, extended_rows, matrix_lines, square_condition
+from .rees import (DEFAULT_MAX_ENTRIES, build_sandwich, column_pairs, entry_rows, extended_rows, matrix_lines,
+                   square_condition)
 
 
 def _lazy(name: str):
@@ -232,11 +233,13 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
 
 
 def _json(obj) -> list[str]:
+    import json  # here and below: the text outputs never load it
     return [json.dumps(obj) + "\n"]
 
 
 def _gr_json(names: list[str], batches):
     """The `_json` text of the gr presentation's generators, relators and tags, one batch at a time."""
+    import json
     yield '{"generators": ' + json.dumps(names) + ', "relators": ['
     counts, sep = [], ""
     for tag, words in batches:
@@ -254,21 +257,14 @@ def _sandwich(args, g, caps):
     m = build_sandwich(g, args.n, args.r, caps["max_entries"])
     if not args.json:
         return matrix_lines(m), 0
-    entries = [
-        {
-            "lambda": list(m.lambdas[l_idx]),
-            "kernel": i,
-            "perm": list(v.perm),
-            "weights": list(v.weights),
-        }
-        for i, l_idx in m.nonzero_positions()
-        for v in [m.value_at(i, l_idx)]
-    ]
-    return _json({
-        "n": args.n, "r": args.r, "group_order": g.order,
-        "lambdas": len(m.lambdas), "kernels": len(m.districts),
-        "entries": entries,
-    }), 0
+    import json
+    # the `_json` text, "entries" (its last key) one row at a time, each entry after the first led by ", "
+    heads = [f', {{"lambda": {json.dumps(lam)}, "kernel": ' for lam in m.lambdas]
+    tails = [f', "perm": {json.dumps(v.perm)}, "weights": {json.dumps(v.weights)}}}' for v in m.values]
+    rows = entry_rows(m, heads, tails)
+    header = json.dumps({"n": args.n, "r": args.r, "group_order": g.order, "lambdas": len(m.lambdas),
+                         "kernels": len(m.districts)})
+    return chain([header[:-1] + ', "entries": [' + next(rows, "")[2:]], rows, ["]}\n"]), 0
 
 
 def _presentation(args, g, caps):
@@ -285,12 +281,12 @@ def _presentation(args, g, caps):
                 names = [name(i, l) for i, cols in enumerate(grids[2]) for l in cols]
             else:
                 grids = presentation.gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
-                names = [grids[0][i][l] for i, cols in enumerate(grids[2]) for l in cols]
+                names = list(filter(None, grids[0]))  # row by row, columns ascending
             s = presentation.schreier_build(g, args.n, args.r)
-            batches = presentation.gr_relators(m, s, caps["max_relators"], grids)
+            batches = presentation.gr_relators(m, s, caps["max_relators"], grids, not args.json)  # text lines
             if args.json:
                 return _gr_json(names, batches), 0
-            rows = ("".join([f"rel {' '.join(w)}\n" for w in words]) for _, words in batches)
+            rows = ("".join(lines) for _, lines in batches)
             return chain(presentation.presentation_lines(names, ()), rows), 0
     if args.json:  # json writes the tuple words as arrays
         return _json({"generators": p.generators, "relators": p.relators, "tags": p.tags}), 0

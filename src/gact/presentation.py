@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from heapq import heappop, heappush
-from itertools import chain, combinations, count
+from itertools import chain, combinations, count, repeat
 
 from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_mul, wreath_to_text
 from .errors import DEFAULT_MAX_RELATORS, BadRank, ResourceLimit
@@ -126,31 +126,32 @@ def position_names(m: SandwichMatrix):
 def gr_grids(m: SandwichMatrix, spell=None):
     """(plus, minus, cols_of) from one pass over `m.nonzero_positions()`.
 
-    plus[i][l], minus[i][l] = spell(g, i, l), by default (g, -g), spell the g-th
-    position's generator and its inverse; cols_of lists each row's nonzero
-    columns, ascending: its partition's `part_columns`, shared by its rows.
+    plus[p], minus[p] = spell(g, i, l), by default (g, -g), at p = i * ncols + l
+    spell the g-th position (i, l)'s generator and its inverse, None at a zero;
+    cols_of lists each row's nonzero columns, ascending: its partition's `part_columns`.
     """
-    nrows, ncols = len(m.districts), len(m.lambdas)
-    plus = [[None] * ncols for _ in range(nrows)]
-    minus = [[None] * ncols for _ in range(nrows)]
+    ncols = len(m.lambdas)
+    plus, minus = [None] * (len(m.districts) * ncols), [None] * (len(m.districts) * ncols)
     for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
-        plus[i][l_idx], minus[i][l_idx] = spell(gen, i, l_idx) if spell else (gen, -gen)
+        plus[i * ncols + l_idx], minus[i * ncols + l_idx] = spell(gen, i, l_idx) if spell else (gen, -gen)
     return plus, minus, [cols for cols in m.part_columns for _ in range(m.block)]
 
 
-def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS, grids=None):
+def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS, grids=None,
+                text: bool = False):
     """Yield the position presentation's relators in batches (tag, words), keeping none.
 
     Generator g is the g-th of `m.nonzero_positions()`; words spell it from the
-    letter grids of `grids`, by default `gr_grids(m)`: g and -g.  R1 follows
-    the Schreier tree edges, R2 kills each row's district generator, one batch
-    each; R3 gives one batch per row i, chaining, for each row k > i, the
-    columns whose column-pair keys agree; order k, column.  Each word is
-    freely reduced and new; the batch that passes max_relators is cut there,
-    and ResourceLimit follows it.
+    letter grids of `grids`, by default `gr_grids(m)`: g and -g (with text, a
+    word is its line `rel <letters>`, no tuple made).  R1 follows the Schreier
+    tree edges, R2 kills each row's district generator, one batch each; R3 gives
+    one batch per row i, chaining, for each row k > i, the columns whose
+    column-pair keys agree; order k, column.  Each word is freely reduced and
+    new; the batch that passes max_relators is cut there, and ResourceLimit
+    follows it.
     """
     left = max(max_relators, 0)
-    for tag, words in _gr_words(m, s, *(grids or gr_grids(m))):
+    for tag, words in _gr_words(m, s, *(grids or gr_grids(m)), text):
         if len(words) > left:
             yield tag, words[:left]
             raise ResourceLimit("relators", max_relators)
@@ -158,42 +159,47 @@ def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAUL
         yield tag, words
 
 
-def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, cols_of):
+def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, cols_of, text):
     """`gr_relators` uncapped, spelt from the letter grids."""
     if (m.n, m.r) != (s.n, s.r):
         raise ValueError("matrix and Schreier system disagree on (n, r)")
     # R1 along tree edges, only when the parent-side position is nonzero
-    pos = m.lambda_pos
-    edges = [(m.part_start[s.attach[lam]], pos[s.parent[lam]], pos[lam]) for lam in s.lambdas[1:]]
-    yield "R1", [(plus[i][par], minus[i][l_idx]) for i, par, l_idx in edges if m.id_columns[par][i] >= 0]
+    pos, ncols = m.lambda_pos, len(m.lambdas)
+    edges = [(m.part_start[s.attach[lam]] * ncols, pos[s.parent[lam]], pos[lam]) for lam in s.lambdas[1:]]
+    r1 = [(plus[base + par], minus[base + l_idx]) for base, par, l_idx in edges if plus[base + par] is not None]
     # R2 at each row's district column
-    yield "R2", [(plus[i][pos[district]],) for i, district in enumerate(m.districts)]
+    r2 = [(plus[i * ncols + pos[district]],) for i, district in enumerate(m.districts)]
+    for tag, words in ("R1", r1), ("R2", r2):
+        yield tag, [f"rel {' '.join(w)}\n" for w in words] if text else words
     # R3: rows i < k chain columns l < m when their column-pair keys y * inv(x)
     # agree.  Each row joins one group per column pair (l, m) of its own and key
     # class, listing k * ncols + m for its rows k.  Once the rows before it have
     # left, row i heads its groups; each row k after it in a group of (l, m)
     # takes the largest such l as prev, the column before m on their chain
-    columns, classes, ncols = m.id_columns, KeyClasses(m), len(m.lambdas)
-    groups: dict[tuple[int, int, int], list[int]] = {}
+    columns, classes = m.id_columns, KeyClasses(m)
+    groups: dict[tuple[int, int, int], list[int]] = defaultdict(list)
     joined = []  # per row, its group per column pair (l, m), l ascending
     for i, cols in enumerate(cols_of):
         row = []
         cells = [(l_idx, columns[l_idx][i], i * ncols + l_idx) for l_idx in cols]
         for (l_idx, x, _), (m_idx, y, km) in combinations(cells, 2):
-            group = groups.setdefault((l_idx, m_idx, classes[x * classes.base + y + 1]), [])
+            group = groups[l_idx, m_idx, classes[x * classes.base + y + 1]]
             row.append(group)
             group.append(km)
         joined.append(row)
     for i, row in enumerate(joined):
         for group in row:
-            del group[0]  # row i leaves its groups; below, a larger l overwrites
-        prev = {km: l_idx for (l_idx, _), group in zip(combinations(cols_of[i], 2), row) for km in group}
-        plus_i, minus_i = plus[i], minus[i]  # the four letters name four distinct positions
-        words = []
-        for km in sorted(prev):
-            (k, m_idx), l_idx = divmod(km, ncols), prev[km]
-            words.append((minus_i[l_idx], plus_i[m_idx], minus[k][m_idx], plus[k][l_idx]))
-        yield "R3", words
+            del group[0]  # row i leaves its groups
+        # per pair (l, m), row i's two letters (with text, the line's head) and the step
+        # m - l from (k, m) back to (k, l); in prev a later, larger l overwrites.  The
+        # four letters name four distinct positions
+        base = i * ncols
+        pairs = [(f"rel {minus[base + l_idx]} {plus[base + m_idx]} " if text
+                  else (minus[base + l_idx], plus[base + m_idx]), m_idx - l_idx)
+                 for l_idx, m_idx in combinations(cols_of[i], 2)]
+        prev = dict(zip(chain.from_iterable(row), chain.from_iterable(map(repeat, pairs, map(len, row)))))
+        yield "R3", [f"{head}{minus[km]} {plus[km - d]}\n" if text else head + (minus[km], plus[km - d])
+                     for km in sorted(prev) for head, d in [prev[km]]]
 
 
 def build_gr_presentation(
@@ -473,12 +479,10 @@ def evaluate_word(g: Group, images: list[WreathElem], inverses: list[WreathElem]
 # -- text form ----------------------------------------------------------------
 
 def presentation_lines(names: list[str], words):
-    """The text form one line at a time: header, generators, one line per relator."""
+    """The text form: the header and the generators as one string, then one line per relator."""
     # letter[g] names the signed generator g; negative g index from the end
     letter = [""] + names + [name + "'" for name in reversed(names)]
-    yield f"generators {len(names)}\n"
-    for name in names:
-        yield f"gen {name}\n"
+    yield f"generators {len(names)}\n" + "".join([f"gen {name}\n" for name in names])
     for word in words:
         yield "rel " + " ".join([letter[g] for g in word]) + "\n"
 

@@ -282,8 +282,8 @@ class KeyClasses(dict):
     """Value-id pair code x * K + y + 1, K = len(values) + 1, to the class of its key y * inv(x).
 
     Rows holding x, y in two columns close a singular square exactly when their
-    keys agree.  A code's key is taken on its first lookup; classes are numbered
-    in order of first sight.
+    keys agree.  A code's key, a raw (perm, weights) pair, is taken on its first
+    lookup; classes are numbered in order of first sight.
     """
 
     def __init__(self, m: SandwichMatrix):
@@ -292,7 +292,9 @@ class KeyClasses(dict):
 
     def __missing__(self, code: int) -> int:
         x, y = divmod(code - 1, self.base)
-        key = wreath_mul(self.m.group, self.m.values[y], self.m.inverses[x])
+        (_, perm, weights), (_, b_perm, b_weights), mul = self.m.values[y], self.m.inverses[x], self.m.group.table
+        key = (tuple([b_perm[t - 1] for t in perm]),
+               tuple([mul[w][b_weights[t - 1]] for w, t in zip(weights, perm)]))
         c = self[code] = self.keys.setdefault(key, len(self.keys))
         return c
 
@@ -322,18 +324,25 @@ def column_pairs(m: SandwichMatrix):
             yield pairs
 
 
+def entry_rows(m: SandwichMatrix, heads: list[str], tails: list[str]):
+    """One string per row: per nonzero entry, in column order, column l's head, the row and value x's tail.
+
+    A partition's block of rows is read from one slice of each of its columns.
+    """
+    ids, block, tail = m.id_columns, m.block, tails.__getitem__
+    for start, cols in zip(m.part_start.values(), m.part_columns):
+        rows = list(map(str, range(start, stop := start + block)))
+        cells = ((itertools.repeat(heads[l], block), rows, map(tail, ids[l][start:stop])) for l in cols)
+        yield from map("".join, zip(*itertools.chain.from_iterable(cells)))
+
+
 def matrix_lines(m: SandwichMatrix):
-    """The text form one line at a time: a header, then one record per nonzero entry."""
-    yield (
-        f"sandwich n={m.n} r={m.r} group-order={m.group.order} "
-        f"lambdas={len(m.lambdas)} kernels={len(m.districts)}\n"
-    )
-    # column and value texts are made once, the value texts in id order
-    lams = [".".join(map(str, lam)) for lam in m.lambdas]
-    texts = [f"perm={','.join(map(str, v.perm))} weights={','.join(map(str, v.weights))}"
-             for v in m.values]
-    for i, l_idx in m.nonzero_positions():
-        yield f"lambda={lams[l_idx]} kernel={i} {texts[m.id_columns[l_idx][i]]}\n"
+    """The text form, a header and then one string per row, a line per nonzero entry."""
+    yield (f"sandwich n={m.n} r={m.r} group-order={m.group.order} "
+           f"lambdas={len(m.lambdas)} kernels={len(m.districts)}\n")
+    heads = [f"lambda={'.'.join(map(str, lam))} kernel=" for lam in m.lambdas]
+    tails = [f" perm={','.join(map(str, v.perm))} weights={','.join(map(str, v.weights))}\n" for v in m.values]
+    yield from entry_rows(m, heads, tails)
 
 
 def matrix_to_text(m: SandwichMatrix) -> str:

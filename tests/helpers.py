@@ -428,6 +428,30 @@ def dense_sandwich_ids(m):
     return values, [[renumber[x] for x in column] for column in columns]
 
 
+def wreath_key_classes(m, codes):
+    """Each value-id pair code x * K + y + 1, K = len(m.values) + 1, to the class of its key.
+
+    The key is wreath_mul(values[y], wreath_inv(values[x])); classes are
+    numbered in the order of the codes' first sight.
+    """
+    g, values, base = m.group, m.values, len(m.values) + 1
+    keys = {}
+    return {code: keys.setdefault(wreath_mul(g, values[y], wreath_inv(g, values[x])), len(keys))
+            for code in codes for x, y in [divmod(code - 1, base)]}
+
+
+def sandwich_text(m):
+    """The sandwich text form, one record per nonzero entry from `value_at`."""
+    dotted = lambda xs, sep: sep.join(str(x) for x in xs)  # noqa: E731
+    lines = [f"sandwich n={m.n} r={m.r} group-order={m.group.order} "
+             f"lambdas={len(m.lambdas)} kernels={len(m.districts)}\n"]
+    for i, l_idx in m.nonzero_positions():
+        v = m.value_at(i, l_idx)
+        lines.append(f"lambda={dotted(m.lambdas[l_idx], '.')} kernel={i} "
+                     f"perm={dotted(v.perm, ',')} weights={dotted(v.weights, ',')}\n")
+    return "".join(lines)
+
+
 def dense_square_key(m):
     """key(x, y) = y * inv(x) of two value ids, by the wreath product itself."""
     g, values = m.group, m.values

@@ -26,7 +26,7 @@ from gact.endo import parse_wreath
 from gact.fpgroup import todd_coxeter
 from gact.rees import build_sandwich, matrix_to_text
 
-from helpers import presentation_from_text, value_positions
+from helpers import KLEIN, presentation_from_text, quaternion_group, sandwich_text, value_positions
 
 
 def run(capsys, *argv):
@@ -327,6 +327,28 @@ def test_text_exports_equal_the_collected_text(capsys, tmp_path):
     assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(ref.stat().st_mode)
 
 
+def test_sandwich_exports_equal_the_per_entry_oracle(capsys, tmp_path):
+    # the text, spelt one string per row, equals one record per nonzero entry
+    # from value_at; the streamed --json equals json.dumps of the entries as
+    # dicts; table groups, r = 1, r = n and a non-abelian group
+    klein, q8 = tmp_path / "klein.txt", tmp_path / "q8.txt"
+    klein.write_text(KLEIN)
+    q8.write_text("order 8\n" + "".join(" ".join(map(str, row)) + "\n" for row in quaternion_group().table))
+    cases = [(f"table:{klein}", 5, 3), (f"table:{q8}", 5, 3), ("Z3", 6, 1), ("Z2", 5, 5), ("S3", 5, 3)]
+    for spec, n, r in cases:
+        g = make_group(spec)
+        m = build_sandwich(g, n, r)
+        argv = ["sandwich", "--group", spec, "--n", str(n), "--r", str(r)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, sandwich_text(m), ""), (spec, n, r)
+        assert sum(line.startswith("lambda=") for line in out.splitlines()) == comb(n, r) * (r * g.order) ** (n - r)
+        entries = [{"lambda": list(m.lambdas[l]), "kernel": i, "perm": list(v.perm), "weights": list(v.weights)}
+                   for i, l in m.nonzero_positions() for v in [m.value_at(i, l)]]
+        whole = {"n": n, "r": r, "group_order": g.order, "lambdas": len(m.lambdas), "kernels": len(m.districts),
+                 "entries": entries}
+        assert run(capsys, *argv, "--json") == (0, json.dumps(whole) + "\n", ""), (spec, n, r)
+
+
 def test_capped_gr_export_leaves_output_untouched(capsys, tmp_path):
     # one cap fires in R1/R2, the others at every relator from the first R3
     # one through the end of the first two R3 rows, each row one batch
@@ -355,6 +377,21 @@ def test_capped_gr_export_leaves_output_untouched(capsys, tmp_path):
             code, out, err = run(capsys, *argv, "--max-relators", str(cap))
             assert code == 3 and f"cap {cap}" in err
             assert full.startswith(out) and out.count("\nrel ") == cap
+    # S3 4 2: every cap inside R1, R2 and the first two R3 rows leaves on stdout
+    # exactly the relators under it, and a file target untouched
+    g = make_group("S3")
+    m, s = build_sandwich(g, 4, 2), schreier_build(g, 4, 2)
+    batches = [len(words) for _, words in gr_relators(m, s)]
+    full = presentation_to_text(build_gr_presentation(m, s))
+    argv = ["presentation", "--kind", "gr", "--group", "S3", "--n", "4", "--r", "2"]
+    for cap in range(1, sum(batches[:4]) + 1):
+        code, out, err = run(capsys, *argv, "--max-relators", str(cap))
+        assert code == 3 and f"cap {cap}" in err
+        assert full.startswith(out) and out.count("\nrel ") == cap, cap
+    path.write_bytes(b"kept\n")
+    for cap in (batches[0], sum(batches[:2]) + 1, sum(batches[:4])):
+        assert run(capsys, *argv, "--output", str(path), "--max-relators", str(cap))[:2] == (3, "")
+        assert path.read_bytes() == b"kept\n" and os.listdir(tmp_path) == ["P"]
 
 
 def test_export_targets_keep_their_kind(capsys, tmp_path):

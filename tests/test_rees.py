@@ -28,12 +28,14 @@ from gact import (
     trivial_group,
     wreath_identity,
 )
-from gact import rees
+from gact import presentation, rees
 from gact.endo import wreath_to_text
-from gact.rees import column_pairs, matrix_to_text
+from gact.presentation import gr_relators, schreier_build
+from gact.rees import KeyClasses, column_pairs, matrix_to_text
 
 from helpers import (
     KLEIN,
+    MAIN_CASES,
     WALK_CASES,
     dense_column_pairs,
     dense_nonzero_positions,
@@ -44,6 +46,7 @@ from helpers import (
     stirling,
     value_positions,
     wreath_elements,
+    wreath_key_classes,
 )
 
 Z2 = cyclic_group(2)
@@ -416,6 +419,31 @@ def test_corrupt_fill_trips_the_build_checks(monkeypatch):
     monkeypatch.setattr(rees, "set_partitions", lambda n, r: set_partitions(n, r)[:1])
     with pytest.raises(AssertionError, match="image column .* is entirely zero"):
         build_sandwich(Z2, n, r)
+
+
+def test_key_classes_match_the_wreath_product(monkeypatch):
+    # every code the column-pair walk and the gr R3 kernel look up gets the
+    # class of its key y * inv(x) taken as a WreathElem product, classes
+    # numbered in order of first sight, also over non-abelian groups
+    made = []
+
+    class Recorded(KeyClasses):
+        def __init__(self, m):
+            super().__init__(m)
+            made.append(self)
+
+    monkeypatch.setattr(rees, "KeyClasses", Recorded)
+    monkeypatch.setattr(presentation, "KeyClasses", Recorded)
+    cases = [(make_group(spec), n, r) for n, spec, r, _ in MAIN_CASES]
+    cases += [(make_group("S3"), 4, 2), (make_group("Z3"), 5, 3), (group_from_text(KLEIN), 5, 3)]
+    for g, n, r in cases:
+        m = build_sandwich(g, n, r)
+        made.clear()
+        list(column_pairs(m))
+        list(gr_relators(m, schreier_build(g, n, r)))
+        assert len(made) == 2 and all(made), (g.order, n, r)
+        for classes in made:
+            assert dict(classes) == wreath_key_classes(m, list(classes)), (g.order, n, r)
 
 
 def test_column_pairs_match_dense_zip():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -87,3 +88,20 @@ def test_ladder_gives_each_tree_its_own_bytecode_cache(monkeypatch):
     prefixes = [env["PYTHONPYCACHEPREFIX"] for _, env in calls]
     assert len(calls) == 6 and prefixes[0] != prefixes[1]
     assert prefixes[2:] == [prefixes[0]] * 2 + [prefixes[1]] * 2  # a's run and stages, then b's
+
+
+def test_ladder_export_tier_hashes_each_output(monkeypatch):
+    # the export tier writes each run to a temporary --output file and records
+    # its sha256, which here must match the text form built in-process
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    import ladder
+
+    from gact import build_sandwich, make_group
+    from gact.rees import matrix_to_text
+
+    want = hashlib.sha256(matrix_to_text(build_sandwich(make_group("Z2"), 4, 2)).encode()).hexdigest()
+    [row] = ladder.ladder({"a": str(SRC), "b": str(SRC)}, ["sandwich --group Z2 --n 4 --r 2"], repeats=2,
+                          tier="export")
+    assert row["instance"] == "sandwich --group Z2 --n 4 --r 2" and row["tier"] == "export"
+    assert row["a"]["sha256"] == row["b"]["sha256"] == [want] and row["same_output"]
+    assert row["a"]["stdout"] == [""] and len(row["a"]["wall_s"]["runs"]) == 2 and "simplify_s" not in row["a"]

@@ -1,17 +1,21 @@
-"""The bench ladder's slice tier: wall time, peak RSS and stage times per source tree.
+"""The bench ladder's slice and export tiers: wall time, peak RSS, and stage times or output digests per source tree.
 
     python tools/ladder.py --tree parent=<checkout>/src --tree change=src --out BENCH_24.json
+    python tools/ladder.py --tier export --tree parent=<checkout>/src --tree change=src --out BENCH_29.json
 
 Each `--tree NAME=PATH` names a `src` directory holding the `gact` package.
 For every instance, tree and repeat the script starts one fresh wrapper
 process (this script with `--run`), and the wrapper starts
-`python -m gact.cli verify ...` as its only child, under a timeout.  The
+`python -m gact.cli ...` as its only child, under a timeout.  The
 wrapper reads the child's wall clock and its peak RSS, from RUSAGE_CHILDREN,
 which then holds that child alone.  A run past the timeout is killed and
-recorded as `"status": "timeout"`.  Stage times come from a second fresh
-child per repeat (`--stages`): it builds the matrix at n in-process and
-times `connectivity` and `simplify_presentation` on it, as `cli.slice_order`
-calls them.  Repeats alternate the trees, so drift falls on both alike;
+recorded as `"status": "timeout"`.  The slice tier runs `verify`; its stage
+times come from a second fresh child per repeat (`--stages`): it builds the
+matrix at n in-process and times `connectivity` and `simplify_presentation`
+on it, as `cli.slice_order` calls them.  The export tier runs the text and
+JSON exports, each to a temporary `--output` file, and records the file's
+sha256; `same_output` says whether every run of every tree wrote the same
+bytes.  Repeats alternate the trees, so drift falls on both alike;
 each series reports its median and its spread, (max - min) / median.
 Every tree gets its own bytecode cache (PYTHONPYCACHEPREFIX) in one
 temporary directory, with bytecode writing on, and one untimed child
@@ -24,6 +28,7 @@ Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -36,6 +41,11 @@ import time
 
 # (group, n, r): the slice route, from desk scale to the frontier
 SLICE_TIER = [("S3", 6, 3), ("Z2", 8, 4), ("Z2", 8, 3), ("Z3", 8, 4), ("Z4", 7, 3), ("S3", 7, 4)]
+# the write path: the gr presentation's text, the sandwich's text and its JSON
+EXPORT_TIER = [f"presentation --kind gr --group {g} --n {n} --r {r}" for g, n, r in
+               [("trivial", 8, 5), ("Z2", 6, 3), ("Z3", 6, 3)]]
+EXPORT_TIER += [f"sandwich --group {g} --n {n} --r {r}" for g, n, r in [("Z2", 7, 3), ("Z2", 8, 3), ("S3", 6, 3)]]
+EXPORT_TIER += ["sandwich --group Z2 --n 8 --r 3 --json"]
 TIMEOUT_S = 150
 REPEATS = 3
 # imports every module of the tree, which compiles it and the standard modules it imports into the cache
@@ -50,22 +60,31 @@ def _env(src: str, cache: str) -> dict:
     return env
 
 
-def run_once(group: str, n: int, r: int, timeout: float) -> dict:
-    """Inside a fresh wrapper, in a tree's environment: one verify child, its wall clock, peak RSS and stdout."""
-    argv = [sys.executable, "-m", "gact.cli", "verify", "--group", group, "--n", str(n), "--r", str(r)]
-    start = time.perf_counter()
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
-        try:
-            out, err = child.communicate(timeout=timeout)
-            status = "ok" if child.returncode == 0 else f"exit {child.returncode}"
-        except subprocess.TimeoutExpired:
-            child.kill()
-            out, err = child.communicate()
-            status = "timeout"
-    wall = time.perf_counter() - start
-    rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    return {"status": status, "wall_s": round(wall, 3), "maxrss_mb": round(rss, 1),
-            "stdout": out.strip(), "stderr": err.strip()[-200:]}
+def run_once(args: list[str], timeout: float, to_file: bool = False) -> dict:
+    """Inside a fresh wrapper, in a tree's environment: one `gact.cli ARGS` child, its wall clock, peak RSS and stdout.
+
+    With to_file the child writes to a temporary `--output` file, whose sha256 is recorded.
+    """
+    with tempfile.TemporaryDirectory(prefix="ladder-out-") as scratch:
+        target = os.path.join(scratch, "out")
+        argv = [sys.executable, "-m", "gact.cli", *args] + (["--output", target] if to_file else [])
+        start = time.perf_counter()
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+            try:
+                out, err = child.communicate(timeout=timeout)
+                status = "ok" if child.returncode == 0 else f"exit {child.returncode}"
+            except subprocess.TimeoutExpired:
+                child.kill()
+                out, err = child.communicate()
+                status = "timeout"
+        wall = time.perf_counter() - start
+        rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        done = {"status": status, "wall_s": round(wall, 3), "maxrss_mb": round(rss, 1),
+                "stdout": out.strip(), "stderr": err.strip()[-200:]}
+        if to_file and status == "ok":
+            with open(target, "rb") as fh:
+                done["sha256"] = hashlib.sha256(fh.read()).hexdigest()
+    return done
 
 
 def stage_times(group: str, n: int, r: int) -> dict:
@@ -96,24 +115,34 @@ def _series(values: list[float]) -> dict:
             "spread": round((max(values) - min(values)) / median, 3) if median else 0.0}
 
 
-def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: float = TIMEOUT_S) -> list[dict]:
-    """One row per instance: each tree's statuses, stdouts, timeouts and series."""
+def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: float = TIMEOUT_S,
+           tier: str = "slice") -> list[dict]:
+    """One row per instance: each tree's statuses, stdouts, timeouts and series.
+
+    Slice instances are (group, n, r) of a verify run, export instances the
+    argument string of an export; an export row also gives each tree's
+    output digests and whether all runs agree on them.
+    """
     with tempfile.TemporaryDirectory(prefix="ladder-") as caches:
         envs = {name: _env(src, os.path.join(caches, str(idx))) for idx, (name, src) in enumerate(trees.items())}
         for env in envs.values():  # untimed: the first repeat then reads bytecode too
             subprocess.run([sys.executable, "-c", COMPILE_CODE], env=env, check=True, timeout=TIMEOUT_S)
         rows = []
-        for group, n, r in instances:
-            label = f"verify {group} {n} {r}"
+        for instance in instances:
+            if tier == "slice":
+                group, n, r = instance
+                args, label = ["verify", "--group", group, "--n", str(n), "--r", str(r)], f"verify {group} {n} {r}"
+            else:
+                args, label = instance.split(), instance
             runs = {name: [] for name in trees}
             staged = {name: [] for name in trees}
             for _ in range(repeats):
                 for name, env in envs.items():
-                    runs[name].append(_child(["--run", group, str(n), str(r), str(timeout)], env))
-                    if runs[name][-1]["status"] == "ok":
+                    runs[name].append(_child(["--run", tier, str(timeout), *args], env))
+                    if tier == "slice" and runs[name][-1]["status"] == "ok":
                         staged[name].append(_child(["--stages", group, str(n), str(r)], env, 2 * timeout))
                     print(label, name, runs[name][-1]["status"], runs[name][-1]["wall_s"], file=sys.stderr)
-            row: dict = {"instance": label, "tier": "slice"}
+            row: dict = {"instance": label, "tier": tier}
             for name, done in runs.items():
                 ok = [d for d in done if d["status"] == "ok"]
                 entry: dict = {"status": sorted({d["status"] for d in done}),
@@ -122,11 +151,16 @@ def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: fl
                 if ok:
                     entry["wall_s"] = _series([d["wall_s"] for d in ok])
                     entry["maxrss_mb"] = _series([d["maxrss_mb"] for d in ok])
+                if tier == "export":
+                    entry["sha256"] = sorted({d["sha256"] for d in ok})
                 if staged[name]:
                     entry["connectivity_s"] = _series([s["connectivity_s"] for s in staged[name]])
                     entry["simplify_s"] = _series([s["simplify_s"] for s in staged[name]])
                     entry["merges"] = staged[name][0]["merges"]
                 row[name] = entry
+            if tier == "export":  # every run of every tree ran and wrote one and the same file
+                digests = [d.get("sha256") for done in runs.values() for d in done]
+                row["same_output"] = None not in digests and len(set(digests)) == 1
             rows.append(row)
     return rows
 
@@ -135,13 +169,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", default=[], metavar="NAME=PATH",
                     help="a src directory holding gact, by name; repeatable")
+    ap.add_argument("--tier", choices=("slice", "export"), default="slice", help="the instances to run")
     ap.add_argument("--out", help="write the ladder JSON here (default: stdout)")
-    ap.add_argument("--run", nargs=4, metavar=("GROUP", "N", "R", "TIMEOUT"), help=argparse.SUPPRESS)
+    ap.add_argument("--run", nargs=argparse.REMAINDER, metavar="TIER TIMEOUT ARGS", help=argparse.SUPPRESS)
     ap.add_argument("--stages", nargs=3, metavar=("GROUP", "N", "R"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.run:
-        group, n, r, timeout = args.run
-        print(json.dumps(run_once(group, int(n), int(r), float(timeout))))
+        tier, timeout, *cli_args = args.run
+        print(json.dumps(run_once(cli_args, float(timeout), to_file=tier == "export")))
         return 0
     if args.stages:
         group, n, r = args.stages
@@ -150,17 +185,20 @@ def main(argv=None) -> int:
     if not all("=" in spec for spec in args.tree) or not args.tree:
         ap.error("give each source tree as --tree NAME=PATH")
     trees = dict(spec.split("=", 1) for spec in args.tree)
+    what = {"slice": "`gact.cli verify` child", "export": "`gact.cli` export child, to a temporary --output file,"}
+    after = {"slice": "stage times are in-process, one fresh child per repeat",
+             "export": "each run's output file is hashed (sha256) after the child exits"}
     report = {
-        "method": (f"slice tier; per instance, tree and repeat one fresh wrapper process runs one "
-                   f"`gact.cli verify` child under a {TIMEOUT_S} s timeout and reads its wall clock "
+        "method": (f"{args.tier} tier; per instance, tree and repeat one fresh wrapper process runs one "
+                   f"{what[args.tier]} under a {TIMEOUT_S} s timeout and reads its wall clock "
                    f"and its peak RSS (RUSAGE_CHILDREN); each tree has its own bytecode cache, "
-                   f"compiled untimed before the first repeat; stage times are in-process, one fresh child "
-                   f"per repeat; {REPEATS} repeats, trees alternating; spread = (max - min) / median"),
+                   f"compiled untimed before the first repeat; {after[args.tier]}; "
+                   f"{REPEATS} repeats, trees alternating; spread = (max - min) / median"),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "timeout_s": TIMEOUT_S,
         "repeats": REPEATS,
         "trees": list(trees),
-        "instances": ladder(trees, SLICE_TIER),
+        "instances": ladder(trees, SLICE_TIER if args.tier == "slice" else EXPORT_TIER, tier=args.tier),
     }
     text = json.dumps(report, indent=1) + "\n"
     if args.out:
