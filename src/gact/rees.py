@@ -14,7 +14,7 @@ row's partition.  The matrix is stored once, as a grid of value ids.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from math import comb
 from operator import add, itemgetter
@@ -305,22 +305,30 @@ def column_pairs(m: SandwichMatrix):
     Each pair of columns gives one list of (x, y, rows, x0, y0), one entry per
     distinct value-id pair (x, y) in columns l and m, in order of first row:
     rows counts the rows holding it, and (x0, y0) is the first pair of its key
-    class (`KeyClasses`).  Column l's nonzero rows are listed once; a row's
-    pair is counted as its `KeyClasses` code, and a zero y is skipped.
+    class (`KeyClasses`).  The rows nonzero in both are the row blocks of the
+    partitions whose part_columns hold both, found when column l is reached
+    and kept as ranges; a row's pair is counted as its `KeyClasses` code.
     """
     columns, classes = m.id_columns, KeyClasses(m)
-    base = classes.base
+    lead = [x * classes.base + 1 for x in range(len(m.values))]  # value id x -> the code of (x, zero)
+    holding: list[list] = [[] for _ in columns]  # per column: each holding partition's rows and later columns
+    for start, cols in zip(m.part_start.values(), m.part_columns):
+        rows = range(start, start + m.block)
+        for k, l_idx in enumerate(cols):
+            holding[l_idx].append((rows, cols[k + 1:]))
     for l_idx, col_l in enumerate(columns):
-        rows = list(itertools.compress(range(len(col_l)), map((0).__le__, col_l)))  # nonzero, ascending
-        codes_l = [x * base + 1 for x in map(col_l.__getitem__, rows)]
-        for col_m in columns[l_idx + 1:]:
-            first: dict[int, tuple[int, int]] = {}
-            pairs = []
-            for code, count in Counter(map(add, codes_l, map(col_m.__getitem__, rows))).items():
-                if code % base:  # else column m is zero there
-                    x, y = divmod(code - 1, base)
-                    x0, y0 = first.setdefault(classes[code], (x, y))
-                    pairs.append((x, y, count, x0, y0))
+        shared = defaultdict(list)  # column m -> the row blocks nonzero in columns l and m, ascending
+        for rows, later in holding[l_idx]:
+            for mu in later:
+                shared[mu].append(rows)
+        for mu in range(l_idx + 1, len(columns)):
+            blocks, first, pairs = shared.get(mu, ()), {}, []
+            xs = map(col_l.__getitem__, itertools.chain.from_iterable(blocks))
+            ys = map(columns[mu].__getitem__, itertools.chain.from_iterable(blocks))
+            for code, count in Counter(map(add, map(lead.__getitem__, xs), ys)).items():
+                x, y = divmod(code - 1, classes.base)
+                x0, y0 = first.setdefault(classes[code], (x, y))
+                pairs.append((x, y, count, x0, y0))
             yield pairs
 
 

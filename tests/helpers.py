@@ -475,6 +475,34 @@ def dense_column_pairs(m):
     return out
 
 
+def rowwise_column_pairs(m):
+    """`rees.column_pairs` as a list, walked as before it read partition blocks.
+
+    Column l's nonzero rows are listed once and paired with every later
+    column; a pair code whose y is the zero (code % base == 0) is skipped.
+    """
+    from collections import Counter
+    from operator import add
+
+    from gact.rees import KeyClasses
+
+    columns, classes = m.id_columns, KeyClasses(m)
+    base = classes.base
+    out = []
+    for l_idx, col_l in enumerate(columns):
+        rows = list(itertools.compress(range(len(col_l)), map((0).__le__, col_l)))  # nonzero, ascending
+        codes_l = [x * base + 1 for x in map(col_l.__getitem__, rows)]
+        for col_m in columns[l_idx + 1:]:
+            first, pairs = {}, []
+            for code, count in Counter(map(add, codes_l, map(col_m.__getitem__, rows))).items():
+                if code % base:  # else column m is zero there
+                    x, y = divmod(code - 1, base)
+                    x0, y0 = first.setdefault(classes[code], (x, y))
+                    pairs.append((x, y, count, x0, y0))
+            out.append(pairs)
+    return out
+
+
 def dense_p1_relators(m):
     """(words, tags) of the value presentation by zipping whole dense columns.
 

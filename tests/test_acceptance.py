@@ -35,9 +35,10 @@ from gact import (
     wreath_inv,
     wreath_mul,
 )
-from gact.cli import DEFAULT_CAPS, run_verify
+from gact.cli import DEFAULT_CAPS
 from gact.endo import WreathElem, compose
 from gact.presentation import Presentation, evaluate_word
+from gact.verify import run_verify
 from gact.rees import q_of
 
 from helpers import MAIN_CASES, eps_rank_r, value_positions, wreath_elements

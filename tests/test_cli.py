@@ -6,14 +6,12 @@ import os
 import shlex
 import stat
 import threading
-from itertools import takewhile
 from math import comb
-from unittest import mock
 
 import pytest
 
-from gact import biorder, cli, fpgroup, make_group, presentation, reduction
-from gact.cli import main
+from gact import biorder, cli, fpgroup, make_group, presentation, reduction, rees
+from gact.cli import DEFAULT_CAPS, main
 from gact.presentation import (
     build_gr_presentation,
     build_quotient_presentation,
@@ -25,6 +23,7 @@ from gact.presentation import (
 from gact.endo import parse_wreath
 from gact.fpgroup import todd_coxeter
 from gact.rees import build_sandwich, matrix_to_text
+from gact.verify import run_verify
 
 from helpers import KLEIN, presentation_from_text, quaternion_group, sandwich_text, value_positions
 
@@ -98,23 +97,13 @@ def test_resource_cap_exit(capsys):
 
 
 def test_verify_below_rank_free_skips_position_presentation(monkeypatch):
-    import gact.cli as cli
-
     def refuse(*args, **kwargs):
         raise AssertionError("position presentation built")
 
     monkeypatch.setattr(presentation, "build_gr_presentation", refuse)
     monkeypatch.setattr(presentation, "schreier_build", refuse)
     for spec, n, r in (("Z2", 4, 2), ("trivial", 5, 3), ("Z2", 4, 4)):
-        assert cli.run_verify(cli.make_group(spec), n, r, cli.DEFAULT_CAPS)["ok"]
-
-
-def test_cap_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("GACT_MAX_ENTRIES", "3")
-    code, _, err = run(capsys, "verify", "--n", "4", "--r", "2", "--group", "Z2")
-    assert code == 3
-    monkeypatch.setenv("GACT_MAX_ENTRIES", "100000")
-    assert run(capsys, "verify", "--n", "4", "--r", "2", "--group", "Z2")[0] == 0
+        assert run_verify(make_group(spec), n, r, DEFAULT_CAPS)["ok"]
 
 
 def test_rising_point_cli(capsys):
@@ -540,10 +529,6 @@ GOLDEN = {
         (3, EMPTY, "2824a9790829942a9807c172396283eadc1a601cd574388356ca0b693f5322f0", None),
     "verify --group Z2 --n 4 --r 2 --max-entries 3 --json":
         (3, EMPTY, "e8c51f01aad4c2b6b8fef26bc52ef4ab5d992d9af3f6a8936036a55f4a06a3c2", None),
-    "GACT_MAX_ENTRIES=3 verify --group Z2 --n 4 --r 2":
-        (3, EMPTY, "e8c51f01aad4c2b6b8fef26bc52ef4ab5d992d9af3f6a8936036a55f4a06a3c2", None),
-    "GACT_MAX_COSETS=many verify --group Z2 --n 4 --r 2":
-        (2, EMPTY, "9d7fe70876d9d8fdb1675263b2038a0d1cd96255769e6e96defef2890e1d389e", None),
     "verify --group Q8 --n 4 --r 2":
         (2, EMPTY, "c88634fde197b263ed26df003796dafb38446266f088c693e1e73d80c0f5a854", None),
     "verify --group Z2 --n 2 --r 1":
@@ -582,11 +567,9 @@ GOLDEN = {
         (0, "7d7e5d205e7d77f48cee902d92e8f93ab231948dafa25aaf1a80869cbef8ca23", EMPTY, None),
     "presentation --kind lavers --group Z3 --n 3 --r 3":
         (0, "ebe05487152ae688eee4ff3381ebb4bff36d54da1c0ed6e23e0413b86f09a595", EMPTY, None),
-    # a negative cap, from a flag or a variable, is a usage error that names it
+    # a negative cap is a usage error that names it
     "verify --group Z2 --n 4 --r 2 --max-cosets -1":
         (2, EMPTY, "aca78631237bdb7ce1f2963540b321e565d7b56287b86f0563deb5cfb7069b45", None),
-    "GACT_MAX_RELATORS=-5 verify --group Z2 --n 4 --r 2":
-        (2, EMPTY, "5375dcc3f3dc93e8128d134ae14b6bb34d694f92f35916c0c1eb975add9204fa", None),
 }
 
 
@@ -597,24 +580,17 @@ def _sha(data):
 def golden_run(case):
     """(exit code, sha256 of stdout, of stderr, of ./out.txt or None) of one in-process run.
 
-    Leading NAME=value words set GACT_* variables; no other GACT_* variable
-    is set.  Where argparse exits, stderr is kept from its error line on:
-    the usage text above it lists the subcommand's flags.
+    Where argparse exits, stderr is kept from its error line on: the usage
+    text above it lists the subcommand's flags.
     """
-    words = shlex.split(case)
-    env = dict(w.split("=", 1) for w in takewhile(lambda w: w.startswith("GACT_"), words))
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ):
-        for key in [k for k in os.environ if k.startswith("GACT_")]:
-            del os.environ[key]
-        os.environ.update(env)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(words[len(env):])
-            except SystemExit as exc:
-                code = exc.code
-                text = err.getvalue()
-                err = io.StringIO(text[text.index("\ngact ") + 1:])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(shlex.split(case))
+        except SystemExit as exc:
+            code = exc.code
+            text = err.getvalue()
+            err = io.StringIO(text[text.index("\ngact ") + 1:])
     file_sha = _sha(open("out.txt", "rb").read()) if os.path.exists("out.txt") else None
     return code, _sha(out.getvalue()), _sha(err.getvalue()), file_sha
 
@@ -639,13 +615,13 @@ def test_unread_cap_flag_is_rejected(capsys):
     assert (code, out) == (0, "order=8 expected=8 OK\n")
 
 
-def test_unread_cap_variable_is_ignored(capsys, monkeypatch):
-    # only the caps a subcommand reads are resolved from the environment
-    monkeypatch.setenv("GACT_MAX_ENTRIES", "many")
-    argv = ["rising-point", "--group", "Z2", "--r", "4", "--alpha", "3:0;2:1;4:0;1:0"]
-    assert run(capsys, *argv) == (0, "3\n", "")
-    code, _, err = run(capsys, "squares", "--group", "Z2", "--n", "3")
-    assert code == 2 and "GACT_MAX_ENTRIES='many' is not an integer" in err
+def test_caps_are_read_from_their_flags_alone(capsys, monkeypatch):
+    # variables named like the caps change neither the output nor the exit code
+    argv = ["verify", "--group", "Z2", "--n", "4", "--r", "2"]
+    want = run(capsys, *argv)
+    monkeypatch.setenv("GACT_MAX_ENTRIES", "3")
+    monkeypatch.setenv("GACT_MAX_COSETS", "many")
+    assert run(capsys, *argv) == want == (0, "order=8 expected=8 OK\n", "")
 
 
 def test_subcommand_help_lists_its_flags(capsys):
@@ -654,6 +630,49 @@ def test_subcommand_help_lists_its_flags(capsys):
     assert exc.value.code == 0
     text = capsys.readouterr().out
     assert "--alpha" in text and "--max-" not in text and "--n " not in text
+
+
+# exit code and sha256 of stdout and stderr at 80 columns, recorded while every
+# subparser was given its flags: only the one a run names gets them now
+HELP_PINS = {
+    "--help": (0, "5079422947f67091786b4ce1c16aeadb7598ac7a72e67974e04bfe5429e713b7", EMPTY),
+    "sandwich --help": (0, "260c8b54f7eee36214544bc4961d0a6c3f9feb904e6bd9e22c5ad79f6d0840d6", EMPTY),
+    "presentation --help": (0, "5e13d77c4a2c7844424a5b6141f2e417289b03db25755ae849b6fcc64996ac6c", EMPTY),
+    "verify --help": (0, "94d1b45be70e3ba78b02963014af359cede585de43a1418016123175854dec5f", EMPTY),
+    "rising-point --help": (0, "2b50c17c330714ed1a355ac17ed4df369a01247b7c7bbcac1ccab0e4ece92831", EMPTY),
+    "decompose --help": (0, "f1152d2237b4b3df41e3d977d919b335fc0d7666fa00dcd51763d322640baef4", EMPTY),
+    "connectivity --help": (0, "1c5b4686ab0ae675c8f157a6537d3dff58e2bf4e8a885116c9fdec655798ef36", EMPTY),
+    "squares --help": (0, "a016e30d72a17f08c17d25ffe559e9aae45c951713ecd013cbc6eda21a5bef34", EMPTY),
+    "occurrences --help": (0, "30e262b8f03736d565b3600e13028fe83c90d4925b7ad3fa5f270216630bc1a2", EMPTY),
+    "sandwich --group Z2 --n 4 --r 2 --bogus":
+        (2, EMPTY, "343b581a2ed7631b76c8a737fce3210168b402d0e05512a921546744f571c60c"),
+    "presentation --group Z2 --n 4 --r 2 --bogus":
+        (2, EMPTY, "fe1f8a9bcc3c00117edfc668f1fbea0b325c70d8728cb3ab0a8f360c654e3c20"),
+    "verify --group Z2 --n 4 --r 2 --bogus":
+        (2, EMPTY, "ad37cf59fca887bf4bac2a2395d78e9595692b1fda12a7af66d94bae707ab112"),
+    "rising-point --group Z2 --r 2 --alpha 1:0;2:0 --bogus":
+        (2, EMPTY, "d12bc11be413f47edebf6aaf85d535400f7f8c1e5c10a0731a463420f2221f10"),
+    "decompose --group Z2 --r 2 --alpha 1:0;2:0 --bogus":
+        (2, EMPTY, "a18498d47e9cb64fa7bd11e73d768ac4e5e4c3f3eece6ce50f66d82635ca42af"),
+    "connectivity --group Z2 --n 4 --r 2 --bogus":
+        (2, EMPTY, "00938fe94e22afea78714c5f4f05da55695e0e680288945563e2bd4d5bb402ba"),
+    "squares --group Z2 --n 3 --bogus":
+        (2, EMPTY, "a3e09f9f3ac25328dc03419039e14091669d3f82b99fd263fd7c109e8aebbeec"),
+    "occurrences --group Z2 --n 4 --r 2 --alpha 1:0;2:0 --bogus":
+        (2, EMPTY, "137abc0d484f8b4fc200adf592eec9b9794712ccb8139fbd27f93c0a32a316f0"),
+    # an unknown flag ahead of the subcommand is reported with its usage too
+    "--bogus verify --group Z2 --n 4 --r 2":
+        (2, EMPTY, "ad37cf59fca887bf4bac2a2395d78e9595692b1fda12a7af66d94bae707ab112"),
+}
+
+
+@pytest.mark.parametrize("case", list(HELP_PINS))
+def test_help_and_unknown_flag_texts_pinned(case, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal's width
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(case.split())
+    assert (exc.value.code, _sha(out.getvalue()), _sha(err.getvalue())) == HELP_PINS[case]
 
 
 
@@ -666,7 +685,7 @@ def test_commands_read_the_id_grid_alone(capsys, monkeypatch, tmp_path):
         built.append(build_sandwich(*args))
         return built[-1]
 
-    for module in (cli, biorder):
+    for module in (cli, biorder, rees):
         monkeypatch.setattr(module, "build_sandwich", capture)
     monkeypatch.chdir(tmp_path)
     common = ["--group", "Z2", "--n", "5"]
@@ -697,10 +716,11 @@ def test_verify_and_text_exports_leave_thetas_unbuilt(capsys, monkeypatch, tmp_p
         built.append(build_sandwich(*args))
         return built[-1]
 
-    monkeypatch.setattr(cli, "build_sandwich", capture)
+    for module in (cli, rees):
+        monkeypatch.setattr(module, "build_sandwich", capture)
     monkeypatch.chdir(tmp_path)
     for spec, n, r in (("Z2", 5, 3), ("S3", 4, 2), ("trivial", 6, 3), ("Z3", 4, 1)):
-        report = cli.run_verify(make_group(spec), n, r, cli.DEFAULT_CAPS)
+        report = run_verify(make_group(spec), n, r, DEFAULT_CAPS)
         assert report["ok"] and "thetas" not in vars(built[-1]), (spec, n, r)
     common = ["--group", "Z2", "--n", "5", "--r", "3"]
     for argv in (
@@ -726,10 +746,11 @@ def test_verify_sandwich_and_gr_exports_leave_kernels_unbuilt(capsys, monkeypatc
         built.append(build_sandwich(*args))
         return built[-1]
 
-    monkeypatch.setattr(cli, "build_sandwich", capture)
+    for module in (cli, rees):
+        monkeypatch.setattr(module, "build_sandwich", capture)
     monkeypatch.chdir(tmp_path)
     for spec, n, r in (("Z2", 5, 3), ("Z2", 6, 3), ("S3", 4, 3), ("Z3", 4, 1)):
-        report = cli.run_verify(make_group(spec), n, r, cli.DEFAULT_CAPS)
+        report = run_verify(make_group(spec), n, r, DEFAULT_CAPS)
         assert report["ok"] and all("kernels" not in vars(m) for m in built), (spec, n, r)
     common = ["--group", "Z2", "--n", "5", "--r", "3"]
     for argv in (

@@ -14,7 +14,6 @@ from gact import (
     abelianization,
     build_quotient_presentation,
     build_sandwich,
-    cli,
     connectivity,
     fpgroup,
     make_group,
@@ -24,7 +23,9 @@ from gact import (
     word_equal,
 )
 from gact.endo import wreath_order
+from gact.cli import DEFAULT_CAPS
 from gact.presentation import eliminate_generators
+from gact.verify import enumerate_order
 
 from helpers import MAIN_CASES, trace
 
@@ -213,7 +214,7 @@ CYCLIC_CASES = sorted({(spec, n, r) for n, spec, r, _ in MAIN_CASES} | {
 
 @lru_cache(maxsize=None)
 def reduced(spec, n, r):
-    """The Tietze-reduced presentation `cli.enumerate_order` enumerates, and its h.
+    """The Tietze-reduced presentation `verify.enumerate_order` enumerates, and its h.
 
     h is the generator whose value has the largest order in W, the lowest
     index on ties; None when no generator survives.
@@ -229,7 +230,7 @@ def reduced(spec, n, r):
 def test_cyclic_enumeration_matches_the_trivial_subgroup(spec, n, r):
     q, h = reduced(spec, n, r)
     order = todd_coxeter(q).order
-    assert cli.enumerate_order(build_sandwich(make_group(spec), n, r), cli.DEFAULT_CAPS)[0] == order
+    assert enumerate_order(build_sandwich(make_group(spec), n, r), DEFAULT_CAPS)[0] == order
     # at desk scale every surviving generator may be h, not only the chosen one
     for gen in range(1, len(q.generators) + 1) if order <= 400 else [h]:
         t = todd_coxeter(q, gen)
@@ -252,7 +253,7 @@ def test_cyclic_enumeration_pinned(monkeypatch):
     monkeypatch.setattr(fpgroup, "todd_coxeter", spy)
     for (spec, n, r), want in pinned.items():
         seen.clear()
-        order, _ = cli.enumerate_order(build_sandwich(make_group(spec), n, r), cli.DEFAULT_CAPS)
+        order, _ = enumerate_order(build_sandwich(make_group(spec), n, r), DEFAULT_CAPS)
         assert seen == [want] and order == want[0] * want[1], (spec, n, r)
 
 
@@ -303,5 +304,5 @@ def test_no_relation_on_h_falls_back_under_the_same_cap(monkeypatch):
     monkeypatch.setattr(presentation, "eliminate_generators", lambda p: (free, []))
     monkeypatch.setattr(fpgroup, "todd_coxeter", spy)
     with pytest.raises(Capped, match="capped at 50 cosets"):
-        cli.enumerate_order(m, dict(cli.DEFAULT_CAPS, max_cosets=50))
+        enumerate_order(m, dict(DEFAULT_CAPS, max_cosets=50))
     assert calls == [(1, 50), (None, 50)]

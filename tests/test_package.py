@@ -93,9 +93,9 @@ def test_namespace_loads_modules_on_first_read():
     ("sandwich --group Z2 --n 4 --r 2", "cli endo errors groups rees"),
     ("presentation --group Z2 --n 4 --r 2", "cli endo errors groups presentation rees"),
     ("presentation --group Z2 --n 4 --r 2 --json", "cli endo errors groups presentation rees"),
-    ("verify --group Z2 --n 4 --r 3", "cli endo errors fpgroup groups presentation rees"),
-    ("verify --group Z2 --n 6 --r 4", "cli endo errors fpgroup groups presentation reduction rees"),
-    ("verify --group Z2 --n 6 --r 3", "cli endo errors fpgroup groups presentation reduction rees"),
+    ("verify --group Z2 --n 4 --r 3", "cli endo errors fpgroup groups presentation rees verify"),
+    ("verify --group Z2 --n 6 --r 4", "cli endo errors fpgroup groups presentation reduction rees verify"),
+    ("verify --group Z2 --n 6 --r 3", "cli endo errors fpgroup groups presentation reduction rees verify"),
 ])
 def test_a_subcommand_executes_only_the_modules_it_calls(argv, executed):
     assert fresh(EXECUTED_CHECK, *argv.split()) == f"0 {executed}\n"

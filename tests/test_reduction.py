@@ -391,7 +391,8 @@ def test_full_pipeline_on_extra_instances():
     from math import factorial
 
     from gact import make_group
-    from gact.cli import DEFAULT_CAPS, run_verify
+    from gact.cli import DEFAULT_CAPS
+    from gact.verify import run_verify
 
     for n, spec, r in ((4, "S3", 2), (5, "Z3", 3), (7, "trivial", 5), (6, "Z2", 4)):
         g = make_group(spec)

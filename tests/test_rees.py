@@ -43,6 +43,7 @@ from helpers import (
     eps_rank_r,
     quaternion_group,
     recursive_set_partitions,
+    rowwise_column_pairs,
     stirling,
     value_positions,
     wreath_elements,
@@ -447,7 +448,7 @@ def test_key_classes_match_the_wreath_product(monkeypatch):
 
 
 def test_column_pairs_match_dense_zip():
-    # the walk lists column l's nonzero rows once and counts int pair codes;
+    # the walk reads the row blocks nonzero in both columns and counts int pair codes;
     # zipping whole columns gives the same pairs per column pair, row counts,
     # first-row order and class-first pairs, also where one value makes the
     # code base smallest (trivial r = 1; r = n has a single column)
@@ -458,6 +459,19 @@ def test_column_pairs_match_dense_zip():
         assert walked == dense_column_pairs(m), (spec, n, r)
         one_value += len(m.values) == 1 and len(walked) > 0
     assert one_value
+
+
+def test_column_pairs_by_blocks_match_the_rowwise_walk():
+    # the rows nonzero in two columns are read as the row blocks of the
+    # partitions holding both; walking column l's nonzero rows and skipping
+    # the zeros of column m gives the same lists, in the same order
+    cases = [(make_group(spec), n, r) for n, spec, r, _ in MAIN_CASES]
+    cases += [(make_group(spec), n, r) for spec, n, r in (("S3", 4, 2), ("Z3", 5, 3), ("trivial", 8, 5), ("Z2", 7, 2),
+                                                          ("Z3", 5, 1), ("Z2", 4, 4))]
+    cases.append((group_from_text(KLEIN), 5, 3))
+    for g, n, r in cases:
+        m = build_sandwich(g, n, r)
+        assert list(column_pairs(m)) == rowwise_column_pairs(m), (g.order, n, r)
 
 
 def test_nonzero_positions_match_dense_scan():

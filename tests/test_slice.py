@@ -6,11 +6,12 @@ from math import factorial
 
 import pytest
 
-from gact import build_quotient_presentation, build_sandwich, cli, connectivity, make_group, reduction
+from gact import build_quotient_presentation, build_sandwich, cli, connectivity, make_group, reduction, rees
 from gact import group_from_text, simple_form_elem, simplify_presentation, square_condition, wreath_identity, wreath_inv
 from gact.endo import WreathElem, wreath_order
 from gact.presentation import close_generators, evaluate_word
 from gact.rees import KernelIndex, extended_rows
+from gact.verify import enumerate_order, run_verify
 
 from helpers import KLEIN, MAIN_CASES, evaluate_word_by_inversion, subgroup_order
 
@@ -24,14 +25,14 @@ CAPS = cli.DEFAULT_CAPS
 
 
 def verify(spec, n, r):
-    return cli.run_verify(make_group(spec), n, r, CAPS)
+    return run_verify(make_group(spec), n, r, CAPS)
 
 
 @pytest.mark.parametrize("spec, n, r", ROUTE_CASES)
 def test_slice_route_matches_direct_enumeration(spec, n, r):
     g = make_group(spec)
-    report = cli.run_verify(g, n, r, CAPS)
-    order, log = cli.enumerate_order(build_sandwich(g, n, r), CAPS)
+    report = run_verify(g, n, r, CAPS)
+    order, log = enumerate_order(build_sandwich(g, n, r), CAPS)
     assert report["computed_order"] == order == g.order ** r * factorial(r)
     assert report["merges"] == len(log)
     assert report["ok"] is True
@@ -113,7 +114,7 @@ def test_subgroup_order_in_the_wreath_group():
 
 
 def standard_generators(g, r):
-    """W's adjacent transpositions and weight insertions, as `cli.slice_order` looks them up."""
+    """W's adjacent transpositions and weight insertions, as `verify.slice_order` looks them up."""
     return [simple_form_elem(r, k, 1, 0) for k in range(1, r)] + [
         simple_form_elem(r, k, 0, a) for k in range(1, r + 1) for a in range(1, g.order)]
 
@@ -166,7 +167,7 @@ def test_wrong_merge_relator_fails_the_lower_bound(monkeypatch):
 
 
 def test_perturbed_submatrix_fails_the_extension_check(monkeypatch):
-    real = cli.build_sandwich
+    real = rees.build_sandwich
 
     def perturbed(g, n, r, max_entries):
         m = real(g, n, r, max_entries)
@@ -177,20 +178,20 @@ def test_perturbed_submatrix_fails_the_extension_check(monkeypatch):
             col[row] = (col[row] + 1) % len(m.values)
         return m
 
-    monkeypatch.setattr(cli, "build_sandwich", perturbed)
+    monkeypatch.setattr(rees, "build_sandwich", perturbed)
     report = verify("Z2", 6, 3)
     assert (report["method"], report["computed_order"], report["ok"]) == ("enumerate", 48, True)
 
 
 def test_stalled_closure_falls_back(monkeypatch):
-    monkeypatch.setattr(cli, "column_pairs", lambda m: iter(()))
+    monkeypatch.setattr("gact.verify.column_pairs", lambda m: iter(()))
     report = verify("Z2", 6, 3)
     assert (report["method"], report["computed_order"], report["ok"]) == ("enumerate", 48, True)
     assert (report["pairs_walked"], report["closure_relators"]) == (0, 8)  # the 8 merge relators alone
 
 
 def test_every_other_failed_check_falls_back(monkeypatch):
-    real_enumerate, real_pairs, real_build = cli.enumerate_order, cli.column_pairs, cli.build_sandwich
+    real_enumerate, real_pairs, real_build = enumerate_order, rees.column_pairs, rees.build_sandwich
 
     def wrong_slice_order(m, caps):
         order, log = real_enumerate(m, caps)
@@ -228,10 +229,12 @@ def test_every_other_failed_check_falls_back(monkeypatch):
             m.value_id = Hiding(m.value_id)
         return m
 
-    for name, patch in (("enumerate_order", wrong_slice_order), ("enumerate_order", nonsingular_slice_square),
-                        ("column_pairs", bad_walked_relator), ("build_sandwich", missing_generator)):
+    for target, patch in (("gact.verify.enumerate_order", wrong_slice_order),
+                          ("gact.verify.enumerate_order", nonsingular_slice_square),
+                          ("gact.verify.column_pairs", bad_walked_relator),
+                          ("gact.rees.build_sandwich", missing_generator)):
         with monkeypatch.context() as mp:
-            mp.setattr(cli, name, patch)
+            mp.setattr(target, patch)
             report = verify("Z2", 6, 3)
         assert (report["method"], report["computed_order"], report["ok"]) == ("enumerate", 48, True), patch
 

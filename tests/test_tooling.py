@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,8 +34,8 @@ def test_traced_layer_calls_exist(monkeypatch):
     ("presentation", 4, 2, "gr", {"presentation.schreier_build"}),
 ])
 def test_tracer_wraps_the_lazily_registered_stages(tmp_path, command, n, r, kind, spans):
-    # gact.cli registers its stage modules in sys.modules before the tracer
-    # lists them, and calls them module-qualified, so their spans are recorded
+    # the stage modules load after the tracer has wrapped them, and gact.cli
+    # and gact.verify call them module-qualified, so their spans are recorded
     fields = {"command": command, "group": "Z2", "n": n, "r": r, "kind": kind, "extra": [], "expect": None}
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), json.dumps(fields), str(tmp_path / "out")],
@@ -42,6 +43,31 @@ def test_tracer_wraps_the_lazily_registered_stages(tmp_path, command, n, r, kind
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["exit"] == 0, result["stderr"]
     assert spans <= {s["name"] for s in result["spans"]}
+
+
+# span name -> count per traced verify run, recorded while the proof's stages
+# were called from gact.cli, which the tracer instruments before any run
+VERIFY_SPANS = {
+    (4, 2): {"instance": 1, "groups.make_group": 1, "rees.build_sandwich": 1, "reduction.connectivity": 1,
+             "reduction.simplify": 1, "fpgroup.todd_coxeter": 1, "fpgroup.lavers_tc": 1},
+    (4, 3): {"instance": 1, "groups.make_group": 1, "rees.build_sandwich": 1, "presentation.schreier_build": 1,
+             "presentation.build_gr": 1, "fpgroup.abelianization": 1},
+    (6, 2): {"instance": 1, "groups.make_group": 1, "rees.build_sandwich": 2, "reduction.connectivity": 2,
+             "reduction.simplify": 2, "fpgroup.todd_coxeter": 1, "fpgroup.lavers_tc": 1},
+}
+
+
+@pytest.mark.parametrize("n, r", list(VERIFY_SPANS))
+def test_tracer_records_every_verify_stage(tmp_path, n, r):
+    # gact.verify loads inside the run, after the tracer has wrapped the stage
+    # modules; it calls each traced stage through its module, so none is missed
+    fields = {"command": "verify", "group": "Z2", "n": n, "r": r, "kind": None, "extra": [], "expect": None}
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), json.dumps(fields), str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["exit"] == 0, result["stderr"]
+    assert Counter(s["name"] for s in result["spans"]) == VERIFY_SPANS[n, r]
 
 
 def test_ladder_runs_each_instance_in_a_fresh_wrapper(monkeypatch):
@@ -105,3 +131,24 @@ def test_ladder_export_tier_hashes_each_output(monkeypatch):
     assert row["instance"] == "sandwich --group Z2 --n 4 --r 2" and row["tier"] == "export"
     assert row["a"]["sha256"] == row["b"]["sha256"] == [want] and row["same_output"]
     assert row["a"]["stdout"] == [""] and len(row["a"]["wall_s"]["runs"]) == 2 and "simplify_s" not in row["a"]
+
+
+def test_ladder_large_tier_hashes_each_stdout(monkeypatch, tmp_path):
+    # the large tier runs squares at large n and records the sha256 of each
+    # run's stdout; given two tiers, the script writes a list of two reports
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    import ladder
+
+    assert ladder.LARGE_TIER == ["squares --group Z2 --n 7", "squares --group Z2 --n 8"]
+    out = subprocess.run([sys.executable, "-m", "gact.cli", "squares", "--group", "Z2", "--n", "3"], check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True).stdout
+    monkeypatch.setattr(ladder, "TIERS", {"large": ["squares --group Z2 --n 3"], "slice": [("Z2", 4, 2)]})
+    path = tmp_path / "ladder.json"
+    assert ladder.main(["--tier", "large", "slice", "--tree", f"a={SRC}", "--out", str(path)]) == 0
+    large, sliced = json.loads(path.read_text())
+    assert large["method"].startswith("large tier") and sliced["method"].startswith("slice tier")
+    [row] = large["instances"]
+    assert row["instance"] == "squares --group Z2 --n 3" and row["tier"] == "large" and row["same_output"]
+    assert row["a"]["sha256"] == [hashlib.sha256(out).hexdigest()] and row["a"]["stdout"] == [out.decode().strip()]
+    [row] = sliced["instances"]
+    assert row["instance"] == "verify Z2 4 2" and "sha256" not in row["a"] and "same_output" not in row

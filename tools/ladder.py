@@ -1,7 +1,8 @@
-"""The bench ladder's slice and export tiers: wall time, peak RSS, and stage times or output digests per source tree.
+"""The bench ladder's slice, export and large tiers: wall time, peak RSS, and stage times or output digests per tree.
 
     python tools/ladder.py --tree parent=<checkout>/src --tree change=src --out BENCH_24.json
     python tools/ladder.py --tier export --tree parent=<checkout>/src --tree change=src --out BENCH_29.json
+    python tools/ladder.py --tier large slice --tree parent=<checkout>/src --tree change=src --out BENCH_30.json
 
 Each `--tree NAME=PATH` names a `src` directory holding the `gact` package.
 For every instance, tree and repeat the script starts one fresh wrapper
@@ -12,10 +13,12 @@ which then holds that child alone.  A run past the timeout is killed and
 recorded as `"status": "timeout"`.  The slice tier runs `verify`; its stage
 times come from a second fresh child per repeat (`--stages`): it builds the
 matrix at n in-process and times `connectivity` and `simplify_presentation`
-on it, as `cli.slice_order` calls them.  The export tier runs the text and
+on it, as `verify.slice_order` calls them.  The export tier runs the text and
 JSON exports, each to a temporary `--output` file, and records the file's
-sha256; `same_output` says whether every run of every tree wrote the same
-bytes.  Repeats alternate the trees, so drift falls on both alike;
+sha256; the large tier runs `squares` at large n and records the sha256 of
+its stdout; `same_output` says whether every run of every tree gave the same
+bytes.  Given several tiers, the script writes a list of their reports.
+Repeats alternate the trees, so drift falls on both alike;
 each series reports its median and its spread, (max - min) / median.
 Every tree gets its own bytecode cache (PYTHONPYCACHEPREFIX) in one
 temporary directory, with bytecode writing on, and one untimed child
@@ -38,6 +41,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 # (group, n, r): the slice route, from desk scale to the frontier
 SLICE_TIER = [("S3", 6, 3), ("Z2", 8, 4), ("Z2", 8, 3), ("Z3", 8, 4), ("Z4", 7, 3), ("S3", 7, 4)]
@@ -46,6 +50,9 @@ EXPORT_TIER = [f"presentation --kind gr --group {g} --n {n} --r {r}" for g, n, r
                [("trivial", 8, 5), ("Z2", 6, 3), ("Z3", 6, 3)]]
 EXPORT_TIER += [f"sandwich --group {g} --n {n} --r {r}" for g, n, r in [("Z2", 7, 3), ("Z2", 8, 3), ("S3", 6, 3)]]
 EXPORT_TIER += ["sandwich --group Z2 --n 8 --r 3 --json"]
+# large n: the squares count at every rank, which walks every column pair
+LARGE_TIER = ["squares --group Z2 --n 7", "squares --group Z2 --n 8"]
+TIERS = {"slice": SLICE_TIER, "export": EXPORT_TIER, "large": LARGE_TIER}
 TIMEOUT_S = 150
 REPEATS = 3
 # imports every module of the tree, which compiles it and the standard modules it imports into the cache
@@ -63,7 +70,7 @@ def _env(src: str, cache: str) -> dict:
 def run_once(args: list[str], timeout: float, to_file: bool = False) -> dict:
     """Inside a fresh wrapper, in a tree's environment: one `gact.cli ARGS` child, its wall clock, peak RSS and stdout.
 
-    With to_file the child writes to a temporary `--output` file, whose sha256 is recorded.
+    With to_file the child writes to a temporary `--output` file, whose sha256 is recorded; else its stdout's is.
     """
     with tempfile.TemporaryDirectory(prefix="ladder-out-") as scratch:
         target = os.path.join(scratch, "out")
@@ -81,9 +88,8 @@ def run_once(args: list[str], timeout: float, to_file: bool = False) -> dict:
         rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
         done = {"status": status, "wall_s": round(wall, 3), "maxrss_mb": round(rss, 1),
                 "stdout": out.strip(), "stderr": err.strip()[-200:]}
-        if to_file and status == "ok":
-            with open(target, "rb") as fh:
-                done["sha256"] = hashlib.sha256(fh.read()).hexdigest()
+        if status == "ok":
+            done["sha256"] = hashlib.sha256(Path(target).read_bytes() if to_file else out.encode()).hexdigest()
     return done
 
 
@@ -119,9 +125,9 @@ def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: fl
            tier: str = "slice") -> list[dict]:
     """One row per instance: each tree's statuses, stdouts, timeouts and series.
 
-    Slice instances are (group, n, r) of a verify run, export instances the
-    argument string of an export; an export row also gives each tree's
-    output digests and whether all runs agree on them.
+    Slice instances are (group, n, r) of a verify run, export and large
+    instances the argument string of a run; an export or large row also
+    gives each tree's output digests and whether all runs agree on them.
     """
     with tempfile.TemporaryDirectory(prefix="ladder-") as caches:
         envs = {name: _env(src, os.path.join(caches, str(idx))) for idx, (name, src) in enumerate(trees.items())}
@@ -151,14 +157,14 @@ def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: fl
                 if ok:
                     entry["wall_s"] = _series([d["wall_s"] for d in ok])
                     entry["maxrss_mb"] = _series([d["maxrss_mb"] for d in ok])
-                if tier == "export":
+                if tier != "slice":
                     entry["sha256"] = sorted({d["sha256"] for d in ok})
                 if staged[name]:
                     entry["connectivity_s"] = _series([s["connectivity_s"] for s in staged[name]])
                     entry["simplify_s"] = _series([s["simplify_s"] for s in staged[name]])
                     entry["merges"] = staged[name][0]["merges"]
                 row[name] = entry
-            if tier == "export":  # every run of every tree ran and wrote one and the same file
+            if tier != "slice":  # every run of every tree ran and gave one and the same output
                 digests = [d.get("sha256") for done in runs.values() for d in done]
                 row["same_output"] = None not in digests and len(set(digests)) == 1
             rows.append(row)
@@ -169,7 +175,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", default=[], metavar="NAME=PATH",
                     help="a src directory holding gact, by name; repeatable")
-    ap.add_argument("--tier", choices=("slice", "export"), default="slice", help="the instances to run")
+    ap.add_argument("--tier", choices=TIERS, nargs="+", default=["slice"], help="the instances to run")
     ap.add_argument("--out", help="write the ladder JSON here (default: stdout)")
     ap.add_argument("--run", nargs=argparse.REMAINDER, metavar="TIER TIMEOUT ARGS", help=argparse.SUPPRESS)
     ap.add_argument("--stages", nargs=3, metavar=("GROUP", "N", "R"), help=argparse.SUPPRESS)
@@ -185,22 +191,24 @@ def main(argv=None) -> int:
     if not all("=" in spec for spec in args.tree) or not args.tree:
         ap.error("give each source tree as --tree NAME=PATH")
     trees = dict(spec.split("=", 1) for spec in args.tree)
-    what = {"slice": "`gact.cli verify` child", "export": "`gact.cli` export child, to a temporary --output file,"}
+    what = {"slice": "`gact.cli verify` child", "export": "`gact.cli` export child, to a temporary --output file,",
+            "large": "`gact.cli squares` child"}
     after = {"slice": "stage times are in-process, one fresh child per repeat",
-             "export": "each run's output file is hashed (sha256) after the child exits"}
-    report = {
-        "method": (f"{args.tier} tier; per instance, tree and repeat one fresh wrapper process runs one "
-                   f"{what[args.tier]} under a {TIMEOUT_S} s timeout and reads its wall clock "
+             "export": "each run's output file is hashed (sha256) after the child exits",
+             "large": "each run's stdout is hashed (sha256) after the child exits"}
+    reports = [{
+        "method": (f"{tier} tier; per instance, tree and repeat one fresh wrapper process runs one "
+                   f"{what[tier]} under a {TIMEOUT_S} s timeout and reads its wall clock "
                    f"and its peak RSS (RUSAGE_CHILDREN); each tree has its own bytecode cache, "
-                   f"compiled untimed before the first repeat; {after[args.tier]}; "
+                   f"compiled untimed before the first repeat; {after[tier]}; "
                    f"{REPEATS} repeats, trees alternating; spread = (max - min) / median"),
         "machine": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}",
         "timeout_s": TIMEOUT_S,
         "repeats": REPEATS,
         "trees": list(trees),
-        "instances": ladder(trees, SLICE_TIER if args.tier == "slice" else EXPORT_TIER, tier=args.tier),
-    }
-    text = json.dumps(report, indent=1) + "\n"
+        "instances": ladder(trees, TIERS[tier], tier=tier),
+    } for tier in args.tier]
+    text = json.dumps(reports[0] if len(reports) == 1 else reports, indent=1) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
