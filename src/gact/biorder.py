@@ -153,7 +153,7 @@ def esquare_at(m: SandwichMatrix, i_idx: int, k_idx: int, l_idx: int, m_idx: int
 def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> list[dict]:
     """Per-rank counts of idempotents, nondegenerate E-squares and singular ones.
 
-    Each nonzero cell of the built grid holds one idempotent.  Per column
+    Each nonzero cell of the built matrix holds one idempotent.  Per column
     pair of `column_pairs`, every two rows nonzero in both columns close a
     square, and a singular one when their pairs share a key class
     (`rees.square_condition` is the entry-level oracle for this).  The entries cap
@@ -173,7 +173,7 @@ def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> 
             n_singular += sum(comb(size, 2) for size in classes.values())
         report.append({
             "rank": r,
-            "idempotents": sum(len(col) - col.count(-1) for col in m.id_columns),
+            "idempotents": m.block * sum(map(len, m.part_columns)),
             "squares": n_squares,
             "singular": n_singular,
         })

@@ -176,12 +176,12 @@ def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, cols_of, text):
     # class, listing k * ncols + m for its rows k.  Once the rows before it have
     # left, row i heads its groups; each row k after it in a group of (l, m)
     # takes the largest such l as prev, the column before m on their chain
-    columns, classes = m.id_columns, KeyClasses(m)
+    classes = KeyClasses(m)
     groups: dict[tuple[int, int, int], list[int]] = defaultdict(list)
     joined = []  # per row, its group per column pair (l, m), l ascending
     for i, cols in enumerate(cols_of):
-        row = []
-        cells = [(l_idx, columns[l_idx][i], i * ncols + l_idx) for l_idx in cols]
+        row, (p, off) = [], divmod(i, m.block)
+        cells = [(l_idx, ids[off], i * ncols + l_idx) for l_idx, ids in zip(cols, m.part_rows[p])]
         for (l_idx, x, _), (m_idx, y, km) in combinations(cells, 2):
             group = groups[l_idx, m_idx, classes[x * classes.base + y + 1]]
             row.append(group)

@@ -14,7 +14,8 @@ quadruple found in the matrix.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import chain
+from contextlib import suppress
+from itertools import chain, islice
 
 from .endo import WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import NotDecomposable, WitnessNotFound
@@ -70,15 +71,15 @@ def connectivity(m: SandwichMatrix) -> PositionGraph:
     first position is an earlier one.
     """
     pg = PositionGraph(m)
-    find, parent, ids = pg._find, pg._parent, m.id_columns
-    first_in_col: list[dict[int, int]] = [{} for _ in ids]
+    find, parent = pg._find, pg._parent
+    first_in_col: list[dict[int, int]] = [{} for _ in m.lambdas]
     idx = 0
-    for start, cols in zip(m.part_start.values(), m.part_columns):
-        links = [(ids[l_idx], first_in_col[l_idx]) for l_idx in cols]
-        for i in range(start, start + m.block):
+    for cols, id_rows in zip(m.part_columns, m.part_rows):
+        links = [(row, first_in_col[l_idx]) for l_idx, row in zip(cols, id_rows)]
+        for off in range(m.block):
             first_in_row: dict[int, int] = {}
-            for col, first in links:
-                v = col[i]
+            for row, first in links:
+                v = row[off]
                 root = idx  # a new position is its own root until it is linked
                 if (j := first_in_row.setdefault(v, idx)) != idx:
                     root = parent[idx] = find(j)
@@ -93,9 +94,8 @@ def connectivity(m: SandwichMatrix) -> PositionGraph:
 
 def value_component_counts(pg: PositionGraph) -> dict[WreathElem, tuple[int, int]]:
     """Per value, in the matrix's value order: (number of positions, number of components)."""
-    ids = pg.matrix.id_columns
-    npos = Counter(chain.from_iterable(ids))
-    ncomp = Counter(ids[l_idx][i] for i, l_idx in pg.roots())
+    npos = Counter(chain.from_iterable(chain.from_iterable(pg.matrix.part_rows)))
+    ncomp = Counter(pg.matrix.id_at(*root) for root in pg.roots())
     return {v: (npos[x], ncomp[x]) for x, v in enumerate(pg.matrix.values)}
 
 
@@ -224,18 +224,19 @@ def find_singular_witness(
     """
     if not checked:
         _check_square(m.group, phi, phi2, psi, sigma)
-    ids = m.id_columns
     x, x2, y, z = (m.value_id.get(v, -2) for v in (phi, phi2, psi, sigma))  # -2 matches no cell
-    if ids[l_idx][k_idx] != y or (i_idx := m.first_row(l_idx, x)) < 0:
+    if m.id_at(k_idx, l_idx) != y or (first := m.first_block(l_idx, x)) < 0:
         return None
-    while True:  # the rows holding phi, ascending: the first from the column's index
-        for mu, column in enumerate(ids):
-            if column[i_idx] == x2 and column[k_idx] == z:
-                return (i_idx, k_idx, l_idx, mu)
-        try:
-            i_idx = ids[l_idx].index(x, i_idx + 1)
-        except ValueError:
-            return None
+    for start, row in islice(m.column_blocks[l_idx], first, None):  # the rows holding phi, ascending
+        cols, id_rows = m.part_columns[start // m.block], m.part_rows[start // m.block]
+        off = -1
+        with suppress(ValueError):  # past the block's last row holding phi
+            while True:
+                off = row.index(x, off + 1)
+                for mu, row_mu in zip(cols, id_rows):  # a column holding phi2 at row i is one of its partition's
+                    if row_mu[off] == x2 and m.id_at(k_idx, mu) == z:
+                        return (start + off, k_idx, l_idx, mu)
+    return None
 
 
 class MergeWitness:

@@ -8,12 +8,13 @@ that sends each block minimum to its block index with trivial weight; the
 matrix entry at (column, row) is the rank-r composite of the column's
 diagonal embedding with that transversal, or zero when the composite drops
 rank, which happens exactly when the column is not a transversal of the
-row's partition.  The matrix is stored once, as a grid of value ids.
+row's partition.  The matrix is stored once, as its nonzero blocks of value ids.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from math import comb
@@ -131,27 +132,23 @@ def check_entries_cap(g: Group, n: int, r: int, max_entries: int):
 class SandwichMatrix:
     """Immutable bundle of the rank-r structure over one group.
 
-    The matrix is id_columns[column][row], a value id or -1 at the adjoined
-    zero; values lists the distinct entries sorted by text, and a value's id
-    is its index there.  A row is nonzero exactly at the columns that pick one
-    point per block of its partition, and its entry there is fixed by which
-    block each picked point lies in and by its weights at those points; so each
-    such (perm, slots) pattern gives one id row over a partition's block of
-    rows, made once and copied into every partition and column that has it.
-    Each partition's rows, block of them, are consecutive; part_columns lists
-    each partition's nonzero columns, ascending, part_start maps each
-    partition to its first row, and districts gives each row its block minima.
-    kernels, thetas, the values' inverses and each column's first-row index are
-    made when read.
+    A row is nonzero exactly at the columns that pick one point per block of
+    its partition, its entry there fixed by each picked point's block and
+    weight; so each such (perm, slots) pattern gives one id row (value ids, a
+    value's id its index in values, sorted by text) over a partition's block of
+    consecutive rows, shared read-only by every partition and column that has
+    it.  part_columns lists each partition's nonzero columns, ascending,
+    part_rows their id rows and part_start its first row; column_blocks lists
+    per column the (first row, id row) of each partition holding it, ascending.
+    districts gives each row its block minima.  kernels, thetas, the values'
+    inverses and each column's first-block index are made when read.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
         if not 1 <= r <= n:
             raise BadRank(f"rank {r} outside [1, {n}]")
         check_entries_cap(g, n, r, max_entries)
-        self.group = g
-        self.n = n
-        self.r = r
+        self.group, self.n, self.r = g, n, r
         self.lambdas = lambda_list(n, r)
         self.lambda_pos = lambda_pos = {lam: i for i, lam in enumerate(self.lambdas)}
         # a partition's rows are consecutive and share the weight vectors, padded
@@ -163,45 +160,42 @@ class SandwichMatrix:
         self.block = block = len(padded)
         seen: dict[tuple, int] = {}
         rows: dict[tuple, list[int]] = {}
-        placed = []  # (column, first row, id row) per transversal
         mins = []
-        self.part_columns = []
-        self.part_start = {}
+        self.part_columns, self.part_rows, self.part_start = [], [], {}
+        self.column_blocks: list[list[tuple[int, list[int]]]] = [[] for _ in self.lambdas]
         for part in set_partitions(n, r):
             start = self.part_start[part] = len(mins) * block
             mins.append(tuple(b[0] for b in part))
             slot = {p: idx for idx, p in enumerate(sorted(q for b in part for q in b[1:]))}
             code = {p: (j, slot.get(p, n - r)) for j, b in enumerate(part, start=1) for p in b}
-            cols = []
+            cells = {}  # column -> id row
             for choice in itertools.product(*part):  # a transversal, one point per block
                 lam = tuple(sorted(choice))
                 if (row := rows.get(key := tuple(map(code.__getitem__, lam)))) is None:
                     perm, slots = zip(*key)
                     get = itemgetter(*slots)
                     row = rows[key] = [seen.setdefault((perm, w), len(seen)) for w in map(get, padded)]
-                cols.append(l_idx := lambda_pos[lam])
-                placed.append((l_idx, start, row))
-            self.part_columns.append(sorted(cols))
+                cells[lambda_pos[lam]] = row
+            self.part_columns.append(cols := sorted(cells))
+            self.part_rows.append([cells[l_idx] for l_idx in cols])
+            for l_idx in cols:
+                self.column_blocks[l_idx].append((start, cells[l_idx]))
         self.districts = [d for d in mins for _ in padded]
         # at r = 1 the getter returns a bare weight, not a 1-tuple
         first_seen = [WreathElem(r, perm, w if r > 1 else (w,)) for perm, w in seen]
         self.values = sorted(first_seen, key=wreath_to_text)
         self.value_id = {v: idx for idx, v in enumerate(self.values)}
-        # each cached row renumbered once to the text order, then copied; zeros stay -1
+        # each shared row renumbered once, in place, to the text order
         renumber = [self.value_id[v] for v in first_seen]
         for row in rows.values():
             row[:] = map(renumber.__getitem__, row)
-        self.id_columns = ids = [[-1] * len(self.districts) for _ in self.lambdas]
-        for l_idx, start, row in placed:
-            ids[l_idx][start:start + block] = row
-        identity = [self.value_id.get(wreath_identity(r))] * block
-        for start, district in zip(self.part_start.values(), mins):
-            if ids[lambda_pos[district]][start:start + block] != identity:
+        identity = [self.value_id.get(wreath_identity(r))] * block  # so no row is entirely zero
+        for cols, id_rows, district in zip(self.part_columns, self.part_rows, mins):
+            if id_rows[cols.index(lambda_pos[district])] != identity:
                 raise AssertionError("district column does not give the identity entry")
-        if zero := set(range(len(self.lambdas))).difference(*self.part_columns):
-            raise AssertionError(f"image column {self.lambdas[min(zero)]} is entirely zero")
-        # every kernel row is nonzero at its own district column, checked above
-        self._first_rows: list[dict[int, int] | None] = [None] * len(ids)
+        if zero := [l_idx for l_idx, blocks in enumerate(self.column_blocks) if not blocks]:
+            raise AssertionError(f"image column {self.lambdas[zero[0]]} is entirely zero")
+        self._first_blocks: list[dict[int, int] | None] = [None] * len(self.lambdas)
 
     @cached_property
     def kernels(self) -> list[KernelIndex]:
@@ -218,24 +212,31 @@ class SandwichMatrix:
         """Each value's inverse, in value-id order, built on first use."""
         return [wreath_inv(self.group, v) for v in self.values]
 
+    def id_at(self, i_idx: int, l_idx: int) -> int | None:
+        """The value id at (row i, column l), None at a zero."""
+        p, off = divmod(i_idx, self.block)
+        k = bisect_left(cols := self.part_columns[p], l_idx)
+        return self.part_rows[p][k][off] if k < len(cols) and cols[k] == l_idx else None
+
     def value_at(self, i_idx: int, l_idx: int) -> WreathElem | None:
         """The entry at (row i, column l), None at a zero."""
-        return self.values[x] if (x := self.id_columns[l_idx][i_idx]) >= 0 else None
+        return None if (x := self.id_at(i_idx, l_idx)) is None else self.values[x]
 
     @cached_property
     def entries(self) -> list[list[WreathElem | None]]:
-        """entries[l][i] is value_at(i, l): a view of the id grid, built on first use."""
-        values = self.values + [None]  # -1 indexes the None
-        return [[values[x] for x in column] for column in self.id_columns]
+        """entries[l][i] is value_at(i, l): a dense view of the blocks, built on first use."""
+        out = [[None] * len(self.districts) for _ in self.lambdas]
+        for column, blocks in zip(out, self.column_blocks):
+            for start, row in blocks:
+                column[start:start + self.block] = map(self.values.__getitem__, row)
+        return out
 
-    def first_row(self, l_idx: int, x: int) -> int:
-        """The first row holding value id x in column l, -1 if none.
-
-        A column's index (value id to first row) is built on its first use and kept.
-        """
-        if (index := self._first_rows[l_idx]) is None:
-            col = self.id_columns[l_idx]
-            index = self._first_rows[l_idx] = dict(zip(reversed(col), range(len(col) - 1, -1, -1)))
+    def first_block(self, l_idx: int, x: int) -> int:
+        """The index in column_blocks[l] of the first block holding value id x, -1 if none; indexed on first use."""
+        if (index := self._first_blocks[l_idx]) is None:
+            index = self._first_blocks[l_idx] = {}
+            for k, (_, row) in enumerate(self.column_blocks[l_idx]):
+                index.update(dict.fromkeys(set(row).difference(index), k))
         return index.get(x, -1)
 
     def nonzero_positions(self):
@@ -245,8 +246,9 @@ class SandwichMatrix:
 
     def positions_of(self, v: WreathElem) -> list[tuple[int, int]]:
         """The positions (row index, column index) holding v, in lexicographic order."""
-        x, ids = self.value_id.get(v, -2), self.id_columns  # -2 matches no cell
-        return [(i, l_idx) for i, l_idx in self.nonzero_positions() if ids[l_idx][i] == x]
+        x = self.value_id.get(v)
+        ids = (row[off] for id_rows in self.part_rows for off in range(self.block) for row in id_rows)
+        return [pos for pos, y in zip(self.nonzero_positions(), ids) if y == x]
 
 
 def square_condition(m: SandwichMatrix, i_idx: int, k_idx: int, l_idx: int, m_idx: int) -> bool:
@@ -305,27 +307,25 @@ def column_pairs(m: SandwichMatrix):
     Each pair of columns gives one list of (x, y, rows, x0, y0), one entry per
     distinct value-id pair (x, y) in columns l and m, in order of first row:
     rows counts the rows holding it, and (x0, y0) is the first pair of its key
-    class (`KeyClasses`).  The rows nonzero in both are the row blocks of the
-    partitions whose part_columns hold both, found when column l is reached
-    and kept as ranges; a row's pair is counted as its `KeyClasses` code.
+    class (`KeyClasses`).  The rows nonzero in both are the blocks of the
+    partitions whose part_columns hold both: column l's blocks give, per later
+    column of their partition, one pair of id rows, and zipping those counts
+    each row's pair as its `KeyClasses` code.
     """
-    columns, classes = m.id_columns, KeyClasses(m)
+    classes, block = KeyClasses(m), m.block
     lead = [x * classes.base + 1 for x in range(len(m.values))]  # value id x -> the code of (x, zero)
-    holding: list[list] = [[] for _ in columns]  # per column: each holding partition's rows and later columns
-    for start, cols in zip(m.part_start.values(), m.part_columns):
-        rows = range(start, start + m.block)
-        for k, l_idx in enumerate(cols):
-            holding[l_idx].append((rows, cols[k + 1:]))
-    for l_idx, col_l in enumerate(columns):
-        shared = defaultdict(list)  # column m -> the row blocks nonzero in columns l and m, ascending
-        for rows, later in holding[l_idx]:
-            for mu in later:
-                shared[mu].append(rows)
-        for mu in range(l_idx + 1, len(columns)):
-            blocks, first, pairs = shared.get(mu, ()), {}, []
-            xs = map(col_l.__getitem__, itertools.chain.from_iterable(blocks))
-            ys = map(columns[mu].__getitem__, itertools.chain.from_iterable(blocks))
-            for code, count in Counter(map(add, map(lead.__getitem__, xs), ys)).items():
+    for l_idx, blocks in enumerate(m.column_blocks):
+        shared = defaultdict(list)  # column m -> the id row pairs of the blocks nonzero in columns l and m, ascending
+        for start, row_l in blocks:
+            cols, id_rows = m.part_columns[start // block], m.part_rows[start // block]
+            k = bisect_right(cols, l_idx)
+            for mu, row_m in zip(cols[k:], id_rows[k:]):
+                shared[mu].append((row_l, row_m))
+        for mu in range(l_idx + 1, len(m.lambdas)):
+            both, first, pairs = shared.get(mu, ()), {}, []
+            xs = map(lead.__getitem__, itertools.chain.from_iterable(map(itemgetter(0), both)))
+            ys = itertools.chain.from_iterable(map(itemgetter(1), both))
+            for code, count in Counter(map(add, xs, ys)).items():
                 x, y = divmod(code - 1, classes.base)
                 x0, y0 = first.setdefault(classes[code], (x, y))
                 pairs.append((x, y, count, x0, y0))
@@ -335,12 +335,12 @@ def column_pairs(m: SandwichMatrix):
 def entry_rows(m: SandwichMatrix, heads: list[str], tails: list[str]):
     """One string per row: per nonzero entry, in column order, column l's head, the row and value x's tail.
 
-    A partition's block of rows is read from one slice of each of its columns.
+    A partition's block of rows is read from its id rows, one per column.
     """
-    ids, block, tail = m.id_columns, m.block, tails.__getitem__
-    for start, cols in zip(m.part_start.values(), m.part_columns):
-        rows = list(map(str, range(start, stop := start + block)))
-        cells = ((itertools.repeat(heads[l], block), rows, map(tail, ids[l][start:stop])) for l in cols)
+    block, tail = m.block, tails.__getitem__
+    for start, cols, id_rows in zip(m.part_start.values(), m.part_columns, m.part_rows):
+        rows = list(map(str, range(start, start + block)))
+        cells = ((itertools.repeat(heads[l], block), rows, map(tail, row)) for l, row in zip(cols, id_rows))
         yield from map("".join, zip(*itertools.chain.from_iterable(cells)))
 
 

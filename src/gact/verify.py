@@ -96,8 +96,7 @@ def slice_order(g: Group, m, caps: dict, route: dict) -> tuple[int, list] | None
         return None
     rows = extended_rows(s, m)
     cols = [m.lambda_pos[lam] for lam in s.lambdas]
-    to_n = [m.value_id.get(v, -2) for v in s.values] + [-1]  # -1 keeps a zero; -2 is no value at n
-    if any(to_n[x] != m.id_columns[l][i] for col, l in zip(s.id_columns, cols) for x, i in zip(col, rows)):
+    if any(s.value_at(i, l) != m.value_at(row, col) for l, col in enumerate(cols) for i, row in enumerate(rows)):
         return None
     squares = (w.square for w in slice_log)
     if not all(square_condition(m, rows[i], rows[k], cols[l], cols[mu]) for i, k, l, mu in squares):

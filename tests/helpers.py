@@ -295,7 +295,7 @@ def gr_r3_oracle(m):
         gen2d[i][l_idx] = gen
         rows_of[l_idx].append(i)
         cols_of[i].append(l_idx)
-    values, columns = m.values, m.id_columns
+    values, columns = m.values, dense_ids(m)
     quotients = {}
     qtab = []
     for a in values:
@@ -352,12 +352,12 @@ def scan_singular_witness(m, phi, phi2, psi, sigma, k_idx, l_idx):
 
 
 def unindexed_singular_witness(m, phi, phi2, psi, sigma, k_idx, l_idx):
-    """`find_singular_witness` without the column's first-row index.
+    """`find_singular_witness` without the column's first-block index, on the dense view.
 
     Every row holding phi in column l comes from a scan of the column from
     row 0, then columns mu ascending; returns (i, k, l, mu) or None.
     """
-    ids, i_idx = m.id_columns, -1
+    ids, i_idx = dense_ids(m), -1
     x, x2, y, z = (m.value_id.get(v, -2) for v in (phi, phi2, psi, sigma))
     if ids[l_idx][k_idx] != y:
         return None
@@ -372,6 +372,15 @@ def unindexed_singular_witness(m, phi, phi2, psi, sigma, k_idx, l_idx):
 
 
 # -- dense oracles for the transversal build and the nonzero-row walks ---------
+
+def dense_ids(m):
+    """m's value ids as a dense grid [column][row], -1 at a zero, built from its column blocks."""
+    columns = [[-1] * len(m.districts) for _ in m.lambdas]
+    for column, blocks in zip(columns, m.column_blocks):
+        for start, row in blocks:
+            column[start:start + m.block] = row
+    return columns
+
 
 KLEIN = "order 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
 
@@ -396,7 +405,7 @@ WALK_CASES = [(spec, 4, r) for spec in ("trivial", "Z2", "Z3", "Z4", "S3") for r
 ]
 
 def dense_sandwich_ids(m):
-    """(values, id_columns) of m's slice by testing every (partition, column) cell.
+    """(values, ids) of m's slice by testing every (partition, column) cell; ids as `dense_ids` gives them.
 
     Each row's entry at column lam is read off its transversal endomorphism
     theta: the block indices and weights at the points of lam, or zero when
@@ -468,7 +477,7 @@ def dense_column_pairs(m):
 
     key = dense_square_key(m)
     out = []
-    for col_l, col_m in itertools.combinations(m.id_columns, 2):
+    for col_l, col_m in itertools.combinations(dense_ids(m), 2):
         counts = Counter((x, y) for x, y in zip(col_l, col_m) if x >= 0 and y >= 0)
         first = {}
         out.append([(x, y, rows, *first.setdefault(key(x, y), (x, y))) for (x, y), rows in counts.items()])
@@ -486,7 +495,7 @@ def rowwise_column_pairs(m):
 
     from gact.rees import KeyClasses
 
-    columns, classes = m.id_columns, KeyClasses(m)
+    columns, classes = dense_ids(m), KeyClasses(m)
     base = classes.base
     out = []
     for l_idx, col_l in enumerate(columns):
@@ -512,7 +521,7 @@ def dense_p1_relators(m):
     """
     from gact.presentation import DEFAULT_MAX_RELATORS, _RelatorSink
 
-    values, columns, key = m.values, m.id_columns, dense_square_key(m)
+    values, columns, key = m.values, dense_ids(m), dense_square_key(m)
     sink = _RelatorSink(DEFAULT_MAX_RELATORS)
     for l_idx, col_l in enumerate(columns):
         for col_m in columns[l_idx + 1:]:
@@ -532,7 +541,7 @@ def dense_squares_counts(m):
     from collections import Counter
     from math import comb
 
-    columns, key = m.id_columns, dense_square_key(m)
+    columns, key = dense_ids(m), dense_square_key(m)
     n_squares = n_singular = 0
     for l_idx, col_l in enumerate(columns):
         for col_m in columns[l_idx + 1:]:
@@ -550,12 +559,8 @@ def dense_squares_counts(m):
 
 def dense_nonzero_positions(m):
     """The nonzero (row, column) positions by scanning the whole grid, row-major."""
-    return [
-        (i, l_idx)
-        for i in range(len(m.kernels))
-        for l_idx, column in enumerate(m.id_columns)
-        if column[i] >= 0
-    ]
+    columns = dense_ids(m)
+    return [(i, l_idx) for i in range(len(m.kernels)) for l_idx, column in enumerate(columns) if column[i] >= 0]
 
 
 def presentation_from_text(text):

@@ -40,6 +40,7 @@ from gact.presentation import (
 
 from helpers import (
     WALK_CASES,
+    dense_ids,
     dense_p1_relators,
     MAIN_CASES,
     dense_r3_relators,
@@ -346,7 +347,8 @@ def test_value_route_matches_position_route():
         m = build_sandwich(g, n, r)
         q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
         p = build_gr_presentation(m, schreier_build(g, n, r))
-        letter = [m.id_columns[l_idx][i] + 1 for i, l_idx in p.gen_keys]
+        ids = dense_ids(m)
+        letter = [ids[l_idx][i] + 1 for i, l_idx in p.gen_keys]
         words = set()
         for w in p.relators:
             words.add(free_reduce(letter[x - 1] if x > 0 else -letter[-x - 1] for x in w))

@@ -31,6 +31,7 @@ from gact import (
 
 from helpers import (
     def81_rising_point,
+    dense_ids,
     scan_singular_witness,
     unindexed_singular_witness,
     value_positions,
@@ -486,10 +487,10 @@ def test_indexed_witness_search_matches_unindexed_scan():
         log = []
         simplify_presentation(build_quotient_presentation(m), m, connectivity(m), log)
         e = wreath_identity(r)
-        seen = Counter()
+        seen, ids = Counter(), dense_ids(m)
         for w in {w.value: w for w in log}.values():
             for k_idx, l_idx in value_positions(m)[w.value]:
-                column = m.id_columns[l_idx]
+                column, blocks = ids[l_idx], m.column_blocks[l_idx]
                 for phi in m.values:
                     for phi2 in (e, w.simple_factor):
                         sigma = wreath_mul(g, phi2, wreath_mul(g, wreath_inv(g, phi), w.value))
@@ -497,7 +498,9 @@ def test_indexed_witness_search_matches_unindexed_scan():
                         found = find_singular_witness(*quad)
                         assert found == unindexed_singular_witness(*quad), (spec, quad[1:])
                         x = m.value_id[phi]
-                        first = m.first_row(l_idx, x)
+                        k = m.first_block(l_idx, x)  # the column's first block holding x, -1 if none
+                        assert k == next((k for k, (_, row) in enumerate(blocks) if x in row), -1)
+                        first = blocks[k][0] + blocks[k][1].index(x) if k >= 0 else -1
                         assert first == (column.index(x) if x in column else -1)
                         if first < 0:
                             seen["absent"] += 1

@@ -38,6 +38,7 @@ from helpers import (
     MAIN_CASES,
     WALK_CASES,
     dense_column_pairs,
+    dense_ids,
     dense_nonzero_positions,
     dense_sandwich_ids,
     eps_rank_r,
@@ -347,14 +348,14 @@ def test_equal_entries_are_one_object():
 
 
 def test_value_numbering_matches_value_positions():
-    # one value numbering per matrix: values in text order, the id grid is
-    # the matrix, and the entries view is made only when read, never by the
-    # text export
+    # one value numbering per matrix: values in text order, the id blocks
+    # are the matrix, and the entries view is made only when read, never by
+    # the text export
     for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("Z3", 5, 3), ("trivial", 6, 3), ("Z2", 5, 3)):
         m = build_sandwich(make_group(spec), n, r)
         matrix_to_text(m)
         assert "entries" not in vars(m)
-        values, columns = m.values, m.id_columns
+        values, columns = m.values, dense_ids(m)
         assert values == sorted(value_positions(m), key=wreath_to_text)
         assert m.entries is m.entries
         for col_ids, col in zip(columns, m.entries):
@@ -365,11 +366,12 @@ def test_value_numbering_matches_value_positions():
 def test_entries_view_matches_value_at():
     for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("Z3", 5, 3), ("trivial", 6, 3), ("Z2", 5, 4)):
         m = build_sandwich(make_group(spec), n, r)
+        ids = dense_ids(m)
         for l_idx, column in enumerate(m.entries):
             assert len(column) == len(m.kernels)
             for i, v in enumerate(column):
                 assert v == m.value_at(i, l_idx)
-                assert (v is None) == (m.id_columns[l_idx][i] < 0)
+                assert (v is None) == (ids[l_idx][i] < 0)
 
 
 def test_distinct_theta_rows_l_related_not_r_related():
@@ -404,7 +406,41 @@ def test_transversal_build_matches_per_cell_oracle():
     for g, n, r in cases:
         m = build_sandwich(g, n, r)
         assert "thetas" not in vars(m) and "kernels" not in vars(m)
-        assert (m.values, m.id_columns) == dense_sandwich_ids(m), (g, n, r)
+        assert (m.values, dense_ids(m)) == dense_sandwich_ids(m), (g, n, r)
+
+
+def test_value_at_matches_the_per_cell_oracle_at_every_cell():
+    # zeros included: a column outside a row's part_columns reads None
+    cases = [(make_group(spec), n, r) for spec, n, r in WALK_CASES] + [(group_from_text(KLEIN), 5, 3)]
+    for g, n, r in cases:
+        m = build_sandwich(g, n, r)
+        values, columns = dense_sandwich_ids(m)
+        for l_idx, column in enumerate(columns):
+            for i, x in enumerate(column):
+                assert m.value_at(i, l_idx) == (values[x] if x >= 0 else None), (g, n, r, i, l_idx)
+                assert m.id_at(i, l_idx) == (x if x >= 0 else None), (g, n, r, i, l_idx)
+
+
+def test_one_shared_id_row_per_transversal_pattern():
+    # a pattern is, per point of the column, its block and its index among the
+    # partition's non-minima (None at a minimum); every (partition, column)
+    # with one pattern reads one row object, of block entries, from part_rows
+    # and column_blocks alike
+    cases = [(make_group(spec), n, r) for spec, n, r in WALK_CASES] + [(group_from_text(KLEIN), 5, 3)]
+    for g, n, r in cases:
+        m = build_sandwich(g, n, r)
+        patterns, rows = {}, set()
+        for part, cols, id_rows in zip(m.part_start, m.part_columns, m.part_rows):
+            block_of = {u: j for j, b in enumerate(part) for u in b}
+            nonmins = sorted(u for b in part for u in b[1:])
+            assert len(cols) == len(id_rows), (g, n, r, part)
+            for l_idx, row in zip(cols, id_rows):
+                key = tuple((block_of[u], nonmins.index(u) if u in nonmins else None) for u in m.lambdas[l_idx])
+                assert patterns.setdefault(key, row) is row, (g, n, r, part, l_idx)
+                assert len(row) == m.block
+                rows.add(id(row))
+        assert len(rows) == len(patterns), (g, n, r)
+        assert {id(row) for blocks in m.column_blocks for _, row in blocks} == rows, (g, n, r)
 
 
 def test_corrupt_fill_trips_the_build_checks(monkeypatch):
@@ -493,9 +529,16 @@ def test_part_columns_and_first_rows_match_dense_scans():
             firsts.setdefault(ki.partition, i)
         assert list(m.part_start.items()) == list(firsts.items()), (spec, n, r)
         assert all(i % m.block == 0 for i in m.part_start.values()), (spec, n, r)
+        ids = dense_ids(m)
         for i in range(len(m.kernels)):
-            dense = [l_idx for l_idx, col in enumerate(m.id_columns) if col[i] >= 0]
+            dense = [l_idx for l_idx, col in enumerate(ids) if col[i] >= 0]
             assert m.part_columns[i // m.block] == dense, (spec, n, r, i)
-        for l_idx, col in enumerate(m.id_columns):
+        for l_idx, (col, blocks) in enumerate(zip(ids, m.column_blocks)):
+            starts = [start for start, _ in blocks]
+            assert starts == [i for i in m.part_start.values() if col[i] >= 0], (spec, n, r, l_idx)
             for x in range(-1, len(m.values) + 1):
-                assert m.first_row(l_idx, x) == (col.index(x) if x in col else -1), (spec, n, r, l_idx, x)
+                first = m.first_block(l_idx, x)
+                assert first == next((k for k, (_, row) in enumerate(blocks) if x in row), -1), (spec, n, r, l_idx, x)
+                # the first block holding value x holds its first row in the column; no block holds the zero
+                first_row = starts[first] + blocks[first][1].index(x) if first >= 0 else -1
+                assert first_row == (col.index(x) if 0 <= x and x in col else -1), (spec, n, r, l_idx, x)

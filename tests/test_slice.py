@@ -13,7 +13,7 @@ from gact.presentation import close_generators, evaluate_word
 from gact.rees import KernelIndex, extended_rows
 from gact.verify import enumerate_order, run_verify
 
-from helpers import KLEIN, MAIN_CASES, evaluate_word_by_inversion, subgroup_order
+from helpers import KLEIN, MAIN_CASES, dense_ids, evaluate_word_by_inversion, subgroup_order
 
 # every desk main case above n = r+2, trivial 7 5 (at n = r+2, where
 # enumerate_order alone decides), and five more instances, trivial 8 5 the
@@ -85,7 +85,7 @@ def test_extended_rows_are_the_rows_with_the_new_points_in_block_one():
         for ki, row in zip(s.kernels, rows):
             first, *rest = ki.partition
             assert m.kernels[row] == KernelIndex((first + tail, *rest), ki.weightvec + (0,) * len(tail))
-        for lam, col in zip(s.lambdas, s.id_columns):
+        for lam, col in zip(s.lambdas, dense_ids(s)):
             l_idx = m.lambda_pos[lam]
             assert [s.values[x] if x >= 0 else None for x in col] == [m.value_at(i, l_idx) for i in rows]
 
@@ -173,9 +173,17 @@ def test_perturbed_submatrix_fails_the_extension_check(monkeypatch):
         m = real(g, n, r, max_entries)
         if n == 6:  # slice row 0, slice column 1, at n
             s = real(g, r + 2, r, max_entries)
-            col = m.id_columns[m.lambda_pos[s.lambdas[1]]]
-            row = extended_rows(s, m)[0]
-            col[row] = (col[row] + 1) % len(m.values)
+            l_idx, (p, off) = m.lambda_pos[s.lambdas[1]], divmod(extended_rows(s, m)[0], m.block)
+            # the id row is shared by every cell of its pattern: swap in a perturbed copy
+            k, start = m.part_columns[p].index(l_idx), p * m.block
+            ids = m.part_rows[p][k] = list(m.part_rows[p][k])
+            ids[off] = (ids[off] + 1) % len(m.values)
+            blocks = m.column_blocks[l_idx]
+            blocks[[first for first, _ in blocks].index(start)] = (start, ids)
+            # one cell changed, in both views of the blocks
+            before = real(g, n, r, max_entries).entries
+            assert sum(v != w for a, b in zip(before, m.entries) for v, w in zip(a, b)) == 1
+            assert m.value_at(start + off, l_idx) == m.entries[l_idx][start + off] != s.value_at(0, 1)
         return m
 
     monkeypatch.setattr(rees, "build_sandwich", perturbed)
@@ -201,7 +209,8 @@ def test_every_other_failed_check_falls_back(monkeypatch):
         order, log = real_enumerate(m, caps)
         if m.n == 5:  # swap the first square's row k for one closing no singular square
             i, _, l, mu = log[0].square
-            k = next(k for k in range(len(m.kernels)) if m.id_columns[l][k] >= 0 and m.id_columns[mu][k] >= 0
+            ids = dense_ids(m)
+            k = next(k for k in range(len(m.kernels)) if ids[l][k] >= 0 and ids[mu][k] >= 0
                      and not square_condition(m, i, k, l, mu))
             log[0].square = (i, k, l, mu)
         return order, log

@@ -152,3 +152,33 @@ def test_ladder_large_tier_hashes_each_stdout(monkeypatch, tmp_path):
     assert row["a"]["sha256"] == [hashlib.sha256(out).hexdigest()] and row["a"]["stdout"] == [out.decode().strip()]
     [row] = sliced["instances"]
     assert row["instance"] == "verify Z2 4 2" and "sha256" not in row["a"] and "same_output" not in row
+
+
+def test_ladder_capped_tier_records_each_exit(monkeypatch, tmp_path):
+    # the capped tier holds the frontier's capped rows and records each run
+    # as whatever it does: an exit 3 at the entries cap keeps its wall clock,
+    # peak RSS and (empty) stdout digest, as a successful run does
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    import ladder
+
+    assert ladder.CAPPED_TIER == [
+        "verify --group Z2 --n 9 --r 3", "verify --group Z2 --n 9 --r 4", "verify --group Z2 --n 9 --r 5",
+        "verify --group Z3 --n 8 --r 3", "verify --group S3 --n 7 --r 3", "verify --group trivial --n 10 --r 5",
+        "squares --group Z2 --n 9", "squares --group Z2 --n 10"]
+    instances = ["verify --group Z2 --n 9 --r 3", "squares --group Z2 --n 3"]
+    monkeypatch.setattr(ladder, "TIERS", {"capped": instances})
+    path = tmp_path / "ladder.json"
+    assert ladder.main(["--tier", "capped", "--tree", f"a={SRC}", "--tree", f"b={SRC}", "--out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["method"].startswith("capped tier") and report["trees"] == ["a", "b"]
+    capped, counted = report["instances"]
+    assert capped["tier"] == "capped" and capped["same_output"]
+    for name in "ab":
+        assert capped[name]["status"] == ["exit 3"] and capped[name]["stdout"] == [""]
+        assert capped[name]["sha256"] == [hashlib.sha256(b"").hexdigest()]
+        assert len(capped[name]["wall_s"]["runs"]) == len(capped[name]["maxrss_mb"]["runs"]) == ladder.REPEATS
+        assert counted[name]["status"] == ["ok"] and counted[name]["stdout"][0].startswith("rank=1 ")
+    assert counted["same_output"]
+    # a run past the timeout keeps no series, and its row does not give the same output
+    [row] = ladder.ladder({"a": str(SRC)}, ["verify --group Z2 --n 9 --r 3"], repeats=1, timeout=0.001, tier="capped")
+    assert row["a"]["status"] == ["timeout"] and "wall_s" not in row["a"] and not row["same_output"]

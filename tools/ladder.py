@@ -1,8 +1,10 @@
-"""The bench ladder's slice, export and large tiers: wall time, peak RSS, and stage times or output digests per tree.
+"""The bench ladder's slice, export, large and capped tiers: wall time, peak RSS, and stage times or output digests per tree.
 
     python tools/ladder.py --tree parent=<checkout>/src --tree change=src --out BENCH_24.json
     python tools/ladder.py --tier export --tree parent=<checkout>/src --tree change=src --out BENCH_29.json
     python tools/ladder.py --tier large slice --tree parent=<checkout>/src --tree change=src --out BENCH_30.json
+    python tools/ladder.py --tier slice export large capped --tree parent=<checkout>/src --tree change=src \
+        --out BENCH_31.json
 
 Each `--tree NAME=PATH` names a `src` directory holding the `gact` package.
 For every instance, tree and repeat the script starts one fresh wrapper
@@ -16,8 +18,12 @@ matrix at n in-process and times `connectivity` and `simplify_presentation`
 on it, as `verify.slice_order` calls them.  The export tier runs the text and
 JSON exports, each to a temporary `--output` file, and records the file's
 sha256; the large tier runs `squares` at large n and records the sha256 of
-its stdout; `same_output` says whether every run of every tree gave the same
-bytes.  Given several tiers, the script writes a list of their reports.
+its stdout.  The capped tier runs the frontier's instances that stop at a
+cap; each run is recorded as whatever it does, its stdout hashed and its
+wall clock and peak RSS kept whatever its exit code (a timeout excepted).
+`same_output` says whether every run of every tree gave the same exit status
+and the same bytes.  Given several tiers, the script writes a list of their
+reports.
 Repeats alternate the trees, so drift falls on both alike;
 each series reports its median and its spread, (max - min) / median.
 Every tree gets its own bytecode cache (PYTHONPYCACHEPREFIX) in one
@@ -52,7 +58,12 @@ EXPORT_TIER += [f"sandwich --group {g} --n {n} --r {r}" for g, n, r in [("Z2", 7
 EXPORT_TIER += ["sandwich --group Z2 --n 8 --r 3 --json"]
 # large n: the squares count at every rank, which walks every column pair
 LARGE_TIER = ["squares --group Z2 --n 7", "squares --group Z2 --n 8"]
-TIERS = {"slice": SLICE_TIER, "export": EXPORT_TIER, "large": LARGE_TIER}
+# the frontier's capped rows, recorded as whatever they do: exit 3 at the
+# 10M-cell entries cap when this tier was added
+CAPPED_TIER = [f"verify --group {g} --n {n} --r {r}" for g, n, r in
+               [("Z2", 9, 3), ("Z2", 9, 4), ("Z2", 9, 5), ("Z3", 8, 3), ("S3", 7, 3), ("trivial", 10, 5)]]
+CAPPED_TIER += ["squares --group Z2 --n 9", "squares --group Z2 --n 10"]
+TIERS = {"slice": SLICE_TIER, "export": EXPORT_TIER, "large": LARGE_TIER, "capped": CAPPED_TIER}
 TIMEOUT_S = 150
 REPEATS = 3
 # imports every module of the tree, which compiles it and the standard modules it imports into the cache
@@ -70,7 +81,8 @@ def _env(src: str, cache: str) -> dict:
 def run_once(args: list[str], timeout: float, to_file: bool = False) -> dict:
     """Inside a fresh wrapper, in a tree's environment: one `gact.cli ARGS` child, its wall clock, peak RSS and stdout.
 
-    With to_file the child writes to a temporary `--output` file, whose sha256 is recorded; else its stdout's is.
+    With to_file the child writes to a temporary `--output` file, whose sha256 is recorded after a
+    successful run; else its stdout's is, after any run that finished.
     """
     with tempfile.TemporaryDirectory(prefix="ladder-out-") as scratch:
         target = os.path.join(scratch, "out")
@@ -88,7 +100,7 @@ def run_once(args: list[str], timeout: float, to_file: bool = False) -> dict:
         rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
         done = {"status": status, "wall_s": round(wall, 3), "maxrss_mb": round(rss, 1),
                 "stdout": out.strip(), "stderr": err.strip()[-200:]}
-        if status == "ok":
+        if status != "timeout" and (status == "ok" or not to_file):
             done["sha256"] = hashlib.sha256(Path(target).read_bytes() if to_file else out.encode()).hexdigest()
     return done
 
@@ -125,9 +137,11 @@ def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: fl
            tier: str = "slice") -> list[dict]:
     """One row per instance: each tree's statuses, stdouts, timeouts and series.
 
-    Slice instances are (group, n, r) of a verify run, export and large
-    instances the argument string of a run; an export or large row also
-    gives each tree's output digests and whether all runs agree on them.
+    Slice instances are (group, n, r) of a verify run, the other tiers'
+    instances the argument string of a run; their rows also give each tree's
+    output digests and whether all runs agree on them and on their status.
+    Series cover the successful runs, and in the capped tier every run that
+    finished.
     """
     with tempfile.TemporaryDirectory(prefix="ladder-") as caches:
         envs = {name: _env(src, os.path.join(caches, str(idx))) for idx, (name, src) in enumerate(trees.items())}
@@ -150,23 +164,23 @@ def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: fl
                     print(label, name, runs[name][-1]["status"], runs[name][-1]["wall_s"], file=sys.stderr)
             row: dict = {"instance": label, "tier": tier}
             for name, done in runs.items():
-                ok = [d for d in done if d["status"] == "ok"]
+                kept = [d for d in done if d["status"] == "ok" or tier == "capped" and d["status"] != "timeout"]
                 entry: dict = {"status": sorted({d["status"] for d in done}),
                                "stdout": sorted({d["stdout"] for d in done}),
                                "timeouts": sum(d["status"] == "timeout" for d in done)}
-                if ok:
-                    entry["wall_s"] = _series([d["wall_s"] for d in ok])
-                    entry["maxrss_mb"] = _series([d["maxrss_mb"] for d in ok])
+                if kept:
+                    entry["wall_s"] = _series([d["wall_s"] for d in kept])
+                    entry["maxrss_mb"] = _series([d["maxrss_mb"] for d in kept])
                 if tier != "slice":
-                    entry["sha256"] = sorted({d["sha256"] for d in ok})
+                    entry["sha256"] = sorted({d["sha256"] for d in kept})
                 if staged[name]:
                     entry["connectivity_s"] = _series([s["connectivity_s"] for s in staged[name]])
                     entry["simplify_s"] = _series([s["simplify_s"] for s in staged[name]])
                     entry["merges"] = staged[name][0]["merges"]
                 row[name] = entry
-            if tier != "slice":  # every run of every tree ran and gave one and the same output
-                digests = [d.get("sha256") for done in runs.values() for d in done]
-                row["same_output"] = None not in digests and len(set(digests)) == 1
+            if tier != "slice":  # every run of every tree ran and gave one and the same status and output
+                finished = [(d["status"], d.get("sha256")) for done in runs.values() for d in done]
+                row["same_output"] = all(digest for _, digest in finished) and len(set(finished)) == 1
             rows.append(row)
     return rows
 
@@ -192,10 +206,12 @@ def main(argv=None) -> int:
         ap.error("give each source tree as --tree NAME=PATH")
     trees = dict(spec.split("=", 1) for spec in args.tree)
     what = {"slice": "`gact.cli verify` child", "export": "`gact.cli` export child, to a temporary --output file,",
-            "large": "`gact.cli squares` child"}
+            "large": "`gact.cli squares` child", "capped": "`gact.cli` child"}
     after = {"slice": "stage times are in-process, one fresh child per repeat",
              "export": "each run's output file is hashed (sha256) after the child exits",
-             "large": "each run's stdout is hashed (sha256) after the child exits"}
+             "large": "each run's stdout is hashed (sha256) after the child exits",
+             "capped": "each run's stdout is hashed (sha256) after the child exits, and its series kept, "
+                       "whatever its exit code"}
     reports = [{
         "method": (f"{tier} tier; per instance, tree and repeat one fresh wrapper process runs one "
                    f"{what[tier]} under a {TIMEOUT_S} s timeout and reads its wall clock "
