@@ -156,8 +156,13 @@ def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> 
     Each nonzero cell of the built matrix holds one idempotent.  Per column
     pair of `column_pairs`, every two rows nonzero in both columns close a
     square, and a singular one when their pairs share a key class
-    (`rees.square_condition` is the entry-level oracle for this).  The entries cap
-    is checked for every rank, ascending, before any rank is built.
+    (`rees.square_condition` is the entry-level oracle for this).  Only the
+    pairs of column 0 are walked: conjugation by a permutation s of [1, n], a
+    unit of G wr T_n, is an automorphism, so it maps the squares of column pair
+    (l, m) onto those of (s l, s m), singular ones onto singular ones; and S_n
+    is transitive on the r-subsets, so every column's pairs count alike, and
+    the C(n, r) columns count each pair twice.  The entries cap is checked for
+    every rank, ascending, before any rank is built.
     """
     for r in range(1, n + 1):
         check_entries_cap(g, n, r, max_entries)
@@ -165,7 +170,7 @@ def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> 
     for r in range(1, n + 1):
         m = build_sandwich(g, n, r, max_entries)
         n_squares = n_singular = 0
-        for pairs in column_pairs(m):
+        for pairs in itertools.islice(column_pairs(m), len(m.lambdas) - 1):
             classes: Counter = Counter()
             for _, _, rows, x0, y0 in pairs:
                 classes[x0, y0] += rows
@@ -174,7 +179,7 @@ def squares_report(g: Group, n: int, max_entries: int = DEFAULT_MAX_ENTRIES) -> 
         report.append({
             "rank": r,
             "idempotents": m.block * sum(map(len, m.part_columns)),
-            "squares": n_squares,
-            "singular": n_singular,
+            "squares": len(m.lambdas) * n_squares // 2,
+            "singular": len(m.lambdas) * n_singular // 2,
         })
     return report

@@ -133,10 +133,10 @@ def _presentation(args, g, caps):
         else:
             name = presentation.position_names(m)
             if args.json:  # json spells generators by number
-                grids = presentation.gr_grids(m)
+                grids = presentation.gr_grids(m, max_entries=caps["max_entries"])
                 names = [name(i, l) for i, cols in enumerate(grids[2]) for l in cols]
             else:
-                grids = presentation.gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
+                grids = presentation.gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"), caps["max_entries"])
                 names = list(filter(None, grids[0]))  # row by row, columns ascending
             s = presentation.schreier_build(g, args.n, args.r)
             batches = presentation.gr_relators(m, s, caps["max_relators"], grids, not args.json)  # text lines

@@ -71,14 +71,6 @@ class KernelIndex(namedtuple("KernelIndex", "partition weightvec")):
         return tuple(b[0] for b in self.partition)
 
 
-def stirling2(n: int, r: int) -> int:
-    """Partitions of an n-set into r blocks, by the triangle recurrence."""
-    row = [1] + [0] * r  # S(0, j)
-    for _ in range(n):
-        row = [0] + [j * row[j] + row[j - 1] for j in range(1, r + 1)]
-    return row[r]
-
-
 def kernel_list(g: Group, n: int, r: int) -> list[KernelIndex]:
     """All row indices, partitions outermost, weight vectors in mixed radix."""
     parts = set_partitions(n, r)
@@ -119,13 +111,9 @@ def q_of(g: Group, n: int, r: int, lam: tuple[int, ...]) -> Endo:
 
 
 def check_entries_cap(g: Group, n: int, r: int, max_entries: int):
-    """Raise ResourceLimit when the (n, r) matrix has more than max_entries cells."""
-    # columns times rows in closed form, so the cap fires before any row exists;
-    # first the nonzero count, a lower bound (S(n, r) >= r^(n-r)) that costs no
-    # O(n r) Stirling recurrence
-    cols = comb(n, r)
-    if (cols * (r * g.order) ** (n - r) > max_entries
-            or cols * stirling2(n, r) * g.order ** (n - r) > max_entries):
+    """Raise ResourceLimit when the (n, r) matrix has more than max_entries nonzero cells, the cells it stores."""
+    # one per idempotent, C(n, r) (r |G|)^(n-r) in closed form, so the cap fires before any row exists
+    if comb(n, r) * (r * g.order) ** (n - r) > max_entries:
         raise ResourceLimit("sandwich matrix entries", max_entries)
 
 

@@ -26,7 +26,8 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
     if r == n - 1:
         # the rank-free claim is about the position presentation itself:
         # it has no R3 relators, and its abelianization gives the free rank
-        p = presentation.build_gr_presentation(m, presentation.schreier_build(g, n, r), caps["max_relators"])
+        p = presentation.build_gr_presentation(m, presentation.schreier_build(g, n, r), caps["max_relators"],
+                                               caps["max_entries"])
         ab = fpgroup.abelianization(p)
         report.update(mode="rank-free", r3_relators=p.tag_count("R3"), expected_r3=0,
                       abelianization={"torsion": list(ab.torsion), "free_rank": ab.free_rank},

@@ -12,6 +12,7 @@ from gact import (
     cyclic_group,
     enumerate_idempotents,
     esquare_at,
+    group_from_text,
     idempotent_at,
     image,
     is_idempotent,
@@ -27,7 +28,7 @@ from gact import (
 from gact import biorder
 from gact.biorder import count_idempotents, rees_element, squares_report
 
-from helpers import all_endos, dense_squares_counts
+from helpers import KLEIN, all_endos, dense_squares_counts
 
 Z2 = cyclic_group(2)
 T = trivial_group()
@@ -201,10 +202,13 @@ def test_squares_report_counts():
 
 
 def test_squares_report_matches_dense_zip():
-    # counts from the nonzero-row walk equal the dense column zip, and the
-    # idempotents read off the walked rows equal C(n, r) (r|G|)^(n-r)
-    for spec, n in (("trivial", 6), ("Z2", 5), ("Z3", 4), ("Z4", 4), ("S3", 4)):
-        g = make_group(spec)
+    # counts from column 0's pairs, scaled by the S_n orbit, equal the dense
+    # zip over every column pair, and the idempotents read off the walked rows
+    # equal C(n, r) (r|G|)^(n-r)
+    cases = [(spec, n) for spec, top in (("trivial", 7), ("Z2", 7), ("Z3", 5), ("Z4", 5), ("S3", 4), ("klein", 4))
+             for n in range(3, top + 1)]
+    for spec, n in cases:
+        g = group_from_text(KLEIN) if spec == "klein" else make_group(spec)
         report = squares_report(g, n)
         assert [row["rank"] for row in report] == list(range(1, n + 1))
         for row in report:
@@ -222,9 +226,9 @@ def test_squares_checks_every_rank_cap_before_building(monkeypatch):
         return build_sandwich(g, n, r, max_entries)
 
     monkeypatch.setattr(biorder, "build_sandwich", counted)
-    # rank 3 of Z2 n=9 has 16.3M entries; ranks 1 and 2 fit but are not built
+    # rank 3 of Z2 n=10 has 33.6M nonzero cells; ranks 1 and 2 fit but are not built
     with pytest.raises(ResourceLimit):
-        squares_report(Z2, 9)
+        squares_report(Z2, 10)
     assert built == []
     squares_report(Z2, 3)
     assert built == [1, 2, 3]

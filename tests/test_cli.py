@@ -53,8 +53,8 @@ def test_verify_rank_top(capsys):
 
 
 def test_verify_at_large_n(capsys):
-    # the partitions are made without recursion, and the entries cap fires
-    # before the Stirling number of a far larger slice is computed
+    # the partitions are made without recursion, and the entries cap on the
+    # nonzero cells of a far larger slice fires before any row is built
     assert run(capsys, "verify", "--group", "Z2", "--n", "1200", "--r", "1200") == (
         0, "order=1 expected=1 OK\n", ""
     )
@@ -94,6 +94,24 @@ def test_resource_cap_exit(capsys):
         )
         assert code == 3
         assert f"cap {cap}" in err
+
+
+def test_gr_grids_check_their_dense_cells(capsys, tmp_path):
+    # Z2 4 2 has 96 nonzero cells and 168 rows times columns: the matrix fits a
+    # cap of 100, the gr letter grids do not, and a capped gr export writes nothing
+    argv = ["--group", "Z2", "--n", "4", "--r", "2", "--max-entries", "100"]
+    assert run(capsys, "sandwich", *argv)[0] == 0
+    assert run(capsys, "verify", *argv) == (0, "order=8 expected=8 OK\n", "")
+    path = tmp_path / "P"
+    path.write_bytes(b"kept\n")
+    for extra in ((), ("--json",), ("--output", str(path)), ("--json", "--output", str(path))):
+        assert run(capsys, "presentation", "--kind", "gr", *argv, *extra) == (
+            3, "", "error: sandwich matrix entries exceeds the cap 100\n")
+    assert path.read_bytes() == b"kept\n" and os.listdir(tmp_path) == ["P"]
+    # rank n-1 verify reads the same grids: Z2 4 3 has 24 nonzero cells, 48 dense
+    assert run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries", "30") == (
+        3, "", "error: sandwich matrix entries exceeds the cap 30\n")
+    assert run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries", "48")[0] == 0
 
 
 def test_verify_below_rank_free_skips_position_presentation(monkeypatch):

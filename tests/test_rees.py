@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from math import comb
 
 import pytest
 
@@ -68,7 +69,7 @@ def test_lambda_list_examples():
 def test_set_partition_counts():
     for n in range(1, 7):
         for r in range(1, n + 1):
-            assert len(set_partitions(n, r)) == stirling(n, r) == rees.stirling2(n, r)
+            assert len(set_partitions(n, r)) == stirling(n, r)
 
 
 def test_set_partitions_match_recursive_oracle():
@@ -225,22 +226,37 @@ def test_sandwich_cap_fires_before_rows_are_built(monkeypatch):
     monkeypatch.setattr(rees, "set_partitions", no_rows)
     with pytest.raises(ResourceLimit):
         build_sandwich(cyclic_group(3), 9, 2, max_entries=10)
-    # the closed form is exact: a cap equal to the entry count still builds
+    # the closed form is exact: a cap equal to the nonzero count still builds
     monkeypatch.undo()
-    total = len(lambda_list(4, 2)) * len(kernel_list(Z2, 4, 2))
+    total = len(dense_nonzero_positions(build_sandwich(Z2, 4, 2)))
     build_sandwich(Z2, 4, 2, max_entries=total)
     with pytest.raises(ResourceLimit):
         build_sandwich(Z2, 4, 2, max_entries=total - 1)
 
 
-def test_sandwich_cap_fires_before_the_stirling_recurrence(monkeypatch):
-    # the nonzero count C(n, r) (r|G|)^(n-r) is over the cap on its own
-    def no_stirling(*args):
-        raise AssertionError("stirling2 called before the nonzero-count check")
+def test_sandwich_cap_fires_at_once_on_a_far_larger_slice(monkeypatch):
+    # the nonzero count C(n, r) (r|G|)^(n-r) is read before any column or row
+    # is listed, in exact integers: at Z2 300 150 it is past the float range
+    def nothing_listed(*args):
+        raise AssertionError("columns or rows listed before the entries cap")
 
-    monkeypatch.setattr(rees, "stirling2", no_stirling)
+    monkeypatch.setattr(rees, "lambda_list", nothing_listed)
+    monkeypatch.setattr(rees, "set_partitions", nothing_listed)
     with pytest.raises(ResourceLimit):
         build_sandwich(Z2, 4000, 2000)
+    total = comb(300, 150) * 300 ** 150
+    rees.check_entries_cap(Z2, 300, 150, total)
+    with pytest.raises(ResourceLimit):
+        rees.check_entries_cap(Z2, 300, 150, total - 1)
+
+
+def test_entries_cap_counts_the_nonzero_cells():
+    # a cap equal to the built matrix's nonzero cells is admitted, one below it refused
+    for g, n, r in ((Z2, 4, 2), (T, 6, 3), (make_group("S3"), 4, 1), (cyclic_group(3), 4, 4)):
+        total = len(dense_nonzero_positions(build_sandwich(g, n, r)))
+        rees.check_entries_cap(g, n, r, total)
+        with pytest.raises(ResourceLimit, match=f"sandwich matrix entries exceeds the cap {total - 1}"):
+            rees.check_entries_cap(g, n, r, total - 1)
 
 
 def test_sandwich_entry_lookup():

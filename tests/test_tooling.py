@@ -164,8 +164,8 @@ def test_ladder_capped_tier_records_each_exit(monkeypatch, tmp_path):
     assert ladder.CAPPED_TIER == [
         "verify --group Z2 --n 9 --r 3", "verify --group Z2 --n 9 --r 4", "verify --group Z2 --n 9 --r 5",
         "verify --group Z3 --n 8 --r 3", "verify --group S3 --n 7 --r 3", "verify --group trivial --n 10 --r 5",
-        "squares --group Z2 --n 9", "squares --group Z2 --n 10"]
-    instances = ["verify --group Z2 --n 9 --r 3", "squares --group Z2 --n 3"]
+        "verify --group Z4 --n 8 --r 4", "squares --group Z2 --n 9", "squares --group Z2 --n 10"]
+    instances = ["verify --group Z2 --n 10 --r 4", "squares --group Z2 --n 3"]
     monkeypatch.setattr(ladder, "TIERS", {"capped": instances})
     path = tmp_path / "ladder.json"
     assert ladder.main(["--tier", "capped", "--tree", f"a={SRC}", "--tree", f"b={SRC}", "--out", str(path)]) == 0

@@ -5,6 +5,7 @@
     python tools/ladder.py --tier large slice --tree parent=<checkout>/src --tree change=src --out BENCH_30.json
     python tools/ladder.py --tier slice export large capped --tree parent=<checkout>/src --tree change=src \
         --out BENCH_31.json
+    python tools/ladder.py --tier capped large slice --tree parent=<checkout>/src --tree change=src --out BENCH_32.json
 
 Each `--tree NAME=PATH` names a `src` directory holding the `gact` package.
 For every instance, tree and repeat the script starts one fresh wrapper
@@ -18,7 +19,7 @@ matrix at n in-process and times `connectivity` and `simplify_presentation`
 on it, as `verify.slice_order` calls them.  The export tier runs the text and
 JSON exports, each to a temporary `--output` file, and records the file's
 sha256; the large tier runs `squares` at large n and records the sha256 of
-its stdout.  The capped tier runs the frontier's instances that stop at a
+its stdout.  The capped tier runs the frontier's instances that stopped at a
 cap; each run is recorded as whatever it does, its stdout hashed and its
 wall clock and peak RSS kept whatever its exit code (a timeout excepted).
 `same_output` says whether every run of every tree gave the same exit status
@@ -58,10 +59,12 @@ EXPORT_TIER += [f"sandwich --group {g} --n {n} --r {r}" for g, n, r in [("Z2", 7
 EXPORT_TIER += ["sandwich --group Z2 --n 8 --r 3 --json"]
 # large n: the squares count at every rank, which walks every column pair
 LARGE_TIER = ["squares --group Z2 --n 7", "squares --group Z2 --n 8"]
-# the frontier's capped rows, recorded as whatever they do: exit 3 at the
-# 10M-cell entries cap when this tier was added
+# the frontier's once-capped rows, recorded as whatever they do: exit 3 at the
+# 10M-cell entries cap when this tier was added, while the cap still counted
+# rows times columns; Z4 8 4 is the next row out
 CAPPED_TIER = [f"verify --group {g} --n {n} --r {r}" for g, n, r in
-               [("Z2", 9, 3), ("Z2", 9, 4), ("Z2", 9, 5), ("Z3", 8, 3), ("S3", 7, 3), ("trivial", 10, 5)]]
+               [("Z2", 9, 3), ("Z2", 9, 4), ("Z2", 9, 5), ("Z3", 8, 3), ("S3", 7, 3), ("trivial", 10, 5),
+                ("Z4", 8, 4)]]
 CAPPED_TIER += ["squares --group Z2 --n 9", "squares --group Z2 --n 10"]
 TIERS = {"slice": SLICE_TIER, "export": EXPORT_TIER, "large": LARGE_TIER, "capped": CAPPED_TIER}
 TIMEOUT_S = 150
