@@ -23,7 +23,7 @@ from itertools import chain
 from .endo import parse_wreath, wreath_to_text
 from .errors import DEFAULT_MAX_COSETS, DEFAULT_MAX_RELATORS, Capped, GactError, ParseError, ResourceLimit
 from .groups import make_group
-from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, entry_rows, matrix_lines
+from .rees import DEFAULT_MAX_ENTRIES, build_sandwich, check_entries_cap, entry_rows, matrix_lines
 
 
 def _lazy(name: str):
@@ -127,16 +127,18 @@ def _presentation(args, g, caps):
     if args.kind == "lavers":
         p = presentation.lavers_presentation(g, args.r, caps["max_relators"])
     else:
+        # the gr letter grids are dense: their rows times columns are checked too
+        check_entries_cap(g, args.n, args.r, caps["max_entries"], dense=args.kind == "gr")
         m = build_sandwich(g, args.n, args.r, caps["max_entries"])
         if args.kind == "quotient":
             p = presentation.build_quotient_presentation(m, caps["max_relators"])
         else:
             name = presentation.position_names(m)
             if args.json:  # json spells generators by number
-                grids = presentation.gr_grids(m, max_entries=caps["max_entries"])
+                grids = presentation.gr_grids(m)
                 names = [name(i, l) for i, cols in enumerate(grids[2]) for l in cols]
             else:
-                grids = presentation.gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"), caps["max_entries"])
+                grids = presentation.gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
                 names = list(filter(None, grids[0]))  # row by row, columns ascending
             s = presentation.schreier_build(g, args.n, args.r)
             batches = presentation.gr_relators(m, s, caps["max_relators"], grids, not args.json)  # text lines

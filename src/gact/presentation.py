@@ -14,7 +14,7 @@ from itertools import chain, combinations, count, repeat
 from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_mul, wreath_to_text
 from .errors import DEFAULT_MAX_RELATORS, BadRank, ResourceLimit
 from .groups import Group
-from .rees import DEFAULT_MAX_ENTRIES, KeyClasses, SandwichMatrix, column_pairs, lambda_list
+from .rees import KeyClasses, SandwichMatrix, column_pairs, lambda_list
 
 
 class Presentation:
@@ -123,18 +123,15 @@ def position_names(m: SandwichMatrix):
     return lambda i_idx, l_idx: f"f_{i_idx}_{lams[l_idx]}"
 
 
-def gr_grids(m: SandwichMatrix, spell=None, max_entries: int = DEFAULT_MAX_ENTRIES):
+def gr_grids(m: SandwichMatrix, spell=None):
     """(plus, minus, cols_of) from one pass over `m.nonzero_positions()`.
 
     plus[p], minus[p] = spell(g, i, l), by default (g, -g), at p = i * ncols + l
     spell the g-th position (i, l)'s generator and its inverse, None at a zero;
     cols_of lists each row's nonzero columns, ascending: its partition's `part_columns`.
-    The grids are dense: their rows times columns cells are checked against max_entries first.
     """
     ncols = len(m.lambdas)
-    if (cells := len(m.districts) * ncols) > max_entries:
-        raise ResourceLimit("sandwich matrix entries", max_entries)
-    plus, minus = [None] * cells, [None] * cells
+    plus, minus = [None] * (len(m.districts) * ncols), [None] * (len(m.districts) * ncols)
     for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
         plus[i * ncols + l_idx], minus[i * ncols + l_idx] = spell(gen, i, l_idx) if spell else (gen, -gen)
     return plus, minus, [cols for cols in m.part_columns for _ in range(m.block)]
@@ -206,11 +203,10 @@ def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, cols_of, text):
 
 
 def build_gr_presentation(
-    m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
+    m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS
 ) -> Presentation:
     """`gr_relators` collected, one generator per nonzero position, keyed by it."""
-    grids = gr_grids(m, max_entries=max_entries)
+    grids = gr_grids(m)
     npos = [(i, l_idx) for i, cols in enumerate(grids[2]) for l_idx in cols]
     batches = list(gr_relators(m, s, max_relators, grids))
     words = [w for _, batch in batches for w in batch]

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict, namedtuple
 from functools import cached_property
 from math import comb
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .endo import Endo, WreathElem, wreath_identity, wreath_inv, wreath_mul, wreath_to_text
 from .errors import BadRank, ResourceLimit, ZeroEntry
@@ -110,10 +110,27 @@ def q_of(g: Group, n: int, r: int, lam: tuple[int, ...]) -> Endo:
     return Endo(g, n, targets, (0,) * n)
 
 
-def check_entries_cap(g: Group, n: int, r: int, max_entries: int):
-    """Raise ResourceLimit when the (n, r) matrix has more than max_entries nonzero cells, the cells it stores."""
-    # one per idempotent, C(n, r) (r |G|)^(n-r) in closed form, so the cap fires before any row exists
-    if comb(n, r) * (r * g.order) ** (n - r) > max_entries:
+def partition_count(n: int, r: int) -> int:
+    """S(n, r), the partitions of an n-set into r blocks: diag[j] = S(j + d, j) as d rises to n - r."""
+    diag = [1] * (r + 1)
+    for _ in range(n - r):  # S(j + d, j) = S(j + d - 1, j - 1) + j S(j + d - 1, j)
+        diag = list(itertools.accumulate(map(mul, range(r + 1), diag)))
+    return diag[r]
+
+
+def check_entries_cap(g: Group, n: int, r: int, max_entries: int, dense: bool = False):
+    """Raise ResourceLimit when the (n, r) slice would build more than max_entries cells.
+
+    The sandwich stores C(n, r) (r |G|)^(n-r) nonzero cells, one per idempotent,
+    and r block minima per row; dense, for the gr letter grids, also counts rows
+    times columns.  Each count is a closed form, checked before any row exists.
+    """
+    if not 1 <= r <= n:
+        raise BadRank(f"rank {r} outside [1, {n}]")
+    cols, weights = comb(n, r), g.order ** (n - r)
+    # the nonzero count first: once it fits, so do the r (n - r) steps of S(n, r)
+    if (cols * r ** (n - r) * weights > max_entries or (rows := partition_count(n, r) * weights) * r > max_entries
+            or dense and rows * cols > max_entries):
         raise ResourceLimit("sandwich matrix entries", max_entries)
 
 
@@ -133,8 +150,6 @@ class SandwichMatrix:
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
-        if not 1 <= r <= n:
-            raise BadRank(f"rank {r} outside [1, {n}]")
         check_entries_cap(g, n, r, max_entries)
         self.group, self.n, self.r = g, n, r
         self.lambdas = lambda_list(n, r)

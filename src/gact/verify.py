@@ -21,13 +21,13 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
     route fails and `enumerate_order` at n decides), slice_n, pairs_walked
     and closure_relators.  Every check runs under the same caps.
     """
+    rees.check_entries_cap(g, n, r, caps["max_entries"], dense=r == n - 1)  # rank n-1 reads the dense gr grids
     m = rees.build_sandwich(g, n, r, caps["max_entries"])
     report: dict = {"n": n, "r": r, "group_order": g.order}
     if r == n - 1:
         # the rank-free claim is about the position presentation itself:
         # it has no R3 relators, and its abelianization gives the free rank
-        p = presentation.build_gr_presentation(m, presentation.schreier_build(g, n, r), caps["max_relators"],
-                                               caps["max_entries"])
+        p = presentation.build_gr_presentation(m, presentation.schreier_build(g, n, r), caps["max_relators"])
         ab = fpgroup.abelianization(p)
         report.update(mode="rank-free", r3_relators=p.tag_count("R3"), expected_r3=0,
                       abelianization={"torsion": list(ab.torsion), "free_rank": ab.free_rank},

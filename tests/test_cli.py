@@ -52,14 +52,22 @@ def test_verify_rank_top(capsys):
     assert "order=1 expected=1 OK" in out
 
 
-def test_verify_at_large_n(capsys):
-    # the partitions are made without recursion, and the entries cap on the
-    # nonzero cells of a far larger slice fires before any row is built
+def test_verify_at_large_n(capsys, monkeypatch):
+    # the partitions are made without recursion, and the entries cap on a far
+    # larger slice fires before any row is built: Z2 4000 2000 is over the
+    # nonzero count; Z2 1200 1199 and trivial 3000 2999 fit it (2.88M and 9.0M
+    # cells) but not their rows times r (1.73e9 and 1.35e13)
     assert run(capsys, "verify", "--group", "Z2", "--n", "1200", "--r", "1200") == (
         0, "order=1 expected=1 OK\n", ""
     )
-    code, out, err = run(capsys, "verify", "--group", "Z2", "--n", "4000", "--r", "2000")
-    assert (code, out) == (3, "") and "sandwich matrix entries exceeds the cap 10000000" in err
+
+    def no_rows(*args):
+        raise AssertionError("rows made before the entries cap")
+
+    monkeypatch.setattr(rees, "set_partitions", no_rows)
+    for spec, n, r in (("Z2", "4000", "2000"), ("Z2", "1200", "1199"), ("trivial", "3000", "2999")):
+        assert run(capsys, "verify", "--group", spec, "--n", n, "--r", r) == (
+            3, "", "error: sandwich matrix entries exceeds the cap 10000000\n")
 
 
 def test_verify_rank_free_branch(capsys):
@@ -96,21 +104,29 @@ def test_resource_cap_exit(capsys):
         assert f"cap {cap}" in err
 
 
-def test_gr_grids_check_their_dense_cells(capsys, tmp_path):
-    # Z2 4 2 has 96 nonzero cells and 168 rows times columns: the matrix fits a
-    # cap of 100, the gr letter grids do not, and a capped gr export writes nothing
+def test_gr_grids_check_their_dense_cells(capsys, tmp_path, monkeypatch):
+    # Z2 4 2 has 96 nonzero cells, 56 rows times r and 168 rows times columns:
+    # the matrix fits a cap of 100, the gr letter grids do not, and a capped gr
+    # export stops before any row is built and writes nothing
     argv = ["--group", "Z2", "--n", "4", "--r", "2", "--max-entries", "100"]
     assert run(capsys, "sandwich", *argv)[0] == 0
     assert run(capsys, "verify", *argv) == (0, "order=8 expected=8 OK\n", "")
+
+    def no_rows(*args):
+        raise AssertionError("rows made before the entries cap")
+
     path = tmp_path / "P"
     path.write_bytes(b"kept\n")
-    for extra in ((), ("--json",), ("--output", str(path)), ("--json", "--output", str(path))):
-        assert run(capsys, "presentation", "--kind", "gr", *argv, *extra) == (
-            3, "", "error: sandwich matrix entries exceeds the cap 100\n")
+    with monkeypatch.context() as mp:
+        mp.setattr(rees, "set_partitions", no_rows)
+        for extra in ((), ("--json",), ("--output", str(path)), ("--json", "--output", str(path))):
+            assert run(capsys, "presentation", "--kind", "gr", *argv, *extra) == (
+                3, "", "error: sandwich matrix entries exceeds the cap 100\n")
+        # rank n-1 verify reads the same grids: Z2 4 3 has 24 nonzero cells, 36 rows times r, 48 dense
+        assert run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries", "40") == (
+            3, "", "error: sandwich matrix entries exceeds the cap 40\n")
     assert path.read_bytes() == b"kept\n" and os.listdir(tmp_path) == ["P"]
-    # rank n-1 verify reads the same grids: Z2 4 3 has 24 nonzero cells, 48 dense
-    assert run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries", "30") == (
-        3, "", "error: sandwich matrix entries exceeds the cap 30\n")
+    assert run(capsys, "sandwich", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries", "40")[0] == 0
     assert run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries", "48")[0] == 0
 
 

@@ -69,7 +69,8 @@ def test_lambda_list_examples():
 def test_set_partition_counts():
     for n in range(1, 7):
         for r in range(1, n + 1):
-            assert len(set_partitions(n, r)) == stirling(n, r)
+            assert len(set_partitions(n, r)) == stirling(n, r) == rees.partition_count(n, r)
+    assert rees.partition_count(1200, 1199) == comb(1200, 2) and rees.partition_count(1200, 1200) == 1
 
 
 def test_set_partitions_match_recursive_oracle():
@@ -234,29 +235,37 @@ def test_sandwich_cap_fires_before_rows_are_built(monkeypatch):
         build_sandwich(Z2, 4, 2, max_entries=total - 1)
 
 
-def test_sandwich_cap_fires_at_once_on_a_far_larger_slice(monkeypatch):
-    # the nonzero count C(n, r) (r|G|)^(n-r) is read before any column or row
-    # is listed, in exact integers: at Z2 300 150 it is past the float range
+def test_sandwich_cap_fires_before_the_stirling_recurrence(monkeypatch):
+    # the nonzero count C(n, r) (r|G|)^(n-r) is read before S(n, r) is counted
+    # or any column or row is listed, in exact integers: at Z2 300 150 it is
+    # past the float range
     def nothing_listed(*args):
-        raise AssertionError("columns or rows listed before the entries cap")
+        raise AssertionError("partitions counted, or columns or rows listed, before the nonzero count")
 
-    monkeypatch.setattr(rees, "lambda_list", nothing_listed)
-    monkeypatch.setattr(rees, "set_partitions", nothing_listed)
+    for name in ("partition_count", "lambda_list", "set_partitions"):
+        monkeypatch.setattr(rees, name, nothing_listed)
     with pytest.raises(ResourceLimit):
         build_sandwich(Z2, 4000, 2000)
+    monkeypatch.undo()
     total = comb(300, 150) * 300 ** 150
     rees.check_entries_cap(Z2, 300, 150, total)
     with pytest.raises(ResourceLimit):
         rees.check_entries_cap(Z2, 300, 150, total - 1)
 
 
-def test_entries_cap_counts_the_nonzero_cells():
-    # a cap equal to the built matrix's nonzero cells is admitted, one below it refused
-    for g, n, r in ((Z2, 4, 2), (T, 6, 3), (make_group("S3"), 4, 1), (cyclic_group(3), 4, 4)):
-        total = len(dense_nonzero_positions(build_sandwich(g, n, r)))
-        rees.check_entries_cap(g, n, r, total)
-        with pytest.raises(ResourceLimit, match=f"sandwich matrix entries exceeds the cap {total - 1}"):
-            rees.check_entries_cap(g, n, r, total - 1)
+def test_entries_cap_counts_the_built_cells():
+    # a cap equal to the larger of the built matrix's nonzero cells and its rows
+    # times r is admitted, one below it refused; dense also counts rows times
+    # columns.  Z2 6 5 and Z3 4 4 have more rows times r than nonzero cells
+    for g, n, r in ((Z2, 4, 2), (T, 6, 3), (make_group("S3"), 4, 1), (Z2, 6, 5), (cyclic_group(3), 4, 4)):
+        m = build_sandwich(g, n, r)
+        rows = len(m.districts)
+        assert rees.partition_count(n, r) * g.order ** (n - r) == rows
+        stored = max(len(dense_nonzero_positions(m)), rows * r)
+        for dense, total in ((False, stored), (True, max(stored, rows * len(m.lambdas)))):
+            rees.check_entries_cap(g, n, r, total, dense)
+            with pytest.raises(ResourceLimit, match=f"sandwich matrix entries exceeds the cap {total - 1}"):
+                rees.check_entries_cap(g, n, r, total - 1, dense)
 
 
 def test_sandwich_entry_lookup():
