@@ -13,6 +13,7 @@ quadruple found in the matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from contextlib import suppress
 from itertools import chain, islice
@@ -227,15 +228,15 @@ def find_singular_witness(
     x, x2, y, z = (m.value_id.get(v, -2) for v in (phi, phi2, psi, sigma))  # -2 matches no cell
     if m.id_at(k_idx, l_idx) != y or (first := m.first_block(l_idx, x)) < 0:
         return None
-    for start, row in islice(m.column_blocks[l_idx], first, None):  # the rows holding phi, ascending
-        cols, id_rows = m.part_columns[start // m.block], m.part_rows[start // m.block]
-        off = -1
+    for p in islice(m.column_blocks[l_idx], first, None):  # the partitions whose rows hold phi, ascending
+        cols, id_rows = m.part_columns[p], m.part_rows[p]
+        row, off = id_rows[bisect_left(cols, l_idx)], -1
         with suppress(ValueError):  # past the block's last row holding phi
             while True:
                 off = row.index(x, off + 1)
                 for mu, row_mu in zip(cols, id_rows):  # a column holding phi2 at row i is one of its partition's
                     if row_mu[off] == x2 and m.id_at(k_idx, mu) == z:
-                        return (start + off, k_idx, l_idx, mu)
+                        return (p * m.block + off, k_idx, l_idx, mu)
     return None
 
 

@@ -42,19 +42,16 @@ def set_partitions(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
     """
     if not 1 <= r <= n:
         raise BadRank(f"rank {r} outside [1, {n}]")
-    # partial partitions of [1, k], extended one point at a time; a partial
-    # partition is kept only while the points left can open its missing blocks
-    out: list[tuple[tuple[int, ...], ...]] = [()]
-    for k in range(1, n + 1):
-        left = n - k
-        grown = []
-        for blocks in out:
-            if r <= len(blocks) + left:
-                grown.extend(blocks[:j] + (b + (k,),) + blocks[j + 1:] for j, b in enumerate(blocks))
-            if len(blocks) < r <= len(blocks) + 1 + left:
-                grown.append(blocks + ((k,),))
-        out = grown
-    out.sort(key=lambda blocks: (tuple(b[0] for b in blocks), blocks))
+    out, shared = [], {}  # each block tuple is made once and shared by the partitions holding it
+    for rest in itertools.combinations(range(2, n + 1), r - 1):
+        mins, others = (1, *rest), sorted(set(range(2, n + 1)).difference(rest))
+        grouped = []  # each other point, ascending, joins a block whose minimum is below it
+        for choice in itertools.product(*[range(bisect_right(mins, q)) for q in others]):
+            blocks = [[m] for m in mins]
+            for q, j in zip(others, choice):
+                blocks[j].append(q)
+            grouped.append(tuple([shared.setdefault(b, b) for b in map(tuple, blocks)]))
+        out.extend(sorted(grouped))  # the minima come in lexicographic order
     return out
 
 
@@ -143,10 +140,11 @@ class SandwichMatrix:
     value's id its index in values, sorted by text) over a partition's block of
     consecutive rows, shared read-only by every partition and column that has
     it.  part_columns lists each partition's nonzero columns, ascending,
-    part_rows their id rows and part_start its first row; column_blocks lists
-    per column the (first row, id row) of each partition holding it, ascending.
-    districts gives each row its block minima.  kernels, thetas, the values'
-    inverses and each column's first-block index are made when read.
+    part_rows their id rows and part_start its first row, partition p's block
+    starting at row p * block; column_blocks lists per column the numbers of
+    the partitions holding it, ascending.  districts gives each row its block
+    minima.  kernels, thetas, the values' inverses and each column's
+    first-block index are made when read.
     """
 
     def __init__(self, g: Group, n: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES):
@@ -165,12 +163,12 @@ class SandwichMatrix:
         rows: dict[tuple, list[int]] = {}
         mins = []
         self.part_columns, self.part_rows, self.part_start = [], [], {}
-        self.column_blocks: list[list[tuple[int, list[int]]]] = [[] for _ in self.lambdas]
-        for part in set_partitions(n, r):
-            start = self.part_start[part] = len(mins) * block
+        self.column_blocks: list[list[int]] = [[] for _ in self.lambdas]
+        for p, part in enumerate(set_partitions(n, r)):
+            self.part_start[part] = p * block
             mins.append(tuple(b[0] for b in part))
-            slot = {p: idx for idx, p in enumerate(sorted(q for b in part for q in b[1:]))}
-            code = {p: (j, slot.get(p, n - r)) for j, b in enumerate(part, start=1) for p in b}
+            slot = {q: idx for idx, q in enumerate(sorted(q for b in part for q in b[1:]))}
+            code = {q: (j, slot.get(q, n - r)) for j, b in enumerate(part, start=1) for q in b}
             cells = {}  # column -> id row
             for choice in itertools.product(*part):  # a transversal, one point per block
                 lam = tuple(sorted(choice))
@@ -182,7 +180,7 @@ class SandwichMatrix:
             self.part_columns.append(cols := sorted(cells))
             self.part_rows.append([cells[l_idx] for l_idx in cols])
             for l_idx in cols:
-                self.column_blocks[l_idx].append((start, cells[l_idx]))
+                self.column_blocks[l_idx].append(p)
         self.districts = [d for d in mins for _ in padded]
         # at r = 1 the getter returns a bare weight, not a 1-tuple
         first_seen = [WreathElem(r, perm, w if r > 1 else (w,)) for perm, w in seen]
@@ -196,7 +194,7 @@ class SandwichMatrix:
         for cols, id_rows, district in zip(self.part_columns, self.part_rows, mins):
             if id_rows[cols.index(lambda_pos[district])] != identity:
                 raise AssertionError("district column does not give the identity entry")
-        if zero := [l_idx for l_idx, blocks in enumerate(self.column_blocks) if not blocks]:
+        if zero := [l_idx for l_idx, parts in enumerate(self.column_blocks) if not parts]:
             raise AssertionError(f"image column {self.lambdas[zero[0]]} is entirely zero")
         self._first_blocks: list[dict[int, int] | None] = [None] * len(self.lambdas)
 
@@ -228,17 +226,18 @@ class SandwichMatrix:
     @cached_property
     def entries(self) -> list[list[WreathElem | None]]:
         """entries[l][i] is value_at(i, l): a dense view of the blocks, built on first use."""
-        out = [[None] * len(self.districts) for _ in self.lambdas]
-        for column, blocks in zip(out, self.column_blocks):
-            for start, row in blocks:
-                column[start:start + self.block] = map(self.values.__getitem__, row)
+        out, block = [[None] * len(self.districts) for _ in self.lambdas], self.block
+        for p, (cols, id_rows) in enumerate(zip(self.part_columns, self.part_rows)):
+            for l_idx, row in zip(cols, id_rows):
+                out[l_idx][p * block:(p + 1) * block] = map(self.values.__getitem__, row)
         return out
 
     def first_block(self, l_idx: int, x: int) -> int:
         """The index in column_blocks[l] of the first block holding value id x, -1 if none; indexed on first use."""
         if (index := self._first_blocks[l_idx]) is None:
             index = self._first_blocks[l_idx] = {}
-            for k, (_, row) in enumerate(self.column_blocks[l_idx]):
+            for k, p in enumerate(self.column_blocks[l_idx]):
+                row = self.part_rows[p][bisect_left(self.part_columns[p], l_idx)]
                 index.update(dict.fromkeys(set(row).difference(index), k))
         return index.get(x, -1)
 
@@ -311,19 +310,19 @@ def column_pairs(m: SandwichMatrix):
     distinct value-id pair (x, y) in columns l and m, in order of first row:
     rows counts the rows holding it, and (x0, y0) is the first pair of its key
     class (`KeyClasses`).  The rows nonzero in both are the blocks of the
-    partitions whose part_columns hold both: column l's blocks give, per later
+    partitions whose part_columns hold both: column l's partitions give, per later
     column of their partition, one pair of id rows, and zipping those counts
     each row's pair as its `KeyClasses` code.
     """
-    classes, block = KeyClasses(m), m.block
+    classes = KeyClasses(m)
     lead = [x * classes.base + 1 for x in range(len(m.values))]  # value id x -> the code of (x, zero)
-    for l_idx, blocks in enumerate(m.column_blocks):
+    for l_idx, parts in enumerate(m.column_blocks):
         shared = defaultdict(list)  # column m -> the id row pairs of the blocks nonzero in columns l and m, ascending
-        for start, row_l in blocks:
-            cols, id_rows = m.part_columns[start // block], m.part_rows[start // block]
-            k = bisect_right(cols, l_idx)
+        for p in parts:
+            cols, id_rows = m.part_columns[p], m.part_rows[p]
+            k = bisect_right(cols, l_idx)  # column l is cols[k - 1]
             for mu, row_m in zip(cols[k:], id_rows[k:]):
-                shared[mu].append((row_l, row_m))
+                shared[mu].append((id_rows[k - 1], row_m))
         for mu in range(l_idx + 1, len(m.lambdas)):
             both, first, pairs = shared.get(mu, ()), {}, []
             xs = map(lead.__getitem__, itertools.chain.from_iterable(map(itemgetter(0), both)))

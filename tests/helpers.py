@@ -45,11 +45,33 @@ def stirling(n, r):
     return r * stirling(n - 1, r) + stirling(n - 1, r - 1)
 
 
+def pruned_set_partitions(n, r):
+    """Partitions of [1, n] into r blocks, extended one point at a time, then sorted.
+
+    The order reference for `rees.set_partitions`, which lists each group of
+    block minima already sorted: a partial partition is kept only while the
+    points left can open its missing blocks, and the whole list is sorted by
+    (block minima, block contents) at the end.
+    """
+    out = [()]
+    for k in range(1, n + 1):
+        left = n - k
+        grown = []
+        for blocks in out:
+            if r <= len(blocks) + left:
+                grown.extend(blocks[:j] + (b + (k,),) + blocks[j + 1:] for j, b in enumerate(blocks))
+            if len(blocks) < r <= len(blocks) + 1 + left:
+                grown.append(blocks + ((k,),))
+        out = grown
+    out.sort(key=lambda blocks: (tuple(b[0] for b in blocks), blocks))
+    return out
+
+
 def recursive_set_partitions(n, r):
     """Partitions of [1, n] into r blocks, by a recursion with one call per point.
 
-    The reference for the iterative `rees.set_partitions`: the same pruning
-    and the same final sort.
+    The reference for `rees.set_partitions`: the pruning and the final sort
+    of `pruned_set_partitions`, one call per point.
     """
     out = []
 
@@ -374,11 +396,15 @@ def unindexed_singular_witness(m, phi, phi2, psi, sigma, k_idx, l_idx):
 # -- dense oracles for the transversal build and the nonzero-row walks ---------
 
 def dense_ids(m):
-    """m's value ids as a dense grid [column][row], -1 at a zero, built from its column blocks."""
+    """m's value ids as a dense grid [column][row], -1 at a zero, built from its column blocks.
+
+    Column l reads, per partition p that column_blocks[l] lists, p's id row at
+    l into p's block of rows.
+    """
     columns = [[-1] * len(m.districts) for _ in m.lambdas]
-    for column, blocks in zip(columns, m.column_blocks):
-        for start, row in blocks:
-            column[start:start + m.block] = row
+    for l_idx, (column, parts) in enumerate(zip(columns, m.column_blocks)):
+        for p in parts:
+            column[p * m.block:(p + 1) * m.block] = m.part_rows[p][m.part_columns[p].index(l_idx)]
     return columns
 
 

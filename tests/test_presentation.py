@@ -587,6 +587,24 @@ def test_elimination_preserves_the_group():
         assert table.order == todd_coxeter(e).order == expected, (n, spec, r)
 
 
+def test_elimination_preserves_the_abelianization():
+    # Tietze moves keep the group, so its invariant factors: rank n-1 verify
+    # abelianizes the reduced gr presentation
+    from gact import abelianization
+
+    rank_free = [("trivial", 5), ("trivial", 8), ("Z2", 5), ("Z3", 5), ("Z4", 4), ("S3", 4)]
+    cases = [(spec, n, n - 1, "gr") for spec, n in rank_free]
+    cases += [(spec, n, r, "quotient") for n, spec, r, _ in MAIN_CASES]
+    for case in cases:
+        spec, n, r, kind = case
+        g = make_group(spec)
+        m = build_sandwich(g, n, r)
+        p = build_gr_presentation(m, schreier_build(g, n, r)) if kind == "gr" else build_quotient_presentation(m)
+        reduced = eliminate_generators(p)[0]
+        assert len(reduced.generators) < len(p.generators), case
+        assert abelianization(reduced) == abelianization(p), case
+
+
 def test_elimination_erases_killed_generators_first():
     # the value presentation plus the merge words, over value ids + 1, reduces
     # as it does with the identity (which P2 kills) erased and the other

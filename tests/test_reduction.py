@@ -490,7 +490,8 @@ def test_indexed_witness_search_matches_unindexed_scan():
         seen, ids = Counter(), dense_ids(m)
         for w in {w.value: w for w in log}.values():
             for k_idx, l_idx in value_positions(m)[w.value]:
-                column, blocks = ids[l_idx], m.column_blocks[l_idx]
+                column, parts = ids[l_idx], m.column_blocks[l_idx]
+                rows = [m.part_rows[p][m.part_columns[p].index(l_idx)] for p in parts]
                 for phi in m.values:
                     for phi2 in (e, w.simple_factor):
                         sigma = wreath_mul(g, phi2, wreath_mul(g, wreath_inv(g, phi), w.value))
@@ -499,8 +500,8 @@ def test_indexed_witness_search_matches_unindexed_scan():
                         assert found == unindexed_singular_witness(*quad), (spec, quad[1:])
                         x = m.value_id[phi]
                         k = m.first_block(l_idx, x)  # the column's first block holding x, -1 if none
-                        assert k == next((k for k, (_, row) in enumerate(blocks) if x in row), -1)
-                        first = blocks[k][0] + blocks[k][1].index(x) if k >= 0 else -1
+                        assert k == next((k for k, row in enumerate(rows) if x in row), -1)
+                        first = parts[k] * m.block + rows[k].index(x) if k >= 0 else -1
                         assert first == (column.index(x) if x in column else -1)
                         if first < 0:
                             seen["absent"] += 1

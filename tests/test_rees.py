@@ -43,6 +43,7 @@ from helpers import (
     dense_nonzero_positions,
     dense_sandwich_ids,
     eps_rank_r,
+    pruned_set_partitions,
     quaternion_group,
     recursive_set_partitions,
     rowwise_column_pairs,
@@ -67,9 +68,17 @@ def test_lambda_list_examples():
 
 
 def test_set_partition_counts():
-    for n in range(1, 7):
+    # listed by block minima, each minima group sorted: the same list, in the
+    # same order, as extending point by point and sorting once; at r = 1,
+    # n - 1 and n also where that oracle's quadratic cost still fits
+    for n in range(1, 8):
         for r in range(1, n + 1):
+            assert set_partitions(n, r) == pruned_set_partitions(n, r), (n, r)
             assert len(set_partitions(n, r)) == stirling(n, r) == rees.partition_count(n, r)
+    for r in (1, 59, 60):
+        assert set_partitions(60, r) == pruned_set_partitions(60, r), r
+    parts = set_partitions(7, 3)  # each block is one tuple, however many partitions hold it
+    assert len({id(b) for p in parts for b in p}) == len({b for p in parts for b in p}) < 3 * len(parts)
     assert rees.partition_count(1200, 1199) == comb(1200, 2) and rees.partition_count(1200, 1200) == 1
 
 
@@ -449,8 +458,8 @@ def test_value_at_matches_the_per_cell_oracle_at_every_cell():
 def test_one_shared_id_row_per_transversal_pattern():
     # a pattern is, per point of the column, its block and its index among the
     # partition's non-minima (None at a minimum); every (partition, column)
-    # with one pattern reads one row object, of block entries, from part_rows
-    # and column_blocks alike
+    # with one pattern reads one row object, of block entries, from part_rows,
+    # also when reached through a partition number in column_blocks
     cases = [(make_group(spec), n, r) for spec, n, r in WALK_CASES] + [(group_from_text(KLEIN), 5, 3)]
     for g, n, r in cases:
         m = build_sandwich(g, n, r)
@@ -465,7 +474,21 @@ def test_one_shared_id_row_per_transversal_pattern():
                 assert len(row) == m.block
                 rows.add(id(row))
         assert len(rows) == len(patterns), (g, n, r)
-        assert {id(row) for blocks in m.column_blocks for _, row in blocks} == rows, (g, n, r)
+        reached = {id(m.part_rows[p][m.part_columns[p].index(l_idx)])
+                   for l_idx, parts in enumerate(m.column_blocks) for p in parts}
+        assert reached == rows, (g, n, r)
+
+
+def test_column_blocks_hold_partition_numbers():
+    # column l lists, ascending, the numbers of the partitions whose
+    # part_columns hold it: bare ints, no second copy of the id rows
+    cases = [(make_group(spec), n, r) for spec, n, r in WALK_CASES] + [(group_from_text(KLEIN), 5, 3)]
+    for g, n, r in cases:
+        m = build_sandwich(g, n, r)
+        assert len(m.column_blocks) == len(m.lambdas), (g, n, r)
+        for l_idx, parts in enumerate(m.column_blocks):
+            assert parts == [p for p, cols in enumerate(m.part_columns) if l_idx in cols], (g, n, r, l_idx)
+            assert all(type(p) is int for p in parts), (g, n, r, l_idx)
 
 
 def test_corrupt_fill_trips_the_build_checks(monkeypatch):
@@ -558,12 +581,13 @@ def test_part_columns_and_first_rows_match_dense_scans():
         for i in range(len(m.kernels)):
             dense = [l_idx for l_idx, col in enumerate(ids) if col[i] >= 0]
             assert m.part_columns[i // m.block] == dense, (spec, n, r, i)
-        for l_idx, (col, blocks) in enumerate(zip(ids, m.column_blocks)):
-            starts = [start for start, _ in blocks]
+        for l_idx, (col, parts) in enumerate(zip(ids, m.column_blocks)):
+            starts = [p * m.block for p in parts]
             assert starts == [i for i in m.part_start.values() if col[i] >= 0], (spec, n, r, l_idx)
+            rows = [m.part_rows[p][m.part_columns[p].index(l_idx)] for p in parts]
             for x in range(-1, len(m.values) + 1):
                 first = m.first_block(l_idx, x)
-                assert first == next((k for k, (_, row) in enumerate(blocks) if x in row), -1), (spec, n, r, l_idx, x)
+                assert first == next((k for k, row in enumerate(rows) if x in row), -1), (spec, n, r, l_idx, x)
                 # the first block holding value x holds its first row in the column; no block holds the zero
-                first_row = starts[first] + blocks[first][1].index(x) if first >= 0 else -1
+                first_row = starts[first] + rows[first].index(x) if first >= 0 else -1
                 assert first_row == (col.index(x) if 0 <= x and x in col else -1), (spec, n, r, l_idx, x)

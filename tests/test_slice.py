@@ -174,13 +174,12 @@ def test_perturbed_submatrix_fails_the_extension_check(monkeypatch):
         if n == 6:  # slice row 0, slice column 1, at n
             s = real(g, r + 2, r, max_entries)
             l_idx, (p, off) = m.lambda_pos[s.lambdas[1]], divmod(extended_rows(s, m)[0], m.block)
-            # the id row is shared by every cell of its pattern: swap in a perturbed copy
+            # the id row is shared by every cell of its pattern: swap in a perturbed
+            # copy, in part_rows, the one place that holds id rows
             k, start = m.part_columns[p].index(l_idx), p * m.block
             ids = m.part_rows[p][k] = list(m.part_rows[p][k])
             ids[off] = (ids[off] + 1) % len(m.values)
-            blocks = m.column_blocks[l_idx]
-            blocks[[first for first, _ in blocks].index(start)] = (start, ids)
-            # one cell changed, in both views of the blocks
+            # one cell changed, in the dense view and in value_at alike
             before = real(g, n, r, max_entries).entries
             assert sum(v != w for a, b in zip(before, m.entries) for v, w in zip(a, b)) == 1
             assert m.value_at(start + off, l_idx) == m.entries[l_idx][start + off] != s.value_at(0, 1)
