@@ -34,25 +34,29 @@ def lambda_list(n: int, r: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), r))
 
 
-def set_partitions(n: int, r: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All partitions of [1, n] into exactly r blocks.
+def set_partitions(n: int, r: int):
+    """All partitions of [1, n] into exactly r blocks, as (partition, minima, code) records.
 
-    Blocks are min-sorted tuples; the list is sorted by (block minima,
-    block contents) so downstream orderings are byte-reproducible.
+    Blocks are min-sorted tuples; the records are sorted by (block minima,
+    block contents) so downstream orderings are byte-reproducible.  minima is
+    the block minima, one tuple shared by the partitions holding them; code[q]
+    is j (n - r + 1) + s for the point q in block j (from 1), s its index
+    among the non-minima, ascending, or n - r at a block minimum.
     """
     if not 1 <= r <= n:
         raise BadRank(f"rank {r} outside [1, {n}]")
-    out, shared = [], {}  # each block tuple is made once and shared by the partitions holding it
+    shared, width = {}, n - r + 1  # each block tuple is made once and shared by the partitions holding it
     for rest in itertools.combinations(range(2, n + 1), r - 1):
         mins, others = (1, *rest), sorted(set(range(2, n + 1)).difference(rest))
+        lead = [bisect_right(mins, q) * width + n - r for q in range(n + 1)]  # right at the minima only
         grouped = []  # each other point, ascending, joins a block whose minimum is below it
         for choice in itertools.product(*[range(bisect_right(mins, q)) for q in others]):
-            blocks = [[m] for m in mins]
-            for q, j in zip(others, choice):
+            blocks, code = [[m] for m in mins], lead.copy()
+            for s, (q, j) in enumerate(zip(others, choice)):
                 blocks[j].append(q)
-            grouped.append(tuple([shared.setdefault(b, b) for b in map(tuple, blocks)]))
-        out.extend(sorted(grouped))  # the minima come in lexicographic order
-    return out
+                code[q] = (j + 1) * width + s
+            grouped.append((tuple([shared.setdefault(b, b) for b in map(tuple, blocks)]), mins, code))
+        yield from sorted(grouped)  # the minima come in lexicographic order, partitions differ within a group
 
 
 class KernelIndex(namedtuple("KernelIndex", "partition weightvec")):
@@ -70,9 +74,8 @@ class KernelIndex(namedtuple("KernelIndex", "partition weightvec")):
 
 def kernel_list(g: Group, n: int, r: int) -> list[KernelIndex]:
     """All row indices, partitions outermost, weight vectors in mixed radix."""
-    parts = set_partitions(n, r)
     out = []
-    for p in parts:
+    for p, _, _ in set_partitions(n, r):
         for wv in itertools.product(range(g.order), repeat=n - r):
             out.append(KernelIndex(p, wv))
     return out
@@ -154,26 +157,23 @@ class SandwichMatrix:
         self.lambda_pos = lambda_pos = {lam: i for i, lam in enumerate(self.lambdas)}
         # a partition's rows are consecutive and share the weight vectors, padded
         # with a 0 that block minima read; a transversal's ids over them depend
-        # only on its key: per point, its block and its slot, the point's index
+        # only on its key, its points' codes: block and slot, the point's index
         # among the non-minima or the pad.  A key's id row is made on first
         # sight, its (perm, weights) keys numbered in order of first sight
         padded = [wv + (0,) for wv in itertools.product(range(g.order), repeat=n - r)]
         self.block = block = len(padded)
         seen: dict[tuple, int] = {}
         rows: dict[tuple, list[int]] = {}
-        mins = []
-        self.part_columns, self.part_rows, self.part_start = [], [], {}
+        self.part_columns, self.part_rows, self.part_start, self.districts = [], [], {}, []
         self.column_blocks: list[list[int]] = [[] for _ in self.lambdas]
-        for p, part in enumerate(set_partitions(n, r)):
+        for p, (part, minima, code) in enumerate(set_partitions(n, r)):
             self.part_start[part] = p * block
-            mins.append(tuple(b[0] for b in part))
-            slot = {q: idx for idx, q in enumerate(sorted(q for b in part for q in b[1:]))}
-            code = {q: (j, slot.get(q, n - r)) for j, b in enumerate(part, start=1) for q in b}
+            self.districts += [minima] * block
             cells = {}  # column -> id row
             for choice in itertools.product(*part):  # a transversal, one point per block
                 lam = tuple(sorted(choice))
                 if (row := rows.get(key := tuple(map(code.__getitem__, lam)))) is None:
-                    perm, slots = zip(*key)
+                    perm, slots = zip(*[divmod(c, n - r + 1) for c in key])
                     get = itemgetter(*slots)
                     row = rows[key] = [seen.setdefault((perm, w), len(seen)) for w in map(get, padded)]
                 cells[lambda_pos[lam]] = row
@@ -181,7 +181,6 @@ class SandwichMatrix:
             self.part_rows.append([cells[l_idx] for l_idx in cols])
             for l_idx in cols:
                 self.column_blocks[l_idx].append(p)
-        self.districts = [d for d in mins for _ in padded]
         # at r = 1 the getter returns a bare weight, not a 1-tuple
         first_seen = [WreathElem(r, perm, w if r > 1 else (w,)) for perm, w in seen]
         self.values = sorted(first_seen, key=wreath_to_text)
@@ -191,7 +190,7 @@ class SandwichMatrix:
         for row in rows.values():
             row[:] = map(renumber.__getitem__, row)
         identity = [self.value_id.get(wreath_identity(r))] * block  # so no row is entirely zero
-        for cols, id_rows, district in zip(self.part_columns, self.part_rows, mins):
+        for cols, id_rows, district in zip(self.part_columns, self.part_rows, self.districts[::block]):
             if id_rows[cols.index(lambda_pos[district])] != identity:
                 raise AssertionError("district column does not give the identity entry")
         if zero := [l_idx for l_idx, parts in enumerate(self.column_blocks) if not parts]:

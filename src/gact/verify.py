@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import chain, takewhile
 from math import factorial
 
-from . import fpgroup, presentation, reduction, rees
+from . import errors, fpgroup, presentation, reduction, rees
 from .endo import wreath_identity, wreath_order
 from .groups import Group
 from .rees import column_pairs, extended_rows, square_condition
@@ -28,7 +28,9 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
         # the rank-free claim is about the position presentation itself: it has
         # no R3 relators, and its abelianization, after Tietze moves, gives the free rank
         p = presentation.build_gr_presentation(m, presentation.schreier_build(g, n, r), caps["max_relators"])
-        ab = fpgroup.abelianization(presentation.eliminate_generators(p)[0])
+        if len((q := presentation.eliminate_generators(p)[0]).relators) * len(q.generators) > caps["max_entries"]:
+            raise errors.ResourceLimit("abelianization matrix entries", caps["max_entries"])
+        ab = fpgroup.abelianization(q)
         report.update(mode="rank-free", r3_relators=p.tag_count("R3"), expected_r3=0,
                       abelianization={"torsion": list(ab.torsion), "free_rank": ab.free_rank},
                       ok=p.tag_count("R3") == 0)

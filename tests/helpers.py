@@ -96,6 +96,17 @@ def recursive_set_partitions(n, r):
     return out
 
 
+def point_codes(part, n, r):
+    """Per point q of the partition, its (block, slot) pair, rebuilt from the partition alone.
+
+    The reference for the codes `rees.set_partitions` records: block j counts
+    from 1, and the slot is q's index among the non-minima, ascending, or
+    n - r at a block minimum.
+    """
+    slot = {q: idx for idx, q in enumerate(sorted(q for b in part for q in b[1:]))}
+    return {q: (j, slot.get(q, n - r)) for j, b in enumerate(part, start=1) for q in b}
+
+
 def all_endos(g, n):
     """The full endomorphism monoid by raw product enumeration."""
     out = []

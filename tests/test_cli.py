@@ -13,6 +13,7 @@ import pytest
 from gact import biorder, cli, fpgroup, make_group, presentation, reduction, rees
 from gact.cli import DEFAULT_CAPS, main
 from gact.presentation import (
+    Presentation,
     build_gr_presentation,
     build_quotient_presentation,
     gr_relators,
@@ -128,6 +129,27 @@ def test_gr_grids_check_their_dense_cells(capsys, tmp_path, monkeypatch):
     assert path.read_bytes() == b"kept\n" and os.listdir(tmp_path) == ["P"]
     assert run(capsys, "sandwich", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries", "40")[0] == 0
     assert run(capsys, "verify", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries", "48")[0] == 0
+
+
+def test_rank_free_abelianization_checks_its_matrix_cells(capsys, monkeypatch):
+    # Z2 4 3 passes the sandwich checks at a cap of 48 (its gr grids' dense
+    # cells); a Tietze residue of 7 relators on 7 generators is 49 cells of the
+    # abelianization's dense matrix, so the cap fires before it is built, and
+    # one more unit of cap lets it run
+    residue = Presentation([f"a{k}" for k in range(1, 8)], [(k,) for k in range(1, 8)], ["rel"] * 7)
+    called, real = [], fpgroup.abelianization
+
+    def abelianization(pres):
+        called.append(pres)
+        return real(pres)
+
+    monkeypatch.setattr(presentation, "eliminate_generators", lambda p: (residue, []))
+    monkeypatch.setattr(fpgroup, "abelianization", abelianization)
+    argv = ["verify", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries"]
+    assert run(capsys, *argv, "48") == (3, "", "error: abelianization matrix entries exceeds the cap 48\n")
+    assert called == []
+    assert run(capsys, *argv, "49") == (0, "r3-relators=0 expected=0 OK free-rank=0 torsion=none\n", "")
+    assert called == [residue]
 
 
 def test_verify_below_rank_free_skips_position_presentation(monkeypatch):

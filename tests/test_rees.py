@@ -43,6 +43,7 @@ from helpers import (
     dense_nonzero_positions,
     dense_sandwich_ids,
     eps_rank_r,
+    point_codes,
     pruned_set_partitions,
     quaternion_group,
     recursive_set_partitions,
@@ -67,17 +68,22 @@ def test_lambda_list_examples():
         lambda_list(4, 5)
 
 
+def partitions(n, r):
+    """The partition field of each `set_partitions` record."""
+    return [part for part, _, _ in set_partitions(n, r)]
+
+
 def test_set_partition_counts():
     # listed by block minima, each minima group sorted: the same list, in the
     # same order, as extending point by point and sorting once; at r = 1,
     # n - 1 and n also where that oracle's quadratic cost still fits
     for n in range(1, 8):
         for r in range(1, n + 1):
-            assert set_partitions(n, r) == pruned_set_partitions(n, r), (n, r)
-            assert len(set_partitions(n, r)) == stirling(n, r) == rees.partition_count(n, r)
+            assert partitions(n, r) == pruned_set_partitions(n, r), (n, r)
+            assert len(partitions(n, r)) == stirling(n, r) == rees.partition_count(n, r)
     for r in (1, 59, 60):
-        assert set_partitions(60, r) == pruned_set_partitions(60, r), r
-    parts = set_partitions(7, 3)  # each block is one tuple, however many partitions hold it
+        assert partitions(60, r) == pruned_set_partitions(60, r), r
+    parts = partitions(7, 3)  # each block is one tuple, however many partitions hold it
     assert len({id(b) for p in parts for b in p}) == len({b for p in parts for b in p}) < 3 * len(parts)
     assert rees.partition_count(1200, 1199) == comb(1200, 2) and rees.partition_count(1200, 1200) == 1
 
@@ -85,20 +91,41 @@ def test_set_partition_counts():
 def test_set_partitions_match_recursive_oracle():
     for n in range(1, 9):
         for r in range(1, n + 1):
-            assert set_partitions(n, r) == recursive_set_partitions(n, r), (n, r)
+            assert partitions(n, r) == recursive_set_partitions(n, r), (n, r)
     # one point per loop step, no call per point: far past the default stack depth
-    assert set_partitions(1500, 1) == [(tuple(range(1, 1501)),)]
-    assert set_partitions(1200, 1200) == [tuple((k,) for k in range(1, 1201))]
+    assert partitions(1500, 1) == [(tuple(range(1, 1501)),)]
+    assert partitions(1200, 1200) == [tuple((k,) for k in range(1, 1201))]
 
 
 def test_set_partitions_sorted_and_min_led():
-    parts = set_partitions(5, 3)
+    parts = partitions(5, 3)
     keys = [tuple(b[0] for b in p) for p in parts]
     assert keys == sorted(keys)
     for p in parts:
         assert p[0][0] == 1
         mins = [b[0] for b in p]
         assert mins == sorted(mins)
+
+
+def test_set_partition_records_match_the_derivation():
+    # each record's minima are its blocks' first points, one tuple per minima
+    # group, and its codes decode to the (block, slot) pairs rebuilt from the
+    # partition alone; r = 1, n - 1 and n each come in
+    cases = [(n, r) for n in range(1, 8) for r in range(1, n + 1)] + [(9, 5), (12, 11), (60, 59)]
+    for n, r in cases:
+        groups = {}
+        for part, minima, code in set_partitions(n, r):
+            assert minima == tuple(b[0] for b in part), (n, r, part)
+            assert groups.setdefault(minima, minima) is minima, (n, r, part)
+            assert {q: divmod(code[q], n - r + 1) for q in range(1, n + 1)} == point_codes(part, n, r), (n, r, part)
+        assert len(groups) == comb(n - 1, r - 1), (n, r)
+
+
+def test_set_partitions_bad_rank():
+    # a generator: the rank is checked on the first record asked for
+    for r in (0, 5):
+        with pytest.raises(BadRank):
+            list(set_partitions(4, r))
 
 
 def test_kernel_list_counts():
@@ -501,7 +528,7 @@ def test_corrupt_fill_trips_the_build_checks(monkeypatch):
     with pytest.raises(AssertionError, match="district column does not give the identity"):
         build_sandwich(Z2, n, r)
     monkeypatch.undo()
-    monkeypatch.setattr(rees, "set_partitions", lambda n, r: set_partitions(n, r)[:1])
+    monkeypatch.setattr(rees, "set_partitions", lambda n, r: list(set_partitions(n, r))[:1])
     with pytest.raises(AssertionError, match="image column .* is entirely zero"):
         build_sandwich(Z2, n, r)
 

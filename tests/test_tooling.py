@@ -154,6 +154,25 @@ def test_ladder_large_tier_hashes_each_stdout(monkeypatch, tmp_path):
     assert row["instance"] == "verify Z2 4 2" and "sha256" not in row["a"] and "same_output" not in row
 
 
+def test_ladder_extreme_tier_hashes_each_stdout(monkeypatch, tmp_path):
+    # the extreme tier holds the CI's extreme-rank verify runs, rank n - 1 and
+    # r = 1 at large n, and records the sha256 of each run's stdout
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    import ladder
+
+    assert ladder.EXTREME_TIER == ["verify --group trivial --n 100 --r 99", "verify --group trivial --n 200 --r 199",
+                                   "verify --group trivial --n 100000 --r 1"]
+    monkeypatch.setattr(ladder, "TIERS", {"extreme": ["verify --group trivial --n 5 --r 4"]})
+    path = tmp_path / "ladder.json"
+    assert ladder.main(["--tier", "extreme", "--tree", f"a={SRC}", "--out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["method"].startswith("extreme tier")
+    [row] = report["instances"]
+    out = "r3-relators=0 expected=0 OK free-rank=6 torsion=none"
+    assert row["tier"] == "extreme" and row["same_output"] and row["a"]["stdout"] == [out]
+    assert row["a"]["sha256"] == [hashlib.sha256(out.encode() + b"\n").hexdigest()]
+
+
 def test_ladder_capped_tier_records_each_exit(monkeypatch, tmp_path):
     # the capped tier holds the frontier's capped rows and records each run
     # as whatever it does: an exit 3 at the entries cap keeps its wall clock,
