@@ -133,16 +133,10 @@ def _presentation(args, g, caps):
         if args.kind == "quotient":
             p = presentation.build_quotient_presentation(m, caps["max_relators"])
         else:
-            name = presentation.position_names(m)
-            if args.json:  # json spells generators by number
-                grids = presentation.gr_grids(m)
-                names = [name(i, l) for i, cols in enumerate(grids[2]) for l in cols]
-            else:
-                grids = presentation.gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
-                names = list(filter(None, grids[0]))  # row by row, columns ascending
+            names = presentation.position_names(m)
             s = presentation.schreier_build(g, args.n, args.r)
-            batches = presentation.gr_relators(m, s, caps["max_relators"], grids, not args.json)  # text lines
-            if args.json:
+            batches = presentation.gr_relators(m, s, caps["max_relators"], None if args.json else names)  # text lines
+            if args.json:  # json spells generators by number
                 return _gr_json(names, batches), 0
             rows = ("".join(lines) for _, lines in batches)
             return chain(presentation.presentation_lines(names, ()), rows), 0

@@ -117,33 +117,18 @@ def schreier_build(g: Group, n: int, r: int) -> SchreierSystem:
 
 # -- the position-indexed presentation ----------------------------------------
 
-def position_names(m: SandwichMatrix):
-    """Position (i, l)'s generator name f_<i>_<λ dotted>, as a function of i and l; λ texts are made once."""
+def position_names(m: SandwichMatrix) -> list[str]:
+    """The generator names f_<i>_<λ dotted>, in `m.nonzero_positions()` order; λ texts are made once."""
     lams = [".".join(map(str, lam)) for lam in m.lambdas]
-    return lambda i_idx, l_idx: f"f_{i_idx}_{lams[l_idx]}"
+    return [f"f_{i}_{lams[l_idx]}" for i, l_idx in m.nonzero_positions()]
 
 
-def gr_grids(m: SandwichMatrix, spell=None):
-    """(plus, minus, cols_of) from one pass over `m.nonzero_positions()`.
-
-    plus[p], minus[p] = spell(g, i, l), by default (g, -g), at p = i * ncols + l
-    spell the g-th position (i, l)'s generator and its inverse, None at a zero;
-    cols_of lists each row's nonzero columns, ascending: its partition's `part_columns`.
-    """
-    ncols = len(m.lambdas)
-    plus, minus = [None] * (len(m.districts) * ncols), [None] * (len(m.districts) * ncols)
-    for gen, (i, l_idx) in enumerate(m.nonzero_positions(), start=1):
-        plus[i * ncols + l_idx], minus[i * ncols + l_idx] = spell(gen, i, l_idx) if spell else (gen, -gen)
-    return plus, minus, [cols for cols in m.part_columns for _ in range(m.block)]
-
-
-def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS, grids=None,
-                text: bool = False):
+def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS, names=None):
     """Yield the position presentation's relators in batches (tag, words), keeping none.
 
-    Generator g is the g-th of `m.nonzero_positions()`; words spell it from the
-    letter grids of `grids`, by default `gr_grids(m)`: g and -g (with text, a
-    word is its line `rel <letters>`, no tuple made).  R1 follows the Schreier
+    Generator g is the g-th of `m.nonzero_positions()`; a word is a tuple of g
+    and -g, or, given `names`, the list `position_names(m)`, its line `rel
+    <letters>`, inverses primed and no tuple made.  R1 follows the Schreier
     tree edges, R2 kills each row's district generator, one batch each; R3 gives
     one batch per row i, chaining, for each row k > i, the columns whose
     column-pair keys agree; order k, column.  Each word is freely reduced and
@@ -151,7 +136,7 @@ def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAUL
     follows it.
     """
     left = max(max_relators, 0)
-    for tag, words in _gr_words(m, s, *(grids or gr_grids(m)), text):
+    for tag, words in _gr_words(m, s, names):
         if len(words) > left:
             yield tag, words[:left]
             raise ResourceLimit("relators", max_relators)
@@ -159,12 +144,18 @@ def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAUL
         yield tag, words
 
 
-def _gr_words(m: SandwichMatrix, s: SchreierSystem, plus, minus, cols_of, text):
-    """`gr_relators` uncapped, spelt from the letter grids."""
+def _gr_words(m: SandwichMatrix, s: SchreierSystem, names):
+    """`gr_relators` uncapped, spelt from letter grids built in one pass over the positions."""
     if (m.n, m.r) != (s.n, s.r):
         raise ValueError("matrix and Schreier system disagree on (n, r)")
+    pos, ncols, text = m.lambda_pos, len(m.lambdas), names is not None
+    # plus[p] and minus[p] spell the generator at p = i * ncols + l and its inverse, None at a zero
+    plus, minus = [None] * (len(m.districts) * ncols), [None] * (len(m.districts) * ncols)
+    letters = zip(names, [name + "'" for name in names]) if text else zip(count(1), count(-1, -1))
+    for (i, l_idx), (a, b) in zip(m.nonzero_positions(), letters):
+        plus[i * ncols + l_idx], minus[i * ncols + l_idx] = a, b
+    cols_of = [cols for cols in m.part_columns for _ in range(m.block)]  # each row's nonzero columns, ascending
     # R1 along tree edges, only when the parent-side position is nonzero
-    pos, ncols = m.lambda_pos, len(m.lambdas)
     edges = [(m.part_start[s.attach[lam]] * ncols, pos[s.parent[lam]], pos[lam]) for lam in s.lambdas[1:]]
     r1 = [(plus[base + par], minus[base + l_idx]) for base, par, l_idx in edges if plus[base + par] is not None]
     # R2 at each row's district column
@@ -206,13 +197,10 @@ def build_gr_presentation(
     m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS
 ) -> Presentation:
     """`gr_relators` collected, one generator per nonzero position, keyed by it."""
-    grids = gr_grids(m)
-    npos = [(i, l_idx) for i, cols in enumerate(grids[2]) for l_idx in cols]
-    batches = list(gr_relators(m, s, max_relators, grids))
+    batches = list(gr_relators(m, s, max_relators))
     words = [w for _, batch in batches for w in batch]
     tags = [tag for tag, batch in batches for _ in batch]
-    name = position_names(m)
-    return Presentation([name(i, l) for i, l in npos], words, tags, gen_keys=npos)
+    return Presentation(position_names(m), words, tags, gen_keys=list(m.nonzero_positions()))
 
 
 # -- the value-indexed presentation -------------------------------------------

@@ -307,10 +307,10 @@ def test_presentation_cli_json(capsys):
 
 def test_gr_json_is_written_from_the_batches(capsys, tmp_path, monkeypatch):
     # the streamed gr --json has the bytes of json.dumps of the collected
-    # presentation, at r = n - 1 (no R3) and r = n too; capped, a file target
-    # is left untouched and stdout holds a prefix of the whole text
+    # presentation, at r = n - 1 (no R3), r = n and r = 1 too; capped, a file
+    # target is left untouched and stdout holds a prefix of the whole text
     monkeypatch.chdir(tmp_path)
-    for spec, n, r in (("Z2", 4, 2), ("trivial", 5, 3), ("Z3", 4, 3), ("S3", 3, 3)):
+    for spec, n, r in (("Z2", 4, 2), ("trivial", 5, 3), ("Z3", 4, 3), ("S3", 3, 3), ("Z3", 5, 1)):
         g = make_group(spec)
         p = build_gr_presentation(build_sandwich(g, n, r), schreier_build(g, n, r))
         whole = json.dumps({"generators": p.generators, "relators": p.relators, "tags": p.tags}) + "\n"
@@ -349,9 +349,11 @@ def test_reports_byte_reproducible(capsys):
 
 
 def test_text_exports_equal_the_collected_text(capsys, tmp_path):
-    # the streamed file and stdout equal the text of the collected object
+    # the streamed file and stdout equal the text of the collected object,
+    # at r = 1 and r = n too
     path = tmp_path / "export.txt"
-    for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("trivial", 5, 3), ("Z2", 5, 3)):
+    for spec, n, r in (("Z2", 4, 2), ("S3", 4, 2), ("trivial", 5, 3), ("Z2", 5, 3), ("Z2", 4, 1), ("Z3", 5, 4),
+                       ("S3", 4, 4)):
         g = make_group(spec)
         m = build_sandwich(g, n, r)
         want = {

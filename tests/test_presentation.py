@@ -33,7 +33,6 @@ from gact.presentation import (
     eliminate_generators,
     evaluate_word,
     free_reduce,
-    gr_grids,
     gr_relators,
     position_names,
 )
@@ -254,10 +253,11 @@ def test_gr_stream_equals_collector():
 
 def test_gr_r3_matches_row_pair_chain_oracle():
     # the column-pair-key R3 kernel emits the per-row-pair chain's relators
-    # in its order, row i's in the i-th R3 batch, and the name grids spell
-    # the int stream letter for letter; trivial 7 3 and Z2 6 2 have large
-    # key classes, S3 4 2 a non-abelian group, where y * inv(x) and
-    # inv(x) * y differ
+    # in its order, row i's in the i-th R3 batch; position_names lists the
+    # generators, and given them the stream spells the int words letter for
+    # letter, each word its line; trivial 7 3 and Z2 6 2 have large key
+    # classes, S3 4 2 a non-abelian group, where y * inv(x) and inv(x) * y
+    # differ
     cases = [(make_group(spec), n, r) for n, spec, r, _ in MAIN_CASES]
     cases += [(make_group("S3"), 4, 2), (Z3, 5, 3), (make_group("Z4"), 5, 2), (T, 6, 3),
               (T, 7, 3), (Z2, 6, 2)]
@@ -270,11 +270,11 @@ def test_gr_r3_matches_row_pair_chain_oracle():
         keys = [None] + list(m.nonzero_positions())
         assert all(keys[-w[0]][0] == i for i, w in r3), (g.order, n, r)
         names = [f"f_{i}_{'.'.join(map(str, m.lambdas[l]))}" for i, l in m.nonzero_positions()]
-        spell = [(tag, [tuple(names[x - 1] if x > 0 else names[-x - 1] + "'" for x in w) for w in words])
+        assert position_names(m) == names
+        spell = [(tag, ["rel " + " ".join(names[x - 1] if x > 0 else names[-x - 1] + "'" for x in w) + "\n"
+                        for w in words])
                  for tag, words in batches]
-        name = position_names(m)
-        grids = gr_grids(m, lambda _, i, l: (text := name(i, l), text + "'"))
-        assert list(gr_relators(m, s, grids=grids)) == spell
+        assert list(gr_relators(m, s, names=names)) == spell
 
 
 def test_gr_export_pinned():

@@ -8,6 +8,7 @@
     python tools/ladder.py --tier capped large slice --tree parent=<checkout>/src --tree change=src --out BENCH_32.json
     python tools/ladder.py --tier slice capped extreme --tree parent=<checkout>/src --tree change=src \
         --out BENCH_34.json
+    python tools/ladder.py --tier export extreme --tree parent=<checkout>/src --tree change=src --out BENCH_35.json
 
 Each `--tree NAME=PATH` names a `src` directory holding the `gact` package.
 For every instance, tree and repeat the script starts one fresh wrapper
@@ -56,9 +57,10 @@ from pathlib import Path
 
 # (group, n, r): the slice route, from desk scale to the frontier
 SLICE_TIER = [("S3", 6, 3), ("Z2", 8, 4), ("Z2", 8, 3), ("Z3", 8, 4), ("Z4", 7, 3), ("S3", 7, 4)]
-# the write path: the gr presentation's text, the sandwich's text and its JSON
+# the write path: the gr presentation's text and its JSON, the sandwich's text and its JSON
 EXPORT_TIER = [f"presentation --kind gr --group {g} --n {n} --r {r}" for g, n, r in
                [("trivial", 8, 5), ("Z2", 6, 3), ("Z3", 6, 3)]]
+EXPORT_TIER += ["presentation --kind gr --group Z3 --n 6 --r 3 --json"]
 EXPORT_TIER += [f"sandwich --group {g} --n {n} --r {r}" for g, n, r in [("Z2", 7, 3), ("Z2", 8, 3), ("S3", 6, 3)]]
 EXPORT_TIER += ["sandwich --group Z2 --n 8 --r 3 --json"]
 # large n: the squares count at every rank, which walks every column pair
