@@ -134,8 +134,7 @@ def _presentation(args, g, caps):
             p = presentation.build_quotient_presentation(m, caps["max_relators"])
         else:
             names = presentation.position_names(m)
-            s = presentation.schreier_build(g, args.n, args.r)
-            batches = presentation.gr_relators(m, s, caps["max_relators"], None if args.json else names)  # text lines
+            batches = presentation.gr_relators(m, caps["max_relators"], None if args.json else names)  # text lines
             if args.json:  # json spells generators by number
                 return _gr_json(names, batches), 0
             rows = ("".join(lines) for _, lines in batches)

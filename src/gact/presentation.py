@@ -11,7 +11,7 @@ from collections import Counter, defaultdict, namedtuple
 from heapq import heappop, heappush
 from itertools import chain, combinations, count, repeat
 
-from .endo import Endo, WreathElem, kernel, wreath_identity, wreath_mul, wreath_to_text
+from .endo import WreathElem, wreath_identity, wreath_mul, wreath_to_text
 from .errors import DEFAULT_MAX_RELATORS, BadRank, ResourceLimit
 from .groups import Group
 from .rees import KeyClasses, SandwichMatrix, column_pairs, lambda_list
@@ -63,56 +63,31 @@ class _RelatorSink:
 
 # -- Schreier system ----------------------------------------------------------
 
-class SchreierSystem(namedtuple("SchreierSystem", "n r lambdas parent letter attach words")):
-    """Prefix-closed words of idempotents translating between image columns.
+class SchreierSystem(namedtuple("SchreierSystem", "parent attach")):
+    """The Schreier tree over the image columns, as two dicts keyed by column.
 
-    The root column (1..r) carries the empty word.  Every other column is
-    reached from its parent (decrement the last decrementable slot) by one
-    idempotent letter whose image is the column itself; attach records that
-    letter's kernel partition, whose first row is the letter's row, as its
-    weights are trivial.  parent, letter, attach and words are dicts keyed
-    by column.
+    The root column (1..r) has no entry.  Every other column λ is reached
+    from its parent (decrement the last decrementable slot) by the
+    idempotent letter that sends each point to the least member of λ at or
+    above it, the tail to the last member; attach is that letter's kernel
+    partition, the runs of points ending at each member of λ, the last run
+    at n.  The letter's weights are trivial, so the partition's first row
+    is the letter's row.
     """
 
     __slots__ = ()
 
 
-def _schreier_letter(g: Group, n: int, lam: tuple[int, ...]) -> Endo:
-    # position k goes to the least member of lam at or above k, the tail to the last
-    targets = []
-    for k in range(1, n + 1):
-        for u in lam:
-            if k <= u:
-                targets.append(u)
-                break
-        else:
-            targets.append(lam[-1])
-    return Endo(g, n, tuple(targets), (0,) * n)
-
-
-def schreier_build(g: Group, n: int, r: int) -> SchreierSystem:
-    lambdas = lambda_list(n, r)
-    root = lambdas[0]
+def schreier_build(n: int, r: int) -> SchreierSystem:
     parent: dict = {}
-    letter: dict = {}
     attach: dict = {}
-    words: dict = {root: ()}
-    for lam in lambdas[1:]:
-        prev = 0
-        pick = None
-        for idx, u in enumerate(lam):
-            if u - prev > 1:
-                pick = idx
-            prev = u
-        if pick is None:
-            raise BadRank(f"column {lam} has no decrementable slot")
-        par = lam[:pick] + (lam[pick] - 1,) + lam[pick + 1:]
-        alpha = _schreier_letter(g, n, lam)
-        parent[lam] = par
-        letter[lam] = alpha
-        attach[lam] = kernel(alpha).blocks
-        words[lam] = words[par] + (alpha,)
-    return SchreierSystem(n, r, lambdas, parent, letter, attach, words)
+    for lam in lambda_list(n, r)[1:]:
+        ends = (0, *lam[:-1], n)
+        # every column but the root has a gap below some member
+        pick = max(k for k in range(r) if lam[k] - ends[k] > 1)
+        parent[lam] = lam[:pick] + (lam[pick] - 1,) + lam[pick + 1:]
+        attach[lam] = tuple(tuple(range(a + 1, b + 1)) for a, b in zip(ends, ends[1:]))
+    return SchreierSystem(parent, attach)
 
 
 # -- the position-indexed presentation ----------------------------------------
@@ -123,20 +98,20 @@ def position_names(m: SandwichMatrix) -> list[str]:
     return [f"f_{i}_{lams[l_idx]}" for i, l_idx in m.nonzero_positions()]
 
 
-def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS, names=None):
+def gr_relators(m: SandwichMatrix, max_relators: int = DEFAULT_MAX_RELATORS, names=None):
     """Yield the position presentation's relators in batches (tag, words), keeping none.
 
     Generator g is the g-th of `m.nonzero_positions()`; a word is a tuple of g
     and -g, or, given `names`, the list `position_names(m)`, its line `rel
-    <letters>`, inverses primed and no tuple made.  R1 follows the Schreier
-    tree edges, R2 kills each row's district generator, one batch each; R3 gives
+    <letters>`, inverses primed and no tuple made.  R1 follows the edges of
+    `schreier_build(m.n, m.r)`, R2 kills each row's district generator, one batch each; R3 gives
     one batch per row i, chaining, for each row k > i, the columns whose
     column-pair keys agree; order k, column.  Each word is freely reduced and
     new; the batch that passes max_relators is cut there, and ResourceLimit
     follows it.
     """
     left = max(max_relators, 0)
-    for tag, words in _gr_words(m, s, names):
+    for tag, words in _gr_words(m, names):
         if len(words) > left:
             yield tag, words[:left]
             raise ResourceLimit("relators", max_relators)
@@ -144,10 +119,8 @@ def gr_relators(m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAUL
         yield tag, words
 
 
-def _gr_words(m: SandwichMatrix, s: SchreierSystem, names):
+def _gr_words(m: SandwichMatrix, names):
     """`gr_relators` uncapped, spelt from letter grids built in one pass over the positions."""
-    if (m.n, m.r) != (s.n, s.r):
-        raise ValueError("matrix and Schreier system disagree on (n, r)")
     pos, ncols, text = m.lambda_pos, len(m.lambdas), names is not None
     # plus[p] and minus[p] spell the generator at p = i * ncols + l and its inverse, None at a zero
     plus, minus = [None] * (len(m.districts) * ncols), [None] * (len(m.districts) * ncols)
@@ -155,9 +128,10 @@ def _gr_words(m: SandwichMatrix, s: SchreierSystem, names):
     for (i, l_idx), (a, b) in zip(m.nonzero_positions(), letters):
         plus[i * ncols + l_idx], minus[i * ncols + l_idx] = a, b
     cols_of = [cols for cols in m.part_columns for _ in range(m.block)]  # each row's nonzero columns, ascending
-    # R1 along tree edges, only when the parent-side position is nonzero
-    edges = [(m.part_start[s.attach[lam]] * ncols, pos[s.parent[lam]], pos[lam]) for lam in s.lambdas[1:]]
-    r1 = [(plus[base + par], minus[base + l_idx]) for base, par, l_idx in edges if plus[base + par] is not None]
+    # R1 along tree edges: the parent moves one member of λ down inside its run, so both positions are nonzero
+    s = schreier_build(m.n, m.r)
+    edges = [(m.part_start[s.attach[lam]] * ncols, pos[s.parent[lam]], pos[lam]) for lam in s.parent]
+    r1 = [(plus[base + par], minus[base + l_idx]) for base, par, l_idx in edges]
     # R2 at each row's district column
     r2 = [(plus[i * ncols + pos[district]],) for i, district in enumerate(m.districts)]
     for tag, words in ("R1", r1), ("R2", r2):
@@ -193,11 +167,9 @@ def _gr_words(m: SandwichMatrix, s: SchreierSystem, names):
                      for km in sorted(prev) for head, d in [prev[km]]]
 
 
-def build_gr_presentation(
-    m: SandwichMatrix, s: SchreierSystem, max_relators: int = DEFAULT_MAX_RELATORS
-) -> Presentation:
+def build_gr_presentation(m: SandwichMatrix, max_relators: int = DEFAULT_MAX_RELATORS) -> Presentation:
     """`gr_relators` collected, one generator per nonzero position, keyed by it."""
-    batches = list(gr_relators(m, s, max_relators))
+    batches = list(gr_relators(m, max_relators))
     words = [w for _, batch in batches for w in batch]
     tags = [tag for tag, batch in batches for _ in batch]
     return Presentation(position_names(m), words, tags, gen_keys=list(m.nonzero_positions()))

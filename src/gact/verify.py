@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import chain, takewhile
-from math import factorial
+from math import comb, factorial
 
 from . import errors, fpgroup, presentation, reduction, rees
 from .endo import wreath_identity, wreath_order
@@ -15,25 +15,26 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
     """Decide the maximal subgroup at (n, r); returns the report fields.
 
     At rank n-1 the position presentation's R3 count and abelianization are
-    reported.  At r = n and n = r+2 the order comes from `enumerate_order`.
-    At n > r+2 the order comes from the (r+2, r) slice by `slice_order`, and
-    the report gains method ("slice", or "enumerate" when a check of the
-    route fails and `enumerate_order` at n decides), slice_n, pairs_walked
-    and closure_relators.  Every check runs under the same caps.
+    reported; ok needs no R3, no torsion and free rank |G|*C(n,2) - n + 1.
+    At r = n and n = r+2 the order comes from `enumerate_order`, at n > r+2
+    from the (r+2, r) slice by `slice_order`: the report gains method ("slice",
+    or "enumerate" when a route check fails and `enumerate_order` at n decides),
+    slice_n, pairs_walked and closure_relators.  Every check runs under the same caps.
     """
     rees.check_entries_cap(g, n, r, caps["max_entries"], dense=r == n - 1)  # rank n-1 reads the dense gr grids
     m = rees.build_sandwich(g, n, r, caps["max_entries"])
     report: dict = {"n": n, "r": r, "group_order": g.order}
     if r == n - 1:
-        # the rank-free claim is about the position presentation itself: it has
-        # no R3 relators, and its abelianization, after Tietze moves, gives the free rank
-        p = presentation.build_gr_presentation(m, presentation.schreier_build(g, n, r), caps["max_relators"])
+        # the rank-free claim is about the position presentation itself: it has no R3
+        # relators, and it presents the Graham-Houghton graph's group, free of rank E - V + 1
+        p = presentation.build_gr_presentation(m, caps["max_relators"])
         if len((q := presentation.eliminate_generators(p)[0]).relators) * len(q.generators) > caps["max_entries"]:
             raise errors.ResourceLimit("abelianization matrix entries", caps["max_entries"])
         ab = fpgroup.abelianization(q)
         report.update(mode="rank-free", r3_relators=p.tag_count("R3"), expected_r3=0,
                       abelianization={"torsion": list(ab.torsion), "free_rank": ab.free_rank},
-                      ok=p.tag_count("R3") == 0)
+                      ok=p.tag_count("R3") == 0 and not ab.torsion
+                      and ab.free_rank == g.order * comb(n, 2) - n + 1)
         return report
     expected = 1 if r == n else (g.order ** r) * factorial(r)
     route: dict = {}

@@ -12,6 +12,7 @@ from gact import (
     WreathElem,
     compose,
     group_from_text,
+    lambda_list,
     todd_coxeter,
     wreath_identity,
     wreath_inv,
@@ -242,6 +243,30 @@ def eps_rank_r(g, n, r):
     """The distinguished rank-r idempotent: fixes x_1..x_r, sends the rest to x_1."""
     targets = tuple(range(1, r + 1)) + (1,) * (n - r)
     return Endo(g, n, targets, (0,) * n)
+
+
+def schreier_letter(g, n, lam):
+    # position k goes to the least member of lam at or above k, the tail to the last
+    targets = []
+    for k in range(1, n + 1):
+        for u in lam:
+            if k <= u:
+                targets.append(u)
+                break
+        else:
+            targets.append(lam[-1])
+    return Endo(g, n, tuple(targets), (0,) * n)
+
+
+def schreier_words(g, n, r, s):
+    """Each column's word of `schreier_letter`s along the tree `s.parent`; the root's is empty.
+
+    A parent is one member lower, so it comes first in the lexicographic column list.
+    """
+    words = {}
+    for lam in lambda_list(n, r):
+        words[lam] = words[s.parent[lam]] + (schreier_letter(g, n, lam),) if lam in s.parent else ()
+    return words
 
 
 def endo_to_text(alpha):

@@ -39,9 +39,9 @@ from gact.cli import DEFAULT_CAPS
 from gact.endo import WreathElem, compose
 from gact.presentation import Presentation, evaluate_word
 from gact.verify import run_verify
-from gact.rees import q_of
+from gact.rees import lambda_list, q_of
 
-from helpers import MAIN_CASES, eps_rank_r, value_positions, wreath_elements
+from helpers import MAIN_CASES, eps_rank_r, schreier_words, value_positions, wreath_elements
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -55,7 +55,7 @@ def built(spec, n, r):
     if key not in _build_cache:
         g = make_group(spec)
         m = build_sandwich(g, n, r)
-        p = build_gr_presentation(m, schreier_build(g, n, r))
+        p = build_gr_presentation(m)
         _build_cache[key] = (g, m, p)
     return _build_cache[key]
 
@@ -268,12 +268,12 @@ def test_criterion_10_schreier_invariants():
     for n in range(3, 7):
         for r in range(1, min(n, 4) + 1):
             for g in (T, Z2):
-                s = schreier_build(g, n, r)
-                words = set(s.words.values())
+                words = schreier_words(g, n, r, schreier_build(n, r))
+                prefixes = set(words.values())
                 eps = eps_rank_r(g, n, r)
-                for lam in s.lambdas:
-                    word = s.words[lam]
-                    if any(word[:cut] not in words for cut in range(len(word) + 1)):
+                for lam in lambda_list(n, r):
+                    word = words[lam]
+                    if any(word[:cut] not in prefixes for cut in range(len(word) + 1)):
                         bad.append((n, r, g.order, lam, "prefix"))
                     acc = eps
                     for letter in word:

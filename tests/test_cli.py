@@ -19,7 +19,6 @@ from gact.presentation import (
     gr_relators,
     lavers_presentation,
     presentation_to_text,
-    schreier_build,
 )
 from gact.endo import parse_wreath
 from gact.fpgroup import todd_coxeter
@@ -135,7 +134,8 @@ def test_rank_free_abelianization_checks_its_matrix_cells(capsys, monkeypatch):
     # Z2 4 3 passes the sandwich checks at a cap of 48 (its gr grids' dense
     # cells); a Tietze residue of 7 relators on 7 generators is 49 cells of the
     # abelianization's dense matrix, so the cap fires before it is built, and
-    # one more unit of cap lets it run
+    # one more unit of cap lets it run; the residue presents the trivial
+    # group, not the free group of rank 2 * C(4, 2) - 4 + 1 = 9, so it fails
     residue = Presentation([f"a{k}" for k in range(1, 8)], [(k,) for k in range(1, 8)], ["rel"] * 7)
     called, real = [], fpgroup.abelianization
 
@@ -148,8 +148,24 @@ def test_rank_free_abelianization_checks_its_matrix_cells(capsys, monkeypatch):
     argv = ["verify", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries"]
     assert run(capsys, *argv, "48") == (3, "", "error: abelianization matrix entries exceeds the cap 48\n")
     assert called == []
-    assert run(capsys, *argv, "49") == (0, "r3-relators=0 expected=0 OK free-rank=0 torsion=none\n", "")
+    assert run(capsys, *argv, "49") == (1, "r3-relators=0 expected=0 MISMATCH free-rank=0 torsion=none\n", "")
     assert called == [residue]
+
+
+def test_rank_free_verify_checks_the_free_rank(capsys, monkeypatch):
+    # a position presentation missing one R1 or one R2 relator still has no
+    # R3, but its free rank is one over 2 * C(6, 2) - 6 + 1 = 25, so verify fails
+    argv = ["verify", "--group", "Z2", "--n", "6", "--r", "5"]
+    assert run(capsys, *argv) == (0, "r3-relators=0 expected=0 OK free-rank=25 torsion=none\n", "")
+    real = presentation._gr_words
+    for dropped in ("R1", "R2"):
+        def short(m, names, dropped=dropped):
+            for tag, words in real(m, names):
+                yield tag, words[1:] if tag == dropped else words
+
+        with monkeypatch.context() as mp:
+            mp.setattr(presentation, "_gr_words", short)
+            assert run(capsys, *argv) == (1, "r3-relators=0 expected=0 MISMATCH free-rank=26 torsion=none\n", "")
 
 
 def test_verify_below_rank_free_skips_position_presentation(monkeypatch):
@@ -293,7 +309,7 @@ def test_presentation_cli_json(capsys):
     # the gr --json export carries build_gr_presentation's relators and tags
     for spec in ("Z2", "S3"):
         g = make_group(spec)
-        p = build_gr_presentation(build_sandwich(g, 4, 2), schreier_build(g, 4, 2))
+        p = build_gr_presentation(build_sandwich(g, 4, 2))
         code, out, _ = run(
             capsys, "presentation", "--n", "4", "--r", "2", "--group", spec, "--kind", "gr", "--json"
         )
@@ -312,7 +328,7 @@ def test_gr_json_is_written_from_the_batches(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for spec, n, r in (("Z2", 4, 2), ("trivial", 5, 3), ("Z3", 4, 3), ("S3", 3, 3), ("Z3", 5, 1)):
         g = make_group(spec)
-        p = build_gr_presentation(build_sandwich(g, n, r), schreier_build(g, n, r))
+        p = build_gr_presentation(build_sandwich(g, n, r))
         whole = json.dumps({"generators": p.generators, "relators": p.relators, "tags": p.tags}) + "\n"
         argv = ["presentation", "--group", spec, "--n", str(n), "--r", str(r), "--json"]
         assert run(capsys, *argv) == (0, whole, "")
@@ -357,7 +373,7 @@ def test_text_exports_equal_the_collected_text(capsys, tmp_path):
         g = make_group(spec)
         m = build_sandwich(g, n, r)
         want = {
-            ("presentation", "gr"): presentation_to_text(build_gr_presentation(m, schreier_build(g, n, r))),
+            ("presentation", "gr"): presentation_to_text(build_gr_presentation(m)),
             ("presentation", "quotient"): presentation_to_text(build_quotient_presentation(m)),
             ("presentation", "lavers"): presentation_to_text(lavers_presentation(g, r)),
             ("sandwich", None): matrix_to_text(m),
@@ -400,10 +416,10 @@ def test_capped_gr_export_leaves_output_untouched(capsys, tmp_path):
     # one cap fires in R1/R2, the others at every relator from the first R3
     # one through the end of the first two R3 rows, each row one batch
     g = make_group("Z2")
-    m, s = build_sandwich(g, 4, 2), schreier_build(g, 4, 2)
-    p = build_gr_presentation(m, s)
+    m = build_sandwich(g, 4, 2)
+    p = build_gr_presentation(m)
     mid_r3 = p.tag_count("R1") + p.tag_count("R2") + 1
-    r3_rows = [len(words) for tag, words in gr_relators(m, s) if tag == "R3"]
+    r3_rows = [len(words) for tag, words in gr_relators(m) if tag == "R3"]
     two_rows = mid_r3 - 1 + r3_rows[0] + r3_rows[1]
     assert 10 < mid_r3 and min(r3_rows[:2]) > 1 and two_rows < len(p.relators)
     full = presentation_to_text(p)
@@ -427,9 +443,9 @@ def test_capped_gr_export_leaves_output_untouched(capsys, tmp_path):
     # S3 4 2: every cap inside R1, R2 and the first two R3 rows leaves on stdout
     # exactly the relators under it, and a file target untouched
     g = make_group("S3")
-    m, s = build_sandwich(g, 4, 2), schreier_build(g, 4, 2)
-    batches = [len(words) for _, words in gr_relators(m, s)]
-    full = presentation_to_text(build_gr_presentation(m, s))
+    m = build_sandwich(g, 4, 2)
+    batches = [len(words) for _, words in gr_relators(m)]
+    full = presentation_to_text(build_gr_presentation(m))
     argv = ["presentation", "--kind", "gr", "--group", "S3", "--n", "4", "--r", "2"]
     for cap in range(1, sum(batches[:4]) + 1):
         code, out, err = run(capsys, *argv, "--max-relators", str(cap))

@@ -1,4 +1,5 @@
 import hashlib
+from math import comb
 
 import pytest
 
@@ -15,6 +16,7 @@ from gact import (
     cyclic_group,
     is_idempotent,
     kernel,
+    lambda_list,
     lavers_presentation,
     make_group,
     presentation_to_text,
@@ -48,6 +50,8 @@ from helpers import (
     gr_r3_oracle,
     lavers_assignment,
     presentation_from_text,
+    schreier_letter,
+    schreier_words,
     validate_presentation,
     value_positions,
     wreath_elements,
@@ -67,33 +71,36 @@ def test_free_reduce():
 # -- Schreier system -----------------------------------------------------------
 
 def test_schreier_root_and_single_step():
-    s = schreier_build(Z2, 4, 2)
-    assert s.words[(1, 2)] == ()
+    s = schreier_build(4, 2)
+    assert (1, 2) not in s.parent and (1, 2) not in s.attach
     assert s.parent[(1, 3)] == (1, 2)
-    letter = s.letter[(1, 3)]
+    letter = schreier_letter(Z2, 4, (1, 3))
     assert letter.targets == (1, 3, 3, 3)
     assert letter.weights == (0, 0, 0, 0)
     assert is_idempotent(letter)
-    assert len(s.words[(1, 3)]) == 1
+    words = schreier_words(Z2, 4, 2, s)
+    assert words[(1, 2)] == ()
+    assert len(words[(1, 3)]) == 1
 
 
 def test_schreier_word_lengths_and_prefix_closure():
     for n in range(3, 7):
         for r in range(1, min(n, 4) + 1):
-            s = schreier_build(T, n, r)
-            words = set(s.words.values())
-            for lam in s.lambdas:
-                word = s.words[lam]
+            s = schreier_build(n, r)
+            assert set(s.parent) == set(s.attach) == set(lambda_list(n, r)[1:])
+            words = schreier_words(T, n, r, s)
+            prefixes = set(words.values())
+            for lam in lambda_list(n, r):
+                word = words[lam]
                 assert len(word) == sum(u - j for j, u in enumerate(lam, start=1))
                 for cut in range(len(word) + 1):
-                    assert word[:cut] in words
+                    assert word[:cut] in prefixes
 
 
 def test_schreier_words_distinct():
     # no accidental coincidences: the tree enumeration is exhaustive
     for n, r in ((5, 2), (6, 3), (6, 4)):
-        s = schreier_build(Z2, n, r)
-        words = list(s.words.values())
+        words = list(schreier_words(Z2, n, r, schreier_build(n, r)).values())
         assert len(set(words)) == len(words)
 
 
@@ -101,11 +108,11 @@ def test_schreier_translation_identity():
     for g in (T, Z2):
         for n in range(3, 7):
             for r in range(1, min(n, 4) + 1):
-                s = schreier_build(g, n, r)
+                words = schreier_words(g, n, r, schreier_build(n, r))
                 eps = eps_rank_r(g, n, r)
-                for lam in s.lambdas:
+                for lam in lambda_list(n, r):
                     acc = eps
-                    for letter in s.words[lam]:
+                    for letter in words[lam]:
                         acc = compose(acc, letter)
                     assert acc == q_of(g, n, r, lam)
 
@@ -113,10 +120,19 @@ def test_schreier_translation_identity():
 def test_schreier_attach_edge_identity():
     # appending the edge letter to the parent column map lands on the child
     for g, n, r in ((Z2, 5, 2), (T, 6, 3)):
-        s = schreier_build(g, n, r)
-        for lam in s.lambdas[1:]:
-            par = s.parent[lam]
-            assert compose(q_of(g, n, r, par), s.letter[lam]) == q_of(g, n, r, lam)
+        s = schreier_build(n, r)
+        for lam, par in s.parent.items():
+            assert compose(q_of(g, n, r, par), schreier_letter(g, n, lam)) == q_of(g, n, r, lam)
+
+
+def test_schreier_attach_is_the_letters_kernel():
+    # the arithmetic runs are the kernel partition of the edge letter
+    for g in (T, Z2):
+        for n in range(1, 8):
+            for r in range(1, n + 1):
+                s = schreier_build(n, r)
+                for lam in lambda_list(n, r)[1:]:
+                    assert kernel(schreier_letter(g, n, lam)).blocks == s.attach[lam], (g.order, n, r, lam)
 
 
 def test_r1_rows_are_the_schreier_letters_rows():
@@ -126,9 +142,9 @@ def test_r1_rows_are_the_schreier_letters_rows():
     for spec, n, r in (("Z2", 4, 3), ("S3", 4, 3), ("Z3", 5, 4), ("trivial", 6, 5),
                        ("Z2", 5, 2), ("S3", 5, 3), ("Z4", 5, 1)):
         g = make_group(spec)
-        m, s = build_sandwich(g, n, r), schreier_build(g, n, r)
-        for lam in s.lambdas[1:]:
-            kd = kernel(s.letter[lam])
+        m, s = build_sandwich(g, n, r), schreier_build(n, r)
+        for lam in s.parent:
+            kd = kernel(schreier_letter(g, n, lam))
             weightvec = tuple(kd.normweights[k - 1] for k in range(1, n + 1) if k not in kd.mins)
             assert weightvec == (0,) * (n - r), (spec, n, r, lam)
             assert s.attach[lam] == kd.blocks, (spec, n, r, lam)
@@ -139,7 +155,7 @@ def test_r1_rows_are_the_schreier_letters_rows():
 
 def test_gr_generator_count_and_tags():
     m = build_sandwich(Z2, 4, 2)
-    p = build_gr_presentation(m, schreier_build(Z2, 4, 2))
+    p = build_gr_presentation(m)
     validate_presentation(p)
     nonzero = sum(1 for _ in m.nonzero_positions())
     assert len(p.generators) == nonzero
@@ -150,7 +166,7 @@ def test_gr_generator_count_and_tags():
 
 def test_gr_rank_one_trivial_presents_trivially():
     m = build_sandwich(T, 3, 1)
-    p = build_gr_presentation(m, schreier_build(T, 3, 1))
+    p = build_gr_presentation(m)
     assert todd_coxeter(p).order == 1
 
 
@@ -159,7 +175,7 @@ def test_gr_relators_sound_under_entry_assignment():
     # every relator in the concrete wreath group
     for g, n, r in ((Z2, 4, 2), (T, 5, 2), (Z3, 4, 2)):
         m = build_sandwich(g, n, r)
-        p = build_gr_presentation(m, schreier_build(g, n, r))
+        p = build_gr_presentation(m)
         entries = [m.entries[l_idx][i] for i, l_idx in p.gen_keys]
         assignment = [wreath_inv(g, v) for v in entries]
         for word in p.relators:
@@ -168,8 +184,7 @@ def test_gr_relators_sound_under_entry_assignment():
 
 def test_gr_r1_edges_have_identity_entries():
     m = build_sandwich(Z2, 5, 2)
-    s = schreier_build(Z2, 5, 2)
-    p = build_gr_presentation(m, s)
+    p = build_gr_presentation(m)
     for word, tag in zip(p.relators, p.tags):
         if tag != "R1":
             continue
@@ -182,7 +197,7 @@ def test_gr_r1_edges_have_identity_entries():
 def test_gr_chain_covers_all_pairwise_squares():
     # every pairwise square relation is a consequence of the emitted chains
     m = build_sandwich(Z2, 4, 2)
-    p = build_gr_presentation(m, schreier_build(Z2, 4, 2))
+    p = build_gr_presentation(m)
     table = todd_coxeter(p)
     gen_of = {pos: gi + 1 for gi, pos in enumerate(p.gen_keys)}
     nrows = len(m.kernels)
@@ -212,7 +227,7 @@ def word_equal_words(table, w1, w2):
 def test_gr_relator_cap():
     m = build_sandwich(Z2, 4, 2)
     with pytest.raises(ResourceLimit):
-        build_gr_presentation(m, schreier_build(Z2, 4, 2), max_relators=10)
+        build_gr_presentation(m, max_relators=10)
 
 
 def test_gr_r3_matches_dense_row_pair_walk():
@@ -222,13 +237,12 @@ def test_gr_r3_matches_dense_row_pair_walk():
     cases += [(make_group("S3"), 4, 2), (Z3, 5, 3), (T, 6, 3)]  # Z2 5 3 is in MAIN_CASES
     for g, n, r in cases:
         m = build_sandwich(g, n, r)
-        s = schreier_build(g, n, r)
-        p = build_gr_presentation(m, s)
+        p = build_gr_presentation(m)
         r3 = [w for w, tag in zip(p.relators, p.tags) if tag == "R3"]
         assert r3 == dense_r3_relators(m), (g.order, n, r)
-        assert build_gr_presentation(m, s, max_relators=len(p.relators)).relators == p.relators
+        assert build_gr_presentation(m, max_relators=len(p.relators)).relators == p.relators
         with pytest.raises(ResourceLimit):
-            build_gr_presentation(m, s, max_relators=len(p.relators) - 1)
+            build_gr_presentation(m, max_relators=len(p.relators) - 1)
 
 
 def test_gr_stream_equals_collector():
@@ -238,11 +252,12 @@ def test_gr_stream_equals_collector():
     cases.append((make_group("S3"), 4, 2))  # Z2 5 3 is in MAIN_CASES
     for g, n, r in cases:
         m = build_sandwich(g, n, r)
-        s = schreier_build(g, n, r)
-        p = build_gr_presentation(m, s)
-        batches = list(gr_relators(m, s))
-        # R1, R2, then one R3 batch per row
+        p = build_gr_presentation(m)
+        batches = list(gr_relators(m))
+        # R1, R2, then one R3 batch per row; R1 has a word per tree edge, as
+        # both positions of every edge are nonzero, and R2 one per row
         assert [t for t, _ in batches] == ["R1", "R2"] + ["R3"] * len(m.kernels)
+        assert [len(words) for _, words in batches[:2]] == [comb(n, r) - 1, len(m.kernels)], (g.order, n, r)
         stream = [(w, t) for t, words in batches for w in words]
         assert [w for w, _ in stream] == p.relators and [t for _, t in stream] == p.tags
         sink = _RelatorSink(len(stream))
@@ -263,8 +278,7 @@ def test_gr_r3_matches_row_pair_chain_oracle():
               (T, 7, 3), (Z2, 6, 2)]
     for g, n, r in cases:
         m = build_sandwich(g, n, r)
-        s = schreier_build(g, n, r)
-        batches = list(gr_relators(m, s))
+        batches = list(gr_relators(m))
         r3 = [(i, w) for i, (_, words) in enumerate(batches[2:]) for w in words]
         assert [w for _, w in r3] == gr_r3_oracle(m), (g.order, n, r)
         keys = [None] + list(m.nonzero_positions())
@@ -274,7 +288,7 @@ def test_gr_r3_matches_row_pair_chain_oracle():
         spell = [(tag, ["rel " + " ".join(names[x - 1] if x > 0 else names[-x - 1] + "'" for x in w) + "\n"
                         for w in words])
                  for tag, words in batches]
-        assert list(gr_relators(m, s, names=names)) == spell
+        assert list(gr_relators(m, names=names)) == spell
 
 
 def test_gr_export_pinned():
@@ -284,7 +298,7 @@ def test_gr_export_pinned():
     }
     for spec, digest in pinned.items():
         g = make_group(spec)
-        text = presentation_to_text(build_gr_presentation(build_sandwich(g, 4, 2), schreier_build(g, 4, 2)))
+        text = presentation_to_text(build_gr_presentation(build_sandwich(g, 4, 2)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -346,7 +360,7 @@ def test_value_route_matches_position_route():
         g = make_group(spec)
         m = build_sandwich(g, n, r)
         q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
-        p = build_gr_presentation(m, schreier_build(g, n, r))
+        p = build_gr_presentation(m)
         ids = dense_ids(m)
         letter = [ids[l_idx][i] + 1 for i, l_idx in p.gen_keys]
         words = set()
@@ -515,7 +529,7 @@ def test_rank_top_minus_one_quotient_abelianization():
 
     for g in (T, Z2):
         m = build_sandwich(g, 4, 3)
-        p = build_gr_presentation(m, schreier_build(g, 4, 3))
+        p = build_gr_presentation(m)
         q = build_quotient_presentation(m)
         assert p.tag_count("R3") == 0
         assert q.tag_count("P1") == 0
@@ -536,7 +550,7 @@ def test_rank_n_minus_1_free_rank_by_union_find(spec, n, free_rank):
     from gact.biorder import squares_report
 
     g, r = make_group(spec), n - 1
-    p = build_gr_presentation(build_sandwich(g, n, r), schreier_build(g, n, r))
+    p = build_gr_presentation(build_sandwich(g, n, r))
     assert p.tag_count("R3") == 0
     assert all((tag, len(w)) == ("R1", 2) and w[0] > 0 > w[1] or (tag, len(w)) == ("R2", 1) and w[0] > 0
                for tag, w in zip(p.tags, p.relators))
@@ -599,7 +613,7 @@ def test_elimination_preserves_the_abelianization():
         spec, n, r, kind = case
         g = make_group(spec)
         m = build_sandwich(g, n, r)
-        p = build_gr_presentation(m, schreier_build(g, n, r)) if kind == "gr" else build_quotient_presentation(m)
+        p = build_gr_presentation(m) if kind == "gr" else build_quotient_presentation(m)
         reduced = eliminate_generators(p)[0]
         assert len(reduced.generators) < len(p.generators), case
         assert abelianization(reduced) == abelianization(p), case

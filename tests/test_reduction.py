@@ -18,7 +18,6 @@ from gact import (
     is_simple_form,
     parse_wreath,
     rising_point,
-    schreier_build,
     simple_form_elem,
     simplify_presentation,
     todd_coxeter,
@@ -250,7 +249,7 @@ def test_simplify_checks_each_merged_square_once(monkeypatch):
 
 def simplified(g, n, r, log=None):
     m = build_sandwich(g, n, r)
-    p = build_gr_presentation(m, schreier_build(g, n, r))
+    p = build_gr_presentation(m)
     pg = connectivity(m)
     return p, simplify_presentation(build_quotient_presentation(m), m, pg, log)
 
@@ -290,7 +289,7 @@ def test_simplify_surfaces_missing_witness():
     with pytest.raises(WitnessNotFound):
         simplify_presentation(build_quotient_presentation(m), m, unclosed)
     # the position-keyed presentation is refused outright
-    p = build_gr_presentation(m, schreier_build(Z2, 4, 2))
+    p = build_gr_presentation(m)
     with pytest.raises(ValueError):
         simplify_presentation(p, m, connectivity(m))
 
@@ -307,7 +306,7 @@ def test_equal_values_equal_generators_in_presented_group():
     # consistency at desk scale: any two positions carrying the same value
     # name the same element of the group presented before simplification
     m = build_sandwich(Z2, 4, 2)
-    p = build_gr_presentation(m, schreier_build(Z2, 4, 2))
+    p = build_gr_presentation(m)
     table = todd_coxeter(p)
     gen = {pos: gi + 1 for gi, pos in enumerate(p.gen_keys)}
     from gact import word_equal

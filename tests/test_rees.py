@@ -31,7 +31,7 @@ from gact import (
 )
 from gact import presentation, rees
 from gact.endo import wreath_to_text
-from gact.presentation import gr_relators, schreier_build
+from gact.presentation import gr_relators
 from gact.rees import KeyClasses, column_pairs, matrix_to_text
 
 from helpers import (
@@ -552,7 +552,7 @@ def test_key_classes_match_the_wreath_product(monkeypatch):
         m = build_sandwich(g, n, r)
         made.clear()
         list(column_pairs(m))
-        list(gr_relators(m, schreier_build(g, n, r)))
+        list(gr_relators(m))
         assert len(made) == 2 and all(made), (g.order, n, r)
         for classes in made:
             assert dict(classes) == wreath_key_classes(m, list(classes)), (g.order, n, r)

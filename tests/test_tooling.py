@@ -155,13 +155,13 @@ def test_ladder_large_tier_hashes_each_stdout(monkeypatch, tmp_path):
 
 
 def test_ladder_extreme_tier_hashes_each_stdout(monkeypatch, tmp_path):
-    # the extreme tier holds the CI's extreme-rank verify runs, rank n - 1 and
-    # r = 1 at large n, and records the sha256 of each run's stdout
+    # the extreme tier holds the CI's extreme-rank verify runs, rank n - 1 (G
+    # trivial and Z3) and r = 1 at large n, and records the sha256 of each run's stdout
     monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
     import ladder
 
     assert ladder.EXTREME_TIER == ["verify --group trivial --n 100 --r 99", "verify --group trivial --n 200 --r 199",
-                                   "verify --group trivial --n 100000 --r 1"]
+                                   "verify --group trivial --n 100000 --r 1", "verify --group Z3 --n 60 --r 59"]
     monkeypatch.setattr(ladder, "TIERS", {"extreme": ["verify --group trivial --n 5 --r 4"]})
     path = tmp_path / "ladder.json"
     assert ladder.main(["--tier", "extreme", "--tree", f"a={SRC}", "--out", str(path)]) == 0

@@ -9,6 +9,7 @@
     python tools/ladder.py --tier slice capped extreme --tree parent=<checkout>/src --tree change=src \
         --out BENCH_34.json
     python tools/ladder.py --tier export extreme --tree parent=<checkout>/src --tree change=src --out BENCH_35.json
+    python tools/ladder.py --tier export extreme --tree parent=<checkout>/src --tree change=src --out BENCH_36.json
 
 Each `--tree NAME=PATH` names a `src` directory holding the `gact` package.
 For every instance, tree and repeat the script starts one fresh wrapper
@@ -74,6 +75,7 @@ CAPPED_TIER = [f"verify --group {g} --n {n} --r {r}" for g, n, r in
 CAPPED_TIER += ["squares --group Z2 --n 9", "squares --group Z2 --n 10"]
 # the extreme ranks: n - 1, where the sandwich has C(n, 2) partitions of n - 1 blocks, and 1 at large n
 EXTREME_TIER = [f"verify --group trivial --n {n} --r {r}" for n, r in [(100, 99), (200, 199), (100000, 1)]]
+EXTREME_TIER += ["verify --group Z3 --n 60 --r 59"]  # rank n - 1 with |G| > 1
 TIERS = {"slice": SLICE_TIER, "export": EXPORT_TIER, "large": LARGE_TIER, "capped": CAPPED_TIER,
          "extreme": EXTREME_TIER}
 TIMEOUT_S = 150
