@@ -157,7 +157,8 @@ def _verify(args, g, caps):
     torsion = ",".join(str(d) for d in ab["torsion"]) or "none"
     return [
         f"r3-relators={report['r3_relators']} expected=0 {verdict} "
-        f"free-rank={ab['free_rank']} torsion={torsion}\n"
+        f"free-rank={ab['free_rank']} torsion={torsion}"
+        + ("" if report["ok"] else f" expected-free-rank={report['expected_free_rank']}") + "\n"
     ], code
 
 

@@ -38,8 +38,7 @@ class CosetTable:
     1 over the trivial subgroup.
     """
 
-    def __init__(self, n_gens: int, table: list[list[int]], order: int, defined: int, subgroup_order: int = 1):
-        self.n_gens = n_gens
+    def __init__(self, table: list[list[int]], order: int, defined: int, subgroup_order: int = 1):
         self.table = table
         self.order = order
         self.defined = defined
@@ -204,38 +203,34 @@ def todd_coxeter(pres, h: int | None = None, max_cosets: int = DEFAULT_MAX_COSET
                 if enum.table[a][col] is None:
                     enum.define(a, col)
         a += 1
-    table = _compress_standardize(enum, n_gens)
+    table = _compress_standardize(enum)
     if h is not None:
         table.subgroup_order = enum.relation
     return table
 
 
-def _compress_standardize(enum, n_gens):
-    live = [c for c in range(len(enum.table)) if enum.p[c] == c]
-    # resolve every entry through the union-find first
-    resolved = {}
-    for c in live:
-        resolved[c] = [enum.rep(v)[0] for v in enum.table[c]]
-    # breadth-first renumbering from the subgroup coset for a canonical table
-    start = enum.rep(0)[0]
-    number = {start: 0}
-    order_list = [start]
-    idx = 0
-    while idx < len(order_list):
-        c = order_list[idx]
-        idx += 1
-        for col in range(enum.ncols):
-            d = resolved[c][col]
-            if d is not None and d not in number:
-                number[d] = len(order_list)
-                order_list.append(d)
-    if len(order_list) != len(live):
+def _compress_standardize(enum):
+    # breadth-first renumbering from the subgroup coset for a canonical table;
+    # each row is resolved through the union-find when the walk reaches it,
+    # and the walk grows as it numbers new cosets
+    walk = [enum.rep(0)[0]]
+    number = {walk[0]: 0}
+    table = []
+    for c in walk:
+        row = []
+        for d in enum.table[c]:
+            if d is None:
+                raise AssertionError("coset table left an action undefined")
+            d = enum.rep(d)[0]
+            if d not in number:
+                number[d] = len(walk)
+                walk.append(d)
+            row.append(number[d])
+        table.append(row)
+    if len(table) != sum(c == p for c, p in enumerate(enum.p)):
         raise AssertionError("coset table is not connected")
-    if any(v is None for c in live for v in resolved[c]):
-        raise AssertionError("coset table left an action undefined")
-    table = [[number[v] for v in resolved[c]] for c in order_list]
     # rows are never freed, so the enumerator's table length counts every coset defined
-    return CosetTable(n_gens, table, len(table), len(enum.table))
+    return CosetTable(table, len(table), len(enum.table))
 
 
 def word_equal(t: CosetTable, w1, w2) -> bool:
@@ -274,32 +269,22 @@ def abelianization(pres) -> Abelianization:
     integers are unbounded so no overflow handling is needed.
     """
     n = len(pres.generators)
-    rows = []
-    for w in pres.relators:
-        row = [0] * n
+    rows = [[0] * n for _ in pres.relators]
+    for row, w in zip(rows, pres.relators):
         for g in w:
             row[abs(g) - 1] += 1 if g > 0 else -1
-        rows.append(row)
-    diag = _smith_diagonal(rows, n)
-    factors = sorted(d for d in diag if d != 0)
-    # enforce the divisibility chain to get canonical invariant factors
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b = factors[i], factors[i + 1]
-            if b % a != 0:
-                g = gcd(a, b)
-                factors[i], factors[i + 1] = g, a * b // g
-                changed = True
-        factors.sort()
-    torsion = tuple(d for d in factors if d > 1)
-    return Abelianization(torsion, n - len(factors))
+    factors = [d for d in _smith_diagonal(rows, n) if d]
+    # one pairwise pass to the invariant factors: step (i, j) makes f_i divide
+    # f_j, and later steps keep that, since gcd and lcm sort each prime's exponents
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            c = gcd(factors[i], factors[j])
+            factors[i], factors[j] = c, factors[i] * factors[j] // c
+    return Abelianization(tuple(d for d in factors if d > 1), n - len(factors))
 
 
-def _smith_diagonal(rows, n):
-    """Diagonalize an integer matrix in place; return the diagonal."""
-    mat = [list(r) for r in rows]
+def _smith_diagonal(mat, n):
+    """Diagonalize an integer matrix (a list of n-entry rows) in place; return the diagonal."""
     m = len(mat)
     diag = []
     t = 0

@@ -15,7 +15,8 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
     """Decide the maximal subgroup at (n, r); returns the report fields.
 
     At rank n-1 the position presentation's R3 count and abelianization are
-    reported; ok needs no R3, no torsion and free rank |G|*C(n,2) - n + 1.
+    reported; ok needs no R3, no torsion and free rank |G|*C(n,2) - n + 1,
+    reported as expected_free_rank.
     At r = n and n = r+2 the order comes from `enumerate_order`, at n > r+2
     from the (r+2, r) slice by `slice_order`: the report gains method ("slice",
     or "enumerate" when a route check fails and `enumerate_order` at n decides),
@@ -33,8 +34,8 @@ def run_verify(g: Group, n: int, r: int, caps: dict) -> dict:
         ab = fpgroup.abelianization(q)
         report.update(mode="rank-free", r3_relators=p.tag_count("R3"), expected_r3=0,
                       abelianization={"torsion": list(ab.torsion), "free_rank": ab.free_rank},
-                      ok=p.tag_count("R3") == 0 and not ab.torsion
-                      and ab.free_rank == g.order * comb(n, 2) - n + 1)
+                      expected_free_rank=g.order * comb(n, 2) - n + 1)
+        report["ok"] = not report["r3_relators"] and not ab.torsion and ab.free_rank == report["expected_free_rank"]
         return report
     expected = 1 if r == n else (g.order ** r) * factorial(r)
     route: dict = {}

@@ -148,7 +148,8 @@ def test_rank_free_abelianization_checks_its_matrix_cells(capsys, monkeypatch):
     argv = ["verify", "--group", "Z2", "--n", "4", "--r", "3", "--max-entries"]
     assert run(capsys, *argv, "48") == (3, "", "error: abelianization matrix entries exceeds the cap 48\n")
     assert called == []
-    assert run(capsys, *argv, "49") == (1, "r3-relators=0 expected=0 MISMATCH free-rank=0 torsion=none\n", "")
+    assert run(capsys, *argv, "49") == (
+        1, "r3-relators=0 expected=0 MISMATCH free-rank=0 torsion=none expected-free-rank=9\n", "")
     assert called == [residue]
 
 
@@ -165,7 +166,8 @@ def test_rank_free_verify_checks_the_free_rank(capsys, monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(presentation, "_gr_words", short)
-            assert run(capsys, *argv) == (1, "r3-relators=0 expected=0 MISMATCH free-rank=26 torsion=none\n", "")
+            assert run(capsys, *argv) == (
+                1, "r3-relators=0 expected=0 MISMATCH free-rank=26 torsion=none expected-free-rank=25\n", "")
 
 
 def test_verify_below_rank_free_skips_position_presentation(monkeypatch):
@@ -337,6 +339,25 @@ def test_gr_json_is_written_from_the_batches(capsys, tmp_path, monkeypatch):
             assert (code, out, os.listdir()) == (3, "", []) and f"cap {cap}" in err
             code, out, _ = run(capsys, *argv, "--max-relators", str(cap))
             assert code == 3 and whole.startswith(out) and '"relators": [' in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify --group Z0 --n 4 --r 2", "bad cyclic order in 'Z0'"),
+    ("verify --group S0 --n 4 --r 2", "bad symmetric degree in 'S0'"),
+    ("verify --group table:{order x} --n 4 --r 2", "bad order 'x'"),
+    ("verify --group table:{order 0} --n 4 --r 2", "bad order 0"),
+    ("rising-point --group Z2 --r 2 --alpha 1:0;2", "entry 2 is not of the form t:g: '2'"),
+    ("rising-point --group Z2 --r 2 --alpha 1:0;a:0", "entry 2 has non-integer fields: 'a:0'"),
+    ("verify --group Z2 --n 4 --r 0", "rank r=0 must be at least 1"),
+])
+def test_outside_input_exits_2_naming_its_fault(capsys, tmp_path, argv, message):
+    # `table:{text}` names a table file holding that one line
+    head, brace, rest = argv.partition("{")
+    if brace:
+        text, _, tail = rest.partition("}")
+        (tmp_path / "g.txt").write_text(text + "\n")
+        argv = head + str(tmp_path / "g.txt") + tail
+    assert run(capsys, *argv.split()) == (2, "", f"error: {message}\n")
 
 
 def test_group_table_file_spec(capsys, tmp_path):
@@ -571,7 +592,7 @@ GOLDEN = {
     "verify --group Z2 --n 4 --r 3":
         (0, "fd1e7a4ee10643abed17be69c03876edfa37cb1b70cb9d0d7cca6ada57a662e0", EMPTY, None),
     "verify --group Z2 --n 4 --r 3 --json":
-        (0, "3f3a25813a5ca3633c2ecb0209dd9fb6499ba994aa111f9efd46c1feb6c18824", EMPTY, None),
+        (0, "9ce7a7076e08b7768df9b06fe2185dfaddc98e1a46b09832538d8c408195343b", EMPTY, None),
     "verify --group Z3 --n 4 --r 4":
         (0, "651cfecdf66a91e7cb19218ea3fa3034281da69e7e5f2eaceb606662f329844b", EMPTY, None),
     "verify --group Z3 --n 4 --r 4 --json":

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import random
+import tracemalloc
 import types
 from functools import lru_cache
 from math import gcd
@@ -306,3 +307,46 @@ def test_no_relation_on_h_falls_back_under_the_same_cap(monkeypatch):
     with pytest.raises(Capped, match="capped at 50 cosets"):
         enumerate_order(m, dict(DEFAULT_CAPS, max_cosets=50))
     assert calls == [(1, 50), (None, 50)]
+
+
+# -- the finishing passes and the input checks ----------------------------------
+
+def test_standardizing_rejects_an_undefined_action(monkeypatch):
+    # a finished enumeration with one action of coset 0 blanked: the walk
+    # meets the gap before it resolves it through the union-find
+    real = fpgroup._compress_standardize
+
+    def blank(enum, *rest):
+        enum.table[0][0] = None
+        return real(enum, *rest)
+
+    monkeypatch.setattr(fpgroup, "_compress_standardize", blank)
+    with pytest.raises(AssertionError, match="coset table left an action undefined"):
+        todd_coxeter(pres("st", [(1, 1), (2, 2), (1, 2) * 3]))
+
+
+def test_abelianization_holds_one_exponent_matrix():
+    # the Smith diagonal is reduced in the matrix abelianization builds, so its
+    # peak stays near that matrix alone: a working copy would take it past 2x
+    rng = random.Random(37)
+    n_gens, relators = 120, [tuple(rng.choice((1, -1)) * rng.randint(1, 120) for _ in range(4)) for _ in range(160)]
+    p = pres([f"a{k}" for k in range(n_gens)], relators)
+    tracemalloc.start()
+    try:
+        matrix = [[0] * n_gens for _ in relators]
+        alone = tracemalloc.get_traced_memory()[0]
+        del matrix
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        abelianization(p)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * alone, (peak, alone)
+
+
+def test_todd_coxeter_rejects_undeclared_generators():
+    with pytest.raises(ValueError, match="relator references an undeclared generator"):
+        todd_coxeter(pres("a", [(1, 2)]))
+    with pytest.raises(ValueError, match="subgroup generator is not declared"):
+        todd_coxeter(pres("a", [(1, 1)]), h=2)

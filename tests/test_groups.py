@@ -109,6 +109,25 @@ def test_table_file_parse_errors():
         group_from_text("order 2\n0 x\n1 0\n")
 
 
+@pytest.mark.parametrize("text, error, message", [
+    ("order 2\n0 1\n1\n", TableNotGroup, "row 1 has length 1, expected 2"),
+    ("order 2\n0 1\n1 2\n", TableNotGroup, "row 1 has entries outside 0..1"),
+    ("order 2\n0 1\n0 1\n", TableNotGroup, "column 0 is not a permutation: not a Latin square"),
+    ("order 3\n0 1 2\n2 0 1\n1 2 0\n", TableNotGroup, "column 0 must fix every element (identity is index 0)"),
+    ("order x\n", ParseError, "bad order 'x'"),
+    ("order 0\n", ParseError, "bad order 0"),
+])
+def test_table_file_rejection_names_its_fault(text, error, message):
+    with pytest.raises(error) as exc:
+        group_from_text(text)
+    assert str(exc.value) == message
+
+
+def test_empty_table_rejected():
+    with pytest.raises(TableNotGroup, match="^empty table$"):
+        Group(())
+
+
 def test_associativity_rejected():
     # Latin square with identity at 0 that is not associative (order 5 loop)
     table = [
@@ -142,6 +161,10 @@ def test_make_group_grammar(tmp_path):
     assert make_group(f"table:{path}").order == 4
     with pytest.raises(ParseError):
         make_group("Q8")
+    for spec, message in (("Z0", "bad cyclic order in 'Z0'"), ("S0", "bad symmetric degree in 'S0'")):
+        with pytest.raises(ParseError) as exc:
+            make_group(spec)
+        assert str(exc.value) == message
 
 
 def test_index_out_of_range():

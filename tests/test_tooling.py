@@ -173,6 +173,27 @@ def test_ladder_extreme_tier_hashes_each_stdout(monkeypatch, tmp_path):
     assert row["a"]["sha256"] == [hashlib.sha256(out.encode() + b"\n").hexdigest()]
 
 
+def test_ladder_enumeration_tier_hashes_each_stdout(monkeypatch, tmp_path):
+    # the enumeration tier holds verify at n = r + 2, where Todd-Coxeter
+    # decides, from desk scale to the frontier, and records the sha256 of each run's stdout
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    import ladder
+
+    assert ladder.ENUMERATION_TIER == [
+        "verify --group Z2 --n 8 --r 6", "verify --group S3 --n 6 --r 4", "verify --group Z3 --n 7 --r 5",
+        "verify --group Z4 --n 7 --r 5", "verify --group Z3 --n 8 --r 6", "verify --group Z2 --n 9 --r 7",
+        "verify --group S3 --n 7 --r 5", "verify --group S4 --n 5 --r 3"]
+    monkeypatch.setattr(ladder, "TIERS", {"enumeration": ["verify --group Z2 --n 4 --r 2"]})
+    path = tmp_path / "ladder.json"
+    assert ladder.main(["--tier", "enumeration", "--tree", f"a={SRC}", "--out", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["method"].startswith("enumeration tier") and "each timeout recorded" in report["method"]
+    [row] = report["instances"]
+    out = "order=8 expected=8 OK"
+    assert row["tier"] == "enumeration" and row["same_output"] and row["a"]["stdout"] == [out]
+    assert row["a"]["sha256"] == [hashlib.sha256(out.encode() + b"\n").hexdigest()] and row["a"]["timeouts"] == 0
+
+
 def test_ladder_capped_tier_records_each_exit(monkeypatch, tmp_path):
     # the capped tier holds the frontier's capped rows and records each run
     # as whatever it does: an exit 3 at the entries cap keeps its wall clock,

@@ -1,4 +1,4 @@
-"""The bench ladder's slice, export, large, capped and extreme tiers: wall time, peak RSS, and stage times or output digests per tree.
+"""The bench ladder's slice, export, large, capped, extreme and enumeration tiers: wall time, peak RSS, and stage times or output digests per tree.
 
     python tools/ladder.py --tree parent=<checkout>/src --tree change=src --out BENCH_24.json
     python tools/ladder.py --tier export --tree parent=<checkout>/src --tree change=src --out BENCH_29.json
@@ -10,6 +10,8 @@
         --out BENCH_34.json
     python tools/ladder.py --tier export extreme --tree parent=<checkout>/src --tree change=src --out BENCH_35.json
     python tools/ladder.py --tier export extreme --tree parent=<checkout>/src --tree change=src --out BENCH_36.json
+    python tools/ladder.py --tier enumeration extreme --tree parent=<checkout>/src --tree change=src \
+        --out BENCH_37.json
 
 Each `--tree NAME=PATH` names a `src` directory holding the `gact` package.
 For every instance, tree and repeat the script starts one fresh wrapper
@@ -27,6 +29,7 @@ its stdout.  The capped tier runs the frontier's instances that stopped at a
 cap; each run is recorded as whatever it does, its stdout hashed and its
 wall clock and peak RSS kept whatever its exit code (a timeout excepted).
 The extreme tier runs `verify` at rank n-1 and at r = 1 with large n, and
+the enumeration tier `verify` at n = r+2, where Todd-Coxeter decides; each
 records the sha256 of its stdout.
 `same_output` says whether every run of every tree gave the same exit status
 and the same bytes.  Given several tiers, the script writes a list of their
@@ -76,8 +79,12 @@ CAPPED_TIER += ["squares --group Z2 --n 9", "squares --group Z2 --n 10"]
 # the extreme ranks: n - 1, where the sandwich has C(n, 2) partitions of n - 1 blocks, and 1 at large n
 EXTREME_TIER = [f"verify --group trivial --n {n} --r {r}" for n, r in [(100, 99), (200, 199), (100000, 1)]]
 EXTREME_TIER += ["verify --group Z3 --n 60 --r 59"]  # rank n - 1 with |G| > 1
+# n = r + 2, where Todd-Coxeter decides, from desk scale to the frontier: S3 7 5 runs past the timeout
+ENUMERATION_TIER = [f"verify --group {g} --n {n} --r {r}" for g, n, r in
+                    [("Z2", 8, 6), ("S3", 6, 4), ("Z3", 7, 5), ("Z4", 7, 5), ("Z3", 8, 6), ("Z2", 9, 7),
+                     ("S3", 7, 5), ("S4", 5, 3)]]
 TIERS = {"slice": SLICE_TIER, "export": EXPORT_TIER, "large": LARGE_TIER, "capped": CAPPED_TIER,
-         "extreme": EXTREME_TIER}
+         "extreme": EXTREME_TIER, "enumeration": ENUMERATION_TIER}
 TIMEOUT_S = 150
 REPEATS = 3
 # imports every module of the tree, which compiles it and the standard modules it imports into the cache
@@ -220,13 +227,16 @@ def main(argv=None) -> int:
         ap.error("give each source tree as --tree NAME=PATH")
     trees = dict(spec.split("=", 1) for spec in args.tree)
     what = {"slice": "`gact.cli verify` child", "export": "`gact.cli` export child, to a temporary --output file,",
-            "large": "`gact.cli squares` child", "capped": "`gact.cli` child", "extreme": "`gact.cli verify` child"}
+            "large": "`gact.cli squares` child", "capped": "`gact.cli` child", "extreme": "`gact.cli verify` child",
+            "enumeration": "`gact.cli verify` child"}
     after = {"slice": "stage times are in-process, one fresh child per repeat",
              "export": "each run's output file is hashed (sha256) after the child exits",
              "large": "each run's stdout is hashed (sha256) after the child exits",
              "capped": "each run's stdout is hashed (sha256) after the child exits, and its series kept, "
                        "whatever its exit code",
-             "extreme": "each run's stdout is hashed (sha256) after the child exits"}
+             "extreme": "each run's stdout is hashed (sha256) after the child exits",
+             "enumeration": "each run's stdout is hashed (sha256) after the child exits, and each timeout "
+                            "recorded"}
     reports = [{
         "method": (f"{tier} tier; per instance, tree and repeat one fresh wrapper process runs one "
                    f"{what[tier]} under a {TIMEOUT_S} s timeout and reads its wall clock "
