@@ -201,31 +201,20 @@ def decompose(g, phi: WreathElem) -> tuple[WreathElem, WreathElem]:
 
 # -- witness search and presentation simplification -----------------------------
 
-def _check_square(g, phi: WreathElem, phi2: WreathElem, psi: WreathElem, sigma: WreathElem):
-    if wreath_mul(g, wreath_inv(g, phi), psi) != wreath_mul(g, wreath_inv(g, phi2), sigma):
+def _check_square(g, phi: WreathElem, psi: WreathElem, sigma: WreathElem):
+    if wreath_mul(g, wreath_inv(g, phi), psi) != sigma:
         raise ValueError("quadruple fails the square condition")
 
 
-def find_singular_witness(
-    m: SandwichMatrix,
-    phi: WreathElem,
-    phi2: WreathElem,
-    psi: WreathElem,
-    sigma: WreathElem,
-    k_idx: int,
-    l_idx: int,
-    checked: bool = False,
-):
-    """Search a 2x2 pattern [[phi, psi], [phi2, sigma]] anchored at psi's position.
+def find_singular_witness(m: SandwichMatrix, phi: WreathElem, psi: WreathElem, sigma: WreathElem, k_idx: int,
+                          l_idx: int):
+    """Search a 2x2 pattern [[phi, psi], [identity, sigma]] anchored at psi's position.
 
-    Returns (i, k, l, mu) with entries phi at (i, l), phi2 at (i, mu),
+    Returns (i, k, l, mu) with entries phi at (i, l), the identity at (i, mu),
     psi at (k, l) and sigma at (k, mu), or None; rows i are tried in order.
-    The quadruple must satisfy the square condition: it is tested up front
-    unless the caller has tested it (checked).
+    The caller has tested the square condition, inv(phi) * psi = sigma.
     """
-    if not checked:
-        _check_square(m.group, phi, phi2, psi, sigma)
-    x, x2, y, z = (m.value_id.get(v, -2) for v in (phi, phi2, psi, sigma))  # -2 matches no cell
+    x, e, y, z = (m.value_id.get(v, -2) for v in (phi, wreath_identity(m.r), psi, sigma))  # -2 matches no cell
     if m.id_at(k_idx, l_idx) != y or (first := m.first_block(l_idx, x)) < 0:
         return None
     for p in islice(m.column_blocks[l_idx], first, None):  # the partitions whose rows hold phi, ascending
@@ -234,8 +223,8 @@ def find_singular_witness(
         with suppress(ValueError):  # past the block's last row holding phi
             while True:
                 off = row.index(x, off + 1)
-                for mu, row_mu in zip(cols, id_rows):  # a column holding phi2 at row i is one of its partition's
-                    if row_mu[off] == x2 and m.id_at(k_idx, mu) == z:
+                for mu, row_mu in zip(cols, id_rows):  # a column holding e at row i is one of its partition's
+                    if row_mu[off] == e and m.id_at(k_idx, mu) == z:
                         return (p * m.block + off, k_idx, l_idx, mu)
     return None
 
@@ -252,18 +241,13 @@ class MergeWitness:
         self.square = square  # rows (t, j), columns (lambda, mu)
 
 
-def simplify_presentation(
-    p: Presentation,
-    m: SandwichMatrix,
-    pg: PositionGraph,
-    witness_log: list | None = None,
-) -> Presentation:
+def simplify_presentation(p: Presentation, m: SandwichMatrix, pg: PositionGraph, witness_log: list) -> Presentation:
     """Certify the value presentation of m and tie each split value.
 
     p carries one generator per matrix value, numbered value id + 1 (its
     gen_keys are m.values).  Each value whose positions fall into several
     components is tied to the others through a decomposition square found
-    in the matrix; the witness is recorded and the merge word
+    in the matrix; the witness goes into witness_log and the merge word
     value * inv(remainder) * inv(simple factor) is appended to p's relators,
     over the same generators.  Every value must end in a single class, so
     each identification is certified.  The identity stays a generator; P2
@@ -303,18 +287,17 @@ def simplify_presentation(
         beta, gamma = decompose(g, value)
         certify_single(beta)  # certified single before use
         certify_single(gamma)
-        _check_square(g, beta, identity, value, gamma)  # one quadruple for all the value's roots
+        _check_square(g, beta, value, gamma)  # one quadruple for all the value's roots
         roots = roots_by_value[value]
         for root in roots:
             j_idx, l_idx = root
-            witness = find_singular_witness(m, beta, identity, value, gamma, j_idx, l_idx, checked=True)
+            witness = find_singular_witness(m, beta, value, gamma, j_idx, l_idx)
             if witness is None:
                 raise WitnessNotFound(
                     f"no certifying square for value {wreath_to_text(value)} "
                     f"at component {root}"
                 )
-            if witness_log is not None:
-                witness_log.append(MergeWitness(value, root, gamma, beta, witness))
+            witness_log.append(MergeWitness(value, root, gamma, beta, witness))
         roots_by_value[value] = [min(roots)]
         merges.append((m.value_id[value] + 1, -m.value_id[beta] - 1, -m.value_id[gamma] - 1))
 

@@ -10,7 +10,10 @@ from gact import (
     ParseError,
     Presentation,
     WreathElem,
+    build_gr_presentation,
+    build_sandwich,
     compose,
+    eliminate_generators,
     group_from_text,
     lambda_list,
     todd_coxeter,
@@ -445,6 +448,16 @@ def dense_ids(m):
 
 
 KLEIN = "order 4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
+
+
+def gr_order(g, n, r, max_cosets=DEFAULT_MAX_COSETS):
+    """The order of the position presentation (R1, R2, R3) at (n, r), independent of `verify`.
+
+    Tietze elimination, then Todd-Coxeter over the trivial subgroup: no
+    connectivity, merge or witness search is involved.
+    """
+    q, _ = eliminate_generators(build_gr_presentation(build_sandwich(g, n, r)))
+    return todd_coxeter(q, max_cosets=max_cosets).order
 
 
 def quaternion_group():

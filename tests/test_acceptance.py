@@ -96,7 +96,7 @@ def test_criterion_2_rank_one_recovers_the_group():
         )
         want_ab = abelianization(table_pres)
         m = build_sandwich(g, 4, 1)
-        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m), [])
         got_ab = abelianization(q)
         results.append(
             (

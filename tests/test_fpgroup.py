@@ -222,7 +222,7 @@ def reduced(spec, n, r):
     """
     g = make_group(spec)
     m = build_sandwich(g, n, r)
-    q, _ = eliminate_generators(simplify_presentation(build_quotient_presentation(m), m, connectivity(m)))
+    q, _ = eliminate_generators(simplify_presentation(build_quotient_presentation(m), m, connectivity(m), []))
     orders = [wreath_order(g, v) for v in q.gen_keys]
     return q, (orders.index(max(orders)) + 1 if orders else None)
 
@@ -350,3 +350,20 @@ def test_todd_coxeter_rejects_undeclared_generators():
         todd_coxeter(pres("a", [(1, 2)]))
     with pytest.raises(ValueError, match="subgroup generator is not declared"):
         todd_coxeter(pres("a", [(1, 1)]), h=2)
+
+
+def test_coset_that_dies_during_its_own_scans_stops_scanning(monkeypatch):
+    # a coincidence found while scanning coset a at one relator can take a
+    # itself: the remaining relators are not scanned at a, and the group closes
+    real = fpgroup._Enumerator.scan_and_fill
+    died = []
+
+    def scan_and_fill(self, a, rel):
+        real(self, a, rel)
+        if self.p[a] != a:
+            died.append(a)
+
+    monkeypatch.setattr(fpgroup._Enumerator, "scan_and_fill", scan_and_fill)
+    t = todd_coxeter(pres("ab", [(2, 1, -1), (-1, -2, -2, -1), (-2, 1, 1, 2, 1), (2,)]))
+    assert t.order == 1
+    assert 2 in died

@@ -40,6 +40,7 @@ from gact.presentation import (
 )
 
 from helpers import (
+    KLEIN,
     WALK_CASES,
     dense_ids,
     dense_p1_relators,
@@ -47,6 +48,7 @@ from helpers import (
     dense_r3_relators,
     eps_rank_r,
     erase_generators,
+    gr_order,
     gr_r3_oracle,
     lavers_assignment,
     presentation_from_text,
@@ -359,7 +361,7 @@ def test_value_route_matches_position_route():
     for n, spec, r, expected in MAIN_CASES + [(4, "S3", 2, 72), (5, "Z3", 3, 162)]:
         g = make_group(spec)
         m = build_sandwich(g, n, r)
-        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m), [])
         p = build_gr_presentation(m)
         ids = dense_ids(m)
         letter = [ids[l_idx][i] + 1 for i, l_idx in p.gen_keys]
@@ -517,7 +519,7 @@ def test_simplified_abelianization_matches_concrete_wreath():
         concrete = Presentation(names, relators, ["mul"] * len(relators))
         want = abelianization(concrete)
         m = build_sandwich(g, n, r)
-        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m), [])
         got = abelianization(q)
         assert (got.torsion, got.free_rank) == (want.torsion, want.free_rank), (n, spec, r)
 
@@ -576,7 +578,7 @@ def test_rank_n_minus_1_free_rank_by_union_find(spec, n, free_rank):
 
 def value_presentation(spec, n, r):
     m = build_sandwich(make_group(spec), n, r)
-    return simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+    return simplify_presentation(build_quotient_presentation(m), m, connectivity(m), [])
 
 
 def total_length(p):
@@ -737,3 +739,50 @@ def test_cosets_defined_within_ten_times_the_order():
     for spec, n, r in (("Z2", 6, 4), ("trivial", 8, 6), ("Z4", 5, 3)):
         table = todd_coxeter(eliminate_generators(value_presentation(spec, n, r))[0])
         assert table.defined <= 10 * table.order, (spec, n, r, table.defined)
+
+
+# -- the position presentation as an independent oracle ---------------------------------
+
+def test_position_presentation_order_matches_verify():
+    # the gr presentation, Tietze-reduced and enumerated over the trivial
+    # subgroup, shares no connectivity, merge or witness code with verify:
+    # both must give |G|^r * r!
+    from math import factorial
+
+    from gact import group_from_text
+    from gact.cli import DEFAULT_CAPS
+    from gact.verify import run_verify
+
+    klein = group_from_text(KLEIN)
+    cases = [(make_group(spec), n, r) for n, spec, r, _ in MAIN_CASES]
+    cases += [(make_group("Z2"), 6, 4), (klein, 4, 2), (klein, 5, 3)]
+    for g, n, r in cases:
+        want = g.order ** r * factorial(r)
+        assert gr_order(g, n, r) == run_verify(g, n, r, DEFAULT_CAPS)["computed_order"] == want, (g.order, n, r)
+
+
+def _dropping(tag, whole_batch=False):
+    """`gr_relators` without the first word, or the whole batch, of the first nonempty batch tagged tag."""
+    def mutant(*args, **kwargs):
+        dropped = False
+        for batch_tag, words in gr_relators(*args, **kwargs):
+            if batch_tag == tag and words and not dropped:
+                dropped = True
+                if whole_batch:
+                    continue
+                words = words[1:]
+            yield batch_tag, words
+    return mutant
+
+
+@pytest.mark.parametrize("mutant", [_dropping("R1"), _dropping("R2"), _dropping("R3", whole_batch=True)],
+                         ids=["first R1 word", "first R2 word", "first R3 batch"])
+def test_position_presentation_oracle_catches_dropped_relators(monkeypatch, mutant):
+    # each relator family carries weight: without one R1 word, one R2 word or
+    # one row's R3 batch the presentation is no longer finite enough to close
+    from gact import Capped, presentation
+
+    monkeypatch.setattr(presentation, "gr_relators", mutant)
+    for g, n, r in ((Z2, 4, 2), (Z2, 5, 3), (trivial_group(), 6, 4)):
+        with pytest.raises(Capped):
+            gr_order(g, n, r, max_cosets=20_000)

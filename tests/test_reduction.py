@@ -183,7 +183,7 @@ def test_witness_for_identity_quadruple():
     m = build_sandwich(Z2, 4, 2)
     e = wreath_identity(2)
     k, l_idx = value_positions(m)[e][0]
-    found = find_singular_witness(m, e, e, e, e, k, l_idx)
+    found = find_singular_witness(m, e, e, e, k, l_idx)
     assert found is not None
     i, k, l_idx, m_idx = found
     assert m.entries[l_idx][i] == e
@@ -200,7 +200,7 @@ def test_witness_for_simple_split():
     e = wreath_identity(2)
     found = [
         w for k, l_idx in value_positions(m)[alpha]
-        if (w := find_singular_witness(m, beta, e, alpha, gamma, k, l_idx))
+        if (w := find_singular_witness(m, beta, alpha, gamma, k, l_idx))
     ]
     assert found
     for i, k, l_idx, m_idx in found:
@@ -210,20 +210,12 @@ def test_witness_for_simple_split():
         assert m.entries[m_idx][k] == gamma
     # psi must sit at the anchor position, or there is nothing to search
     k, l_idx = value_positions(m)[e][0]
-    assert find_singular_witness(m, beta, e, alpha, gamma, k, l_idx) is None
-
-
-def test_witness_precondition():
-    m = build_sandwich(Z2, 4, 2)
-    e = wreath_identity(2)
-    tw = parse_wreath(Z2, 2, "1:1;2:0")
-    with pytest.raises(ValueError):
-        find_singular_witness(m, e, e, e, tw, 0, 0)
+    assert find_singular_witness(m, beta, alpha, gamma, k, l_idx) is None
 
 
 def test_simplify_checks_each_merged_square_once(monkeypatch):
     # every root of a merged value is searched with the same quadruple
-    # (remainder, e, value, simple factor): its square condition is tested
+    # (remainder, value, simple factor): its square condition is tested
     # once, and a quadruple that fails it raises before any search
     from gact import make_group, reduction
 
@@ -234,7 +226,7 @@ def test_simplify_checks_each_merged_square_once(monkeypatch):
     monkeypatch.setattr(reduction, "_check_square", lambda g, *quad: checks.append(quad) or check(g, *quad))
     simplify_presentation(build_quotient_presentation(m), m, connectivity(m), log)
     assert len(log) > len(checks) == len({w.value for w in log})
-    assert checks == list(dict.fromkeys((w.remainder, e, w.value, w.simple_factor) for w in log))
+    assert checks == list(dict.fromkeys((w.remainder, w.value, w.simple_factor) for w in log))
 
     def no_search(*args, **kwargs):
         raise AssertionError("witness search ran before the square condition was tested")
@@ -242,7 +234,7 @@ def test_simplify_checks_each_merged_square_once(monkeypatch):
     monkeypatch.setattr(reduction, "decompose", lambda g, v: (e, e))
     monkeypatch.setattr(reduction, "find_singular_witness", no_search)
     with pytest.raises(ValueError, match="square condition"):
-        simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+        simplify_presentation(build_quotient_presentation(m), m, connectivity(m), [])
 
 
 # -- simplification ----------------------------------------------------------------------
@@ -251,7 +243,7 @@ def simplified(g, n, r, log=None):
     m = build_sandwich(g, n, r)
     p = build_gr_presentation(m)
     pg = connectivity(m)
-    return p, simplify_presentation(build_quotient_presentation(m), m, pg, log)
+    return p, simplify_presentation(build_quotient_presentation(m), m, pg, [] if log is None else log)
 
 
 def test_simplify_collapses_to_value_generators():
@@ -287,11 +279,11 @@ def test_simplify_surfaces_missing_witness():
     unclosed = PositionGraph(m)
     assert unclosed.roots() == list(m.nonzero_positions())
     with pytest.raises(WitnessNotFound):
-        simplify_presentation(build_quotient_presentation(m), m, unclosed)
+        simplify_presentation(build_quotient_presentation(m), m, unclosed, [])
     # the position-keyed presentation is refused outright
     p = build_gr_presentation(m)
     with pytest.raises(ValueError):
-        simplify_presentation(p, m, connectivity(m))
+        simplify_presentation(p, m, connectivity(m), [])
 
 
 def test_rank_top_slices_need_no_merging():
@@ -434,20 +426,20 @@ def test_witness_search_matches_entry_scan():
         e = wreath_identity(r)
         vp = value_positions(m)
         for w in log:
-            args = (m, w.remainder, e, w.value, w.simple_factor)
-            assert scan_singular_witness(*args, *w.component) == w.square
+            args = (m, w.remainder, w.value, w.simple_factor)
+            scan_args = (m, w.remainder, e, w.value, w.simple_factor)  # the oracle takes the identity explicitly
+            assert scan_singular_witness(*scan_args, *w.component) == w.square
             assert find_singular_witness(*args, *w.component) == w.square
             for pos in vp[w.value]:
-                assert find_singular_witness(*args, *pos) == scan_singular_witness(*args, *pos)
-            # at the merge root, every phi held by two or more rows of its column
-            # with phi2 = e or gamma, so the row scan also passes rows that close
-            # no square, finds some squares past them and runs off the column
+                assert find_singular_witness(*args, *pos) == scan_singular_witness(*scan_args, *pos)
+            # at the merge root, every phi held by two or more rows of its column,
+            # so the row scan also passes rows that close no square, finds some
+            # squares past them and runs off the column
             held = Counter(m.entries[w.component[1]])
             for phi in (v for v in m.values if held[v] > 1):
-                for phi2 in (e, w.simple_factor):
-                    sigma = wreath_mul(g, phi2, wreath_mul(g, wreath_inv(g, phi), w.value))
-                    quad = (m, phi, phi2, w.value, sigma, *w.component)
-                    assert find_singular_witness(*quad) == scan_singular_witness(*quad)
+                sigma = wreath_mul(g, wreath_inv(g, phi), w.value)
+                assert (find_singular_witness(m, phi, w.value, sigma, *w.component)
+                        == scan_singular_witness(m, phi, e, w.value, sigma, *w.component))
 
 
 # sha256 of repr([w.square for w in log]) and the number of merges, recorded
@@ -475,9 +467,9 @@ def test_witness_squares_pinned(spec, n, r):
 
 
 def test_indexed_witness_search_matches_unindexed_scan():
-    # at every position of every merged value, for every value phi and phi2 in
-    # {identity, simple factor}: phi absent from column l, phi whose first row
-    # closes no square but a later one does, and phi whose rows close none
+    # at every position of every merged value, for every value phi: phi absent
+    # from column l, phi whose first row closes no square but a later one
+    # does, and phi whose rows close none
     from gact import make_group
 
     for spec, n, r in (("S3", 4, 2), ("Z2", 5, 3)):
@@ -492,24 +484,22 @@ def test_indexed_witness_search_matches_unindexed_scan():
                 column, parts = ids[l_idx], m.column_blocks[l_idx]
                 rows = [m.part_rows[p][m.part_columns[p].index(l_idx)] for p in parts]
                 for phi in m.values:
-                    for phi2 in (e, w.simple_factor):
-                        sigma = wreath_mul(g, phi2, wreath_mul(g, wreath_inv(g, phi), w.value))
-                        quad = (m, phi, phi2, w.value, sigma, k_idx, l_idx)
-                        found = find_singular_witness(*quad)
-                        assert found == unindexed_singular_witness(*quad), (spec, quad[1:])
-                        x = m.value_id[phi]
-                        k = m.first_block(l_idx, x)  # the column's first block holding x, -1 if none
-                        assert k == next((k for k, row in enumerate(rows) if x in row), -1)
-                        first = parts[k] * m.block + rows[k].index(x) if k >= 0 else -1
-                        assert first == (column.index(x) if x in column else -1)
-                        if first < 0:
-                            seen["absent"] += 1
-                        elif found is None:
-                            seen["none closes"] += 1
-                        elif found[0] > first:
-                            seen["first row fails"] += 1
-                        else:
-                            seen["first row closes"] += 1
+                    sigma = wreath_mul(g, wreath_inv(g, phi), w.value)
+                    found = find_singular_witness(m, phi, w.value, sigma, k_idx, l_idx)
+                    assert found == unindexed_singular_witness(m, phi, e, w.value, sigma, k_idx, l_idx), (spec, phi)
+                    x = m.value_id[phi]
+                    k = m.first_block(l_idx, x)  # the column's first block holding x, -1 if none
+                    assert k == next((k for k, row in enumerate(rows) if x in row), -1)
+                    first = parts[k] * m.block + rows[k].index(x) if k >= 0 else -1
+                    assert first == (column.index(x) if x in column else -1)
+                    if first < 0:
+                        seen["absent"] += 1
+                    elif found is None:
+                        seen["none closes"] += 1
+                    elif found[0] > first:
+                        seen["first row fails"] += 1
+                    else:
+                        seen["first row closes"] += 1
         assert len(seen) == 4 and min(seen.values()) > 0, (spec, seen)
 
 

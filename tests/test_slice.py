@@ -45,7 +45,7 @@ def test_every_simplified_relator_maps_to_one(spec, n, r):
     # simplified presentation at n dies under f[v] -> inv(v)
     g = make_group(spec)
     m = build_sandwich(g, n, r)
-    q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+    q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m), [])
     images = [wreath_inv(g, v) for v in q.gen_keys]
     for word in q.relators:
         assert evaluate_word(g, images, q.gen_keys, r, word) == wreath_identity(r), (spec, n, r, word)
@@ -58,7 +58,7 @@ def test_evaluate_word_reads_the_inverse_table():
     for spec, n, r in (("S3", 6, 3), ("Z2", 6, 3)):
         g = make_group(spec)
         m = build_sandwich(g, n, r)
-        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m))
+        q = simplify_presentation(build_quotient_presentation(m), m, connectivity(m), [])
         assert q.gen_keys == m.values
         for word in q.relators:
             for w in (word, word[1:]):
@@ -151,7 +151,7 @@ def test_wrong_merge_relator_fails_the_lower_bound(monkeypatch):
     real = reduction.simplify_presentation
     calls = []
 
-    def wrong_gamma(p, m, pg, log=None):
+    def wrong_gamma(p, m, pg, log):
         q = real(p, m, pg, log)
         if not calls:  # the route's call at n: retarget the first merge's gamma
             word = q.relators[0]

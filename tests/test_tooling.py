@@ -222,3 +222,32 @@ def test_ladder_capped_tier_records_each_exit(monkeypatch, tmp_path):
     # a run past the timeout keeps no series, and its row does not give the same output
     [row] = ladder.ladder({"a": str(SRC)}, ["verify --group Z2 --n 9 --r 3"], repeats=1, timeout=0.001, tier="capped")
     assert row["a"]["status"] == ["timeout"] and "wall_s" not in row["a"] and not row["same_output"]
+
+
+def test_ladder_desk_tier_covers_the_main_cases(monkeypatch):
+    # the desk tier runs verify on every main case and on Q8 and A4 at (5, 3),
+    # from table files written into the run's temporary directory, and
+    # records the sha256 of each run's stdout
+    import itertools
+
+    monkeypatch.syspath_prepend(str(PERFBENCH.parent / "tools"))
+    import ladder
+    from helpers import MAIN_CASES, quaternion_group
+
+    from gact import group_from_text, symmetric_group
+
+    main = [f"verify --group {spec} --n {n} --r {r}" for n, spec, r, _ in MAIN_CASES]
+    assert ladder.DESK_TIER == main + ["verify --group table:{tables}/q8.txt --n 5 --r 3",
+                                       "verify --group table:{tables}/a4.txt --n 5 --r 3"]
+    assert group_from_text(ladder.TABLES["q8.txt"]).table == quaternion_group().table
+    # A4 is S4's multiplication restricted to its even permutations, in S4's order
+    s4 = symmetric_group(4)
+    even = [x for x, p in enumerate(itertools.permutations(range(4)))
+            if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+    assert group_from_text(ladder.TABLES["a4.txt"]).table == tuple(
+        tuple(even.index(s4.table[x][y]) for y in even) for x in even)
+    instances = ["verify --group table:{tables}/q8.txt --n 4 --r 2", "verify --group table:{tables}/a4.txt --n 4 --r 2"]
+    rows = ladder.ladder({"a": str(SRC)}, instances, repeats=1, tier="desk")
+    for row, instance, out in zip(rows, instances, ["order=128 expected=128 OK", "order=288 expected=288 OK"]):
+        assert row["instance"] == instance and row["tier"] == "desk" and row["same_output"]
+        assert row["a"]["stdout"] == [out] and row["a"]["sha256"] == [hashlib.sha256(out.encode() + b"\n").hexdigest()]

@@ -1,4 +1,4 @@
-"""The bench ladder's slice, export, large, capped, extreme and enumeration tiers: wall time, peak RSS, and stage times or output digests per tree.
+"""The bench ladder's slice, desk, export, large, capped, extreme and enumeration tiers: wall time, peak RSS, and stage times or output digests per tree.
 
     python tools/ladder.py --tree parent=<checkout>/src --tree change=src --out BENCH_24.json
     python tools/ladder.py --tier export --tree parent=<checkout>/src --tree change=src --out BENCH_29.json
@@ -12,6 +12,7 @@
     python tools/ladder.py --tier export extreme --tree parent=<checkout>/src --tree change=src --out BENCH_36.json
     python tools/ladder.py --tier enumeration extreme --tree parent=<checkout>/src --tree change=src \
         --out BENCH_37.json
+    python tools/ladder.py --tier desk slice --tree parent=<checkout>/src --tree change=src --out BENCH_38.json
 
 Each `--tree NAME=PATH` names a `src` directory holding the `gact` package.
 For every instance, tree and repeat the script starts one fresh wrapper
@@ -28,7 +29,9 @@ sha256; the large tier runs `squares` at large n and records the sha256 of
 its stdout.  The capped tier runs the frontier's instances that stopped at a
 cap; each run is recorded as whatever it does, its stdout hashed and its
 wall clock and peak RSS kept whatever its exit code (a timeout excepted).
-The extreme tier runs `verify` at rank n-1 and at r = 1 with large n, and
+The desk tier runs `verify` on the test suite's main cases and on Q8 and
+A4 at (5, 3), from table files written into the run's temporary directory;
+the extreme tier runs `verify` at rank n-1 and at r = 1 with large n, and
 the enumeration tier `verify` at n = r+2, where Todd-Coxeter decides; each
 records the sha256 of its stdout.
 `same_output` says whether every run of every tree gave the same exit status
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -61,6 +65,12 @@ from pathlib import Path
 
 # (group, n, r): the slice route, from desk scale to the frontier
 SLICE_TIER = [("S3", 6, 3), ("Z2", 8, 4), ("Z2", 8, 3), ("Z3", 8, 4), ("Z4", 7, 3), ("S3", 7, 4)]
+# the test suite's main cases, then two table groups that are neither cyclic nor symmetric;
+# {tables} is the run's temporary directory, which holds TABLES
+DESK_TIER = [f"verify --group {g} --n {n} --r {r}" for g, n, r in
+             [("trivial", 4, 1), ("trivial", 4, 2), ("trivial", 5, 2), ("trivial", 5, 3), ("trivial", 6, 4),
+              ("Z2", 4, 1), ("Z2", 4, 2), ("Z2", 5, 2), ("Z3", 5, 2), ("Z2", 5, 3)]]
+DESK_TIER += ["verify --group table:{tables}/q8.txt --n 5 --r 3", "verify --group table:{tables}/a4.txt --n 5 --r 3"]
 # the write path: the gr presentation's text and its JSON, the sandwich's text and its JSON
 EXPORT_TIER = [f"presentation --kind gr --group {g} --n {n} --r {r}" for g, n, r in
                [("trivial", 8, 5), ("Z2", 6, 3), ("Z3", 6, 3)]]
@@ -83,13 +93,35 @@ EXTREME_TIER += ["verify --group Z3 --n 60 --r 59"]  # rank n - 1 with |G| > 1
 ENUMERATION_TIER = [f"verify --group {g} --n {n} --r {r}" for g, n, r in
                     [("Z2", 8, 6), ("S3", 6, 4), ("Z3", 7, 5), ("Z4", 7, 5), ("Z3", 8, 6), ("Z2", 9, 7),
                      ("S3", 7, 5), ("S4", 5, 3)]]
-TIERS = {"slice": SLICE_TIER, "export": EXPORT_TIER, "large": LARGE_TIER, "capped": CAPPED_TIER,
+TIERS = {"slice": SLICE_TIER, "desk": DESK_TIER, "export": EXPORT_TIER, "large": LARGE_TIER, "capped": CAPPED_TIER,
          "extreme": EXTREME_TIER, "enumeration": ENUMERATION_TIER}
 TIMEOUT_S = 150
 REPEATS = 3
 # imports every module of the tree, which compiles it and the standard modules it imports into the cache
 COMPILE_CODE = ("import importlib, pkgutil, gact\n"
                 "for mod in pkgutil.iter_modules(gact.__path__):\n    importlib.import_module('gact.' + mod.name)\n")
+
+
+def _table_text(elements: list, mul) -> str:
+    """The table file of a group listed identity first: `order m`, then row x holding the index of x*y per y."""
+    rows = [" ".join(str(elements.index(mul(x, y))) for y in elements) for x in elements]
+    return f"order {len(elements)}\n" + "\n".join(rows) + "\n"
+
+
+def _hamilton(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
+
+
+# Q8: the units +-1, +-i, +-j, +-k under the Hamilton product, 1 first; A4: the even
+# permutations of 4 points in one-line order, composed left to right as gact's S<k> is
+_EVEN = [p for p in itertools.permutations(range(4))
+         if sum(p[i] > p[j] for i, j in itertools.combinations(range(4), 2)) % 2 == 0]
+TABLES = {"q8.txt": _table_text([tuple(s * (k == u) for k in range(4)) for u in range(4) for s in (1, -1)],
+                                _hamilton),
+          "a4.txt": _table_text(_EVEN, lambda p, q: tuple(q[v] for v in p))}
 
 
 def _env(src: str, cache: str) -> dict:
@@ -159,12 +191,15 @@ def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: fl
     """One row per instance: each tree's statuses, stdouts, timeouts and series.
 
     Slice instances are (group, n, r) of a verify run, the other tiers'
-    instances the argument string of a run; their rows also give each tree's
+    instances the argument string of a run, in which {tables} names the
+    temporary directory that holds TABLES; their rows also give each tree's
     output digests and whether all runs agree on them and on their status.
     Series cover the successful runs, and in the capped tier every run that
     finished.
     """
     with tempfile.TemporaryDirectory(prefix="ladder-") as caches:
+        for name, text in TABLES.items():
+            Path(caches, name).write_text(text, encoding="utf-8")
         envs = {name: _env(src, os.path.join(caches, str(idx))) for idx, (name, src) in enumerate(trees.items())}
         for env in envs.values():  # untimed: the first repeat then reads bytecode too
             subprocess.run([sys.executable, "-c", COMPILE_CODE], env=env, check=True, timeout=TIMEOUT_S)
@@ -174,7 +209,7 @@ def ladder(trees: dict[str, str], instances, repeats: int = REPEATS, timeout: fl
                 group, n, r = instance
                 args, label = ["verify", "--group", group, "--n", str(n), "--r", str(r)], f"verify {group} {n} {r}"
             else:
-                args, label = instance.split(), instance
+                args, label = instance.format(tables=caches).split(), instance
             runs = {name: [] for name in trees}
             staged = {name: [] for name in trees}
             for _ in range(repeats):
@@ -226,10 +261,13 @@ def main(argv=None) -> int:
     if not all("=" in spec for spec in args.tree) or not args.tree:
         ap.error("give each source tree as --tree NAME=PATH")
     trees = dict(spec.split("=", 1) for spec in args.tree)
-    what = {"slice": "`gact.cli verify` child", "export": "`gact.cli` export child, to a temporary --output file,",
-            "large": "`gact.cli squares` child", "capped": "`gact.cli` child", "extreme": "`gact.cli verify` child",
+    what = {"slice": "`gact.cli verify` child", "desk": "`gact.cli verify` child",
+            "export": "`gact.cli` export child, to a temporary --output file,", "large": "`gact.cli squares` child",
+            "capped": "`gact.cli` child", "extreme": "`gact.cli verify` child",
             "enumeration": "`gact.cli verify` child"}
     after = {"slice": "stage times are in-process, one fresh child per repeat",
+             "desk": "each run's stdout is hashed (sha256) after the child exits; the table files are written "
+                     "into the run's temporary directory",
              "export": "each run's output file is hashed (sha256) after the child exits",
              "large": "each run's stdout is hashed (sha256) after the child exits",
              "capped": "each run's stdout is hashed (sha256) after the child exits, and its series kept, "
